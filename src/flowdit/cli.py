@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contextdrop, dit, flowlab, partitioner, rope, sampler
+from . import dit, flowlab, partitioner, rope, sampler
 
 _CONFIG_ERRORS = (ValueError, KeyError, TypeError, FileNotFoundError, NotADirectoryError)
 
@@ -230,23 +230,16 @@ def _cmd_gen(args) -> None:
     config = model.config
     if config.mode != "generative" or (config.patch, config.in_channels) != (1, 2):
         raise ValueError("gen expects a point-flow checkpoint (1x1 two-channel patches)")
-    drop = contextdrop.DropSpec(args.drop) if args.drop else None
-
-    def v(x, t):
-        if drop is None:
-            return flowlab.point_velocity(model, x, t)
-        kv_pool = ((1, 1), contextdrop.window_for_ratio(drop.ratio(float(t))))
-        out = dit.forward_velocity(model, x.reshape(x.shape[0], 1, 1, 2), t, kv_pool=kv_pool)
-        return out.reshape(x.shape[0], 2)
-
-    rng = np.random.default_rng(args.seed)
-    x0 = rng.standard_normal((args.n, 2))
-    x1 = sampler.sample_flow(v, x0, _schedule_spec(args), solver=args.solver)
+    x1 = flowlab.generate(model, args.n, _schedule_spec(args), solver=args.solver, seed=args.seed)
     if args.out:
         _write_csv(args.out, ["x0", "x1"], x1.tolist())
     if args.pgm:
         write_pgm(args.pgm, render_density(x1))
     print(f"gen: {args.n} samples via {args.solver} x{args.steps} from {args.model}")
+    if args.held_out:
+        # criterion 11's convention: as many held-out points as samples, seed 1234
+        held_out = flowlab.toy_dataset(args.held_out, args.n, seed=1234)
+        print(f"gen: energy distance to held-out {args.held_out}: {flowlab.energy_distance(x1, held_out):.4f}")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -338,10 +331,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", required=True, help="checkpoint directory")
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--solver", default="midpoint", choices=sorted(sampler.TABLEAUS))
-    p.add_argument("--drop", type=float, default=0.0, help="context-drop r_max")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--pgm", default=None)
+    p.add_argument("--held-out", default=None, dest="held_out", choices=flowlab.DATASETS,
+                   help="print the energy distance to held-out points of this toy")
 
     return parser, by_name
 

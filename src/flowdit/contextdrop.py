@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import numkernel as nk
 
 # (rows, cols), sorted by the fraction of context removed: 0, 1/2, 3/4, 7/8, 15/16
@@ -50,23 +51,17 @@ def window_for_ratio(ratio: float) -> tuple[int, int]:
     return chosen
 
 
-grid_coords = nk.grid_coords
+def pool_kv(k, v, coords, grid: tuple[int, int], window: tuple[int, int]):
+    """Average-pool keys, values, and their coordinates over `window` cells.
 
-
-def pool_kv(k, v, grid: tuple[int, int], ratio: float, coords=None):
-    """Pool keys, values, and their coordinates for a target drop ratio.
-
-    k, v have shape [..., h*w, d]; coords defaults to the integer grid.
-    Returns (k', v', coords'). ratio below 1/2 selects the 1x1 window and
-    returns the inputs untouched (same objects, zero cost).
+    k, v have shape [..., h*w, d] (arrays or tape Vars); coords [h*w, axes].
+    Returns (k', v', coords'). The (1, 1) window returns the inputs
+    unchanged, as the same objects.
     """
-    window = window_for_ratio(ratio)
-    if coords is None:
-        coords = grid_coords(grid)
-    if window == (1, 1):
+    n = ad.val(k).shape[-2]
+    if n != grid[0] * grid[1]:
+        raise ValueError(f"got {n} tokens for grid {grid}")
+    if tuple(window) == (1, 1):
         return k, v, coords
-    return (
-        nk.avg_pool_tokens(k, grid, window),
-        nk.avg_pool_tokens(v, grid, window),
-        nk.avg_pool_tokens(np.asarray(coords, dtype=float), grid, window),
-    )
+    pool = nk.pool_matrix(grid, window, dtype=ad.val(k).dtype)
+    return ad.matmul(pool, k), ad.matmul(pool, v), nk.matmul(pool, np.asarray(coords, dtype=float))

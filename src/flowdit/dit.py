@@ -19,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import contextdrop
 from . import numkernel as nk
 from . import rope
 
@@ -240,12 +243,7 @@ def gqa_attention(x, params: AttentionParams, freqs: rope.RopeFreqs, coords, mas
     v = ad.matmul(x, params.wv)
     coords_k = coords
     if kv_pool is not None:
-        grid, window = kv_pool
-        if tuple(window) != (1, 1):
-            pool = nk.pool_matrix(grid, window, dtype=ad.val(k).dtype)
-            k = ad.matmul(pool, k)
-            v = ad.matmul(pool, v)
-            coords_k = nk.matmul(pool, np.asarray(coords, dtype=float))
+        k, v, coords_k = contextdrop.pool_kv(k, v, coords, *kv_pool)
     q = _split_heads(q, params.n_q_heads)
     k = _split_heads(k, params.n_kv_heads)
     v = _split_heads(v, params.n_kv_heads)
@@ -486,20 +484,36 @@ CHECKPOINT_FORMAT = "flowdit-checkpoint-v1"
 
 
 def save_model(dirpath, model: ModelParams) -> None:
-    """Write a checkpoint directory: manifest.json plus one .nkt per tensor."""
+    """Write a checkpoint directory: manifest.json plus one .nkt per tensor.
+
+    The files are written into a sibling temporary directory that is then
+    renamed into place, so an interrupted write leaves any previous
+    checkpoint intact; that one is moved aside first and removed last.
+    """
     dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    names = []
-    for holder, key, name in _leaf_slots(model):
-        leaf = ad.val(_get_leaf(holder, key))
-        nk.save_tensor(dirpath / f"{name}.nkt", np.asarray(leaf, dtype=np.float64))
-        names.append(name)
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "config": dataclasses.asdict(model.config),
-        "tensors": names,
-    }
-    (dirpath / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    dirpath.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{dirpath.name}.", dir=dirpath.parent))
+    staged = work / "new"
+    try:
+        staged.mkdir()  # unlike mkdtemp's 0700, this honours the umask
+        names = []
+        for holder, key, name in _leaf_slots(model):
+            leaf = ad.val(_get_leaf(holder, key))
+            nk.save_tensor(staged / f"{name}.nkt", np.asarray(leaf, dtype=np.float64))
+            names.append(name)
+        manifest = {
+            "format": CHECKPOINT_FORMAT,
+            "config": dataclasses.asdict(model.config),
+            "tensors": names,
+        }
+        (staged / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except BaseException:
+        shutil.rmtree(work, ignore_errors=True)
+        raise
+    if dirpath.exists():
+        dirpath.rename(work / "old")
+    staged.rename(dirpath)
+    shutil.rmtree(work)
 
 
 def load_model(dirpath) -> ModelParams:
@@ -519,5 +533,7 @@ def load_model(dirpath) -> ModelParams:
         current = _get_leaf(holder, key)
         if arr.shape != current.shape:
             raise ValueError(f"{name}: stored shape {arr.shape} != expected {current.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name}: stored tensor has non-finite values")
         setattr(holder, key, arr)
     return model

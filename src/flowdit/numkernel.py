@@ -97,21 +97,6 @@ def pool_matrix(grid: tuple[int, int], window: tuple[int, int], dtype=np.float64
     return m
 
 
-def avg_pool_tokens(x: Tensor, grid: tuple[int, int], window: tuple[int, int]) -> Tensor:
-    """Average-pool a row-major h x w token grid down to ceil(h/wh) x ceil(w/ww).
-
-    x has shape [..., n_tokens, d] with n_tokens == h*w; each output token is
-    the arithmetic mean of its window's member tokens.
-    """
-    x = np.asarray(x)
-    h, w = grid
-    if x.shape[-2] != h * w:
-        raise ValueError(f"got {x.shape[-2]} tokens for grid {grid}")
-    if tuple(window) == (1, 1):
-        return x.copy()
-    return matmul(pool_matrix(grid, window, dtype=x.dtype), x)
-
-
 def save_tensor(path, x: Tensor) -> None:
     """Write one tensor to the NKT1 container."""
     x = np.asarray(x)

@@ -268,9 +268,9 @@ def test_criterion_08_context_drop_identities_and_length_law():
     rng = np.random.default_rng(0)
     k = rng.standard_normal((2, 12, 6))
     v = rng.standard_normal((2, 12, 6))
-    pk, pv, pc = contextdrop.pool_kv(k, v, (3, 4), 0.0)
-    assert pk is k and pv is v
-    assert np.array_equal(pc, contextdrop.grid_coords((3, 4)))
+    coords = nk.grid_coords((3, 4))
+    pk, pv, pc = contextdrop.pool_kv(k, v, coords, (3, 4), contextdrop.window_for_ratio(0.0))
+    assert pk is k and pv is v and pc is coords
 
     config = dit.ModelConfig(d_model=16, n_layers=1, n_q_heads=2, n_kv_heads=2,
                              patch=1, in_channels=2, time_dim=8)
@@ -280,7 +280,6 @@ def test_criterion_08_context_drop_identities_and_length_law():
         wv=rng.standard_normal((16, 16)), wo=rng.standard_normal((16, 16)),
         q_gain=np.ones(8), k_gain=np.ones(8), n_q_heads=2, n_kv_heads=2,
     )
-    coords = nk.grid_coords((3, 4))
     x = rng.standard_normal((12, 16))
     assert np.array_equal(
         dit.gqa_attention(x, p, freqs, coords),
@@ -290,7 +289,7 @@ def test_criterion_08_context_drop_identities_and_length_law():
     # pooling is an exact identity on windows of equal values
     const = np.broadcast_to(np.array([1.0, 2.0, 3.0]), (64, 3))
     for window in contextdrop.WINDOWS:
-        pooled = nk.avg_pool_tokens(const, (8, 8), window)
+        pooled, _, _ = contextdrop.pool_kv(const, const, nk.grid_coords((8, 8)), (8, 8), window)
         assert np.array_equal(pooled, np.broadcast_to([1.0, 2.0, 3.0], pooled.shape))
 
     for h in range(1, 9):
@@ -299,10 +298,12 @@ def test_criterion_08_context_drop_identities_and_length_law():
             for window in contextdrop.WINDOWS:
                 wh, ww = window
                 n_out = math.ceil(h / wh) * math.ceil(w / ww)
-                assert nk.avg_pool_tokens(tokens, (h, w), window).shape == (n_out, 3)
+                pooled, _, _ = contextdrop.pool_kv(tokens, tokens, nk.grid_coords((h, w)), (h, w), window)
+                assert pooled.shape == (n_out, 3)
 
     assert contextdrop.window_for_ratio(0.75) == (2, 2)
-    pk, _, _ = contextdrop.pool_kv(np.ones((16, 3)), np.ones((16, 3)), (4, 4), 0.75)
+    ones = np.ones((16, 3))
+    pk, _, _ = contextdrop.pool_kv(ones, ones, nk.grid_coords((4, 4)), (4, 4), contextdrop.window_for_ratio(0.75))
     assert pk.shape == (4, 3)
     assert time.perf_counter() - start < 5.0
 

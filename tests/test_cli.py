@@ -2,12 +2,18 @@
 CSV bytes, PGM layout, and the train -> gen round trip."""
 
 import json
+import os
+import shlex
+import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowdit import cli, dit
+from flowdit import cli, dit, flowlab
+from flowdit import numkernel as nk
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,12 +248,24 @@ def test_train_then_gen_round_trip(tmp_path, capsys):
     assert out.read_bytes() == direct.read_bytes()
 
     pgm = tmp_path / "gen.pgm"
+    out64 = tmp_path / "gen64.csv"
+    capsys.readouterr()
     rc = cli.main([
         "gen", "--model", str(run), "--n", "64", "--steps", "4",
-        "--drop", "0.6", "--pgm", str(pgm),
+        "--pgm", str(pgm), "--out", str(out64), "--held-out", "two_moons",
     ])
     assert rc == 0
     assert pgm.read_bytes().startswith(b"P5\n64 64\n255\n")
+    samples = np.loadtxt(out64, delimiter=",", skiprows=1)
+    ed = flowlab.energy_distance(samples, flowlab.toy_dataset("two_moons", 64, seed=1234))
+    assert f"energy distance to held-out two_moons: {ed:.4f}" in capsys.readouterr().out
+
+
+def test_gen_drop_flag_is_rejected(tmp_path):
+    # point checkpoints are one-token grids, where every pooling window is the identity
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--model", str(tmp_path), "--drop", "0.6"])
+    assert exc.value.code == 2
 
 
 def test_gen_rejects_image_checkpoints(tmp_path, capsys):
@@ -261,3 +279,49 @@ def test_gen_rejects_image_checkpoints(tmp_path, capsys):
 def test_gen_missing_checkpoint_returns_two(tmp_path):
     rc = cli.main(["gen", "--model", str(tmp_path / "nope"), "--n", "8", "--steps", "2"])
     assert rc == 2
+
+
+def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
+    model = dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0)
+    dit.save_model(tmp_path / "ckpt", model)
+    nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.full_like(model.w_embed, np.inf))
+    rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
+    assert rc == 2
+    assert "w_embed" in capsys.readouterr().err
+
+
+def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"blas{threads}"
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        for argv in (
+            ["train", "--steps", "40", "--batch", "256", "--train-points", "4096", "--out-dir", str(run)],
+            ["gen", "--model", str(run), "--n", "512", "--steps", "4", "--out", str(run / "gen.csv")],
+        ):
+            subprocess.run([sys.executable, "-m", "flowdit.cli", *argv], env=env, check=True, capture_output=True)
+        runs.append({p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()})
+    names = {p.name for p in runs[0]}
+    assert {"losses.csv", "gen.csv", "manifest.json", "w_embed.nkt"} <= names
+    assert runs[0] == runs[1]
+
+
+def test_readme_commands_parse():
+    parser, _ = cli.build_parser()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in readme.split("```")[1::2]:
+        loop_vars = {}  # a `for VAR in A B ...; do` line binds $VAR to A
+        for line in block.splitlines():
+            if not line.strip().startswith(("flowdit ", "for ")):
+                continue
+            words = shlex.split(line, comments=True)
+            if words[0] == "for":
+                loop_vars[words[1]] = words[3]
+            else:
+                commands.append([string.Template(w).substitute(loop_vars) for w in words[1:]])
+    assert len(commands) >= 10
+    for argv in commands:
+        parser.parse_args(argv)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdit import contextdrop as cd
+from flowdit import numkernel as nk
 
 
 def test_window_catalog_drop_fractions():
@@ -79,9 +80,11 @@ def test_pool_kv_low_ratio_returns_same_objects():
     rng = np.random.default_rng(0)
     k = rng.standard_normal((2, 6, 4))
     v = rng.standard_normal((2, 6, 4))
-    pk, pv, pc = cd.pool_kv(k, v, (2, 3), 0.3)
-    assert pk is k and pv is v
-    assert np.array_equal(pc, cd.grid_coords((2, 3)))
+    coords = nk.grid_coords((2, 3))
+    window = cd.window_for_ratio(0.3)
+    assert window == (1, 1)
+    pk, pv, pc = cd.pool_kv(k, v, coords, (2, 3), window)
+    assert pk is k and pv is v and pc is coords
 
 
 @pytest.mark.parametrize(
@@ -93,17 +96,17 @@ def test_pool_kv_matches_loop_oracle(h, w, ratio, window):
     rng = np.random.default_rng(h * 100 + w)
     k = rng.standard_normal((2, h * w, 5))
     v = rng.standard_normal((2, h * w, 5))
-    pk, pv, pc = cd.pool_kv(k, v, (h, w), ratio)
+    coords = nk.grid_coords((h, w))
+    pk, pv, pc = cd.pool_kv(k, v, coords, (h, w), window)
     assert np.allclose(pk, pooled_oracle(k, h, w, window), atol=1e-12)
     assert np.allclose(pv, pooled_oracle(v, h, w, window), atol=1e-12)
-    oc = pooled_oracle(cd.grid_coords((h, w)), h, w, window)
-    assert np.allclose(pc, oc, atol=1e-12)
+    assert np.allclose(pc, pooled_oracle(coords, h, w, window), atol=1e-12)
 
 
 def test_pool_kv_constant_rows_are_preserved():
     h, w = 4, 4
     x = np.broadcast_to(np.arange(3.0), (h * w, 3)).copy()
-    pk, pv, _ = cd.pool_kv(x, x, (h, w), 0.75)
+    pk, pv, _ = cd.pool_kv(x, x, nk.grid_coords((h, w)), (h, w), (2, 2))
     assert np.allclose(pk, np.arange(3.0), atol=1e-15)
     assert np.allclose(pv, np.arange(3.0), atol=1e-15)
 
@@ -112,13 +115,14 @@ def test_pool_kv_handles_leading_batch_axes():
     rng = np.random.default_rng(3)
     k = rng.standard_normal((3, 2, 8, 4))
     v = rng.standard_normal((3, 2, 8, 4))
-    pk, pv, pc = cd.pool_kv(k, v, (2, 4), 0.75)
+    coords = nk.grid_coords((2, 4))
+    pk, pv, pc = cd.pool_kv(k, v, coords, (2, 4), (2, 2))
     assert pk.shape == (3, 2, 2, 4) and pv.shape == pk.shape
     assert pc.shape == (2, 2)
     # each batch slice pools independently
     for i in range(3):
         for j in range(2):
-            lk, lv, _ = cd.pool_kv(k[i, j], v[i, j], (2, 4), 0.75)
+            lk, lv, _ = cd.pool_kv(k[i, j], v[i, j], coords, (2, 4), (2, 2))
             assert np.array_equal(pk[i, j], lk)
             assert np.array_equal(pv[i, j], lv)
 
@@ -127,8 +131,15 @@ def test_pool_kv_custom_coords_are_pooled_too():
     rng = np.random.default_rng(4)
     k = rng.standard_normal((4, 3))
     coords = rng.standard_normal((4, 2))
-    _, _, pc = cd.pool_kv(k, k, (2, 2), 0.75, coords=coords)
+    _, _, pc = cd.pool_kv(k, k, coords, (2, 2), (2, 2))
     assert np.allclose(pc, coords.mean(axis=0), atol=1e-15)
+
+
+def test_pool_kv_rejects_wrong_token_count():
+    x = np.ones((5, 2))
+    for window in ((2, 2), (1, 1)):
+        with pytest.raises(ValueError, match="tokens"):
+            cd.pool_kv(x, x, nk.grid_coords((2, 3)), (2, 3), window)
 
 
 @settings(deadline=None, max_examples=40)
@@ -136,8 +147,7 @@ def test_pool_kv_custom_coords_are_pooled_too():
 def test_pooled_length_law(h, w, window):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((h * w, 3))
-    ratio = cd.drop_fraction(window)
-    pk, _, pc = cd.pool_kv(x, x, (h, w), ratio)
+    pk, _, pc = cd.pool_kv(x, x, nk.grid_coords((h, w)), (h, w), window)
     wh, ww = window
     n_out = (-(-h // wh)) * (-(-w // ww))
     assert pk.shape == (n_out, 3)

@@ -108,12 +108,29 @@ def rotate_complex(x, coords, freqs):
     return out
 
 
-def slow_attention(x, p, freqs, coords, eps):
-    """Per-head loop with explicit softmax; handles grouping by indexing."""
+def loop_pool(x, grid, window):
+    """Window means of a row-major token grid, gathered one window at a time."""
+    (h, w), (wh, ww) = grid, window
+    cells = [
+        [r * w + c for r in range(i, min(i + wh, h)) for c in range(j, min(j + ww, w))]
+        for i in range(0, h, wh)
+        for j in range(0, w, ww)
+    ]
+    return np.stack([x[cell].mean(axis=0) for cell in cells])
+
+
+def slow_attention(x, p, freqs, coords, eps, kv_pool=None):
+    """Per-head loop with explicit softmax; handles grouping by indexing.
+
+    kv_pool = (grid, window) loop-pools keys, values and key coordinates.
+    """
     n, d = x.shape
     dh = d // p.n_q_heads
     group = p.n_q_heads // p.n_kv_heads
     q, k, v = x @ p.wq, x @ p.wk, x @ p.wv
+    coords_k = coords
+    if kv_pool is not None:
+        k, v, coords_k = (loop_pool(a, *kv_pool) for a in (k, v, coords))
     outs = []
     for i in range(p.n_q_heads):
         j = i // group
@@ -123,7 +140,7 @@ def slow_attention(x, p, freqs, coords, eps):
         qi = qi / np.sqrt(np.mean(qi * qi, -1, keepdims=True) + eps) * p.q_gain
         kj = kj / np.sqrt(np.mean(kj * kj, -1, keepdims=True) + eps) * p.k_gain
         qi = rotate_complex(qi, coords, freqs)
-        kj = rotate_complex(kj, coords, freqs)
+        kj = rotate_complex(kj, coords_k, freqs)
         logits = qi @ kj.T / np.sqrt(dh)
         w = np.exp(logits - logits.max(-1, keepdims=True))
         w = w / w.sum(-1, keepdims=True)
@@ -155,6 +172,20 @@ def test_attention_matches_per_head_oracle(n_q, n_kv):
     x = np.random.default_rng(0).standard_normal((6, d))
     got = dit.gqa_attention(x, p, freqs, coords)
     want = slow_attention(x, p, freqs, coords, 1e-6)
+    assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid,window", [((3, 5), (2, 2)), ((4, 4), (4, 2)), ((2, 3), (2, 1)), ((5, 2), (4, 4))]
+)
+def test_pooled_attention_matches_per_head_oracle(grid, window):
+    n_q, n_kv, d = 4, 2, 32
+    p = make_attn(d, n_q, n_kv, seed=11)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords(grid)
+    x = np.random.default_rng(12).standard_normal((grid[0] * grid[1], d))
+    got = dit.gqa_attention(x, p, freqs, coords, kv_pool=(grid, window))
+    want = slow_attention(x, p, freqs, coords, 1e-6, kv_pool=(grid, window))
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -432,3 +463,43 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.zeros((2, 2)))
     with pytest.raises(ValueError, match="stored shape"):
         dit.load_model(tmp_path / "ckpt")
+
+
+def test_checkpoint_rejects_non_finite_tensor(tmp_path):
+    model = dit.init_model(small_config(), seed=0)
+    dit.save_model(tmp_path / "ckpt", model)
+    name, value = dit.named_parameters(model)[3]
+    bad = value.copy()
+    bad.flat[1] = np.nan
+    nk.save_tensor(tmp_path / "ckpt" / f"{name}.nkt", bad)
+    with pytest.raises(ValueError, match="non-finite") as err:
+        dit.load_model(tmp_path / "ckpt")
+    assert name in str(err.value)
+
+
+def test_checkpoint_overwrite_is_all_or_nothing(tmp_path, monkeypatch):
+    def assert_loads_as(model):
+        assert [q.name for q in tmp_path.iterdir()] == ["ckpt"]  # no temp dirs left
+        loaded = dit.load_model(tmp_path / "ckpt")
+        for (name, a), (_, b) in zip(dit.named_parameters(model), dit.named_parameters(loaded)):
+            assert np.array_equal(a, b), name
+
+    old = randomized(dit.init_model(small_config(), seed=0), seed=1)
+    new = randomized(dit.init_model(small_config(), seed=5), seed=6)
+    dit.save_model(tmp_path / "ckpt", old)
+    save_tensor = nk.save_tensor
+    calls = []
+
+    def failing_save(path, x):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        save_tensor(path, x)
+
+    monkeypatch.setattr(nk, "save_tensor", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        dit.save_model(tmp_path / "ckpt", new)
+    monkeypatch.undo()
+    assert_loads_as(old)
+    dit.save_model(tmp_path / "ckpt", new)
+    assert_loads_as(new)

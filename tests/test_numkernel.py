@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdit import contextdrop as cd
 from flowdit import numkernel as nk
 
 
@@ -89,9 +90,8 @@ def _pool_oracle(x, grid, window):
 def test_avg_pool_tokens_matches_loop_oracle(grid, window):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, grid[0] * grid[1], 3))
-    assert np.allclose(
-        nk.avg_pool_tokens(x, grid, window), _pool_oracle(x, grid, window), atol=1e-14
-    )
+    pooled, _, _ = cd.pool_kv(x, x, nk.grid_coords(grid), grid, window)
+    assert np.allclose(pooled, _pool_oracle(x, grid, window), atol=1e-14)
 
 
 def test_pool_assignments_counts_and_edges():
@@ -125,18 +125,6 @@ def test_pool_matrix_is_row_stochastic():
     m = nk.pool_matrix((5, 7), (2, 3))
     assert np.allclose(m.sum(axis=1), 1.0, atol=1e-15)
     assert np.all(m >= 0.0)
-
-
-def test_avg_pool_tokens_identity_window_copies():
-    x = np.arange(12.0).reshape(6, 2)
-    y = nk.avg_pool_tokens(x, (2, 3), (1, 1))
-    assert np.array_equal(y, x)
-    assert y is not x
-
-
-def test_avg_pool_tokens_rejects_wrong_token_count():
-    with pytest.raises(ValueError, match="tokens"):
-        nk.avg_pool_tokens(np.ones((5, 2)), (2, 3), (2, 2))
 
 
 def test_grid_coords_row_major():
