@@ -94,6 +94,16 @@ def test_avg_pool_tokens_matches_loop_oracle(grid, window):
     assert np.allclose(pooled, _pool_oracle(x, grid, window), atol=1e-14)
 
 
+def test_avg_pool_tokens_identity_window_copies():
+    # kept under its old id; the (1, 1) window of contextdrop.pool_kv now
+    # returns its inputs unchanged as the same objects rather than copies
+    x = np.arange(12.0).reshape(6, 2)
+    coords = nk.grid_coords((2, 3))
+    pk, pv, pc = cd.pool_kv(x, x, coords, (2, 3), (1, 1))
+    assert np.array_equal(pk, x) and np.array_equal(pv, x)
+    assert pk is x and pv is x and pc is coords
+
+
 def test_pool_assignments_counts_and_edges():
     # 5x5 grid, 2x2 windows: 3x3 outputs, right/bottom edge windows shrink
     assign, n_out, counts = nk.pool_assignments((5, 5), (2, 2))
