@@ -7,9 +7,9 @@ by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
 The op set is deliberately small: elementwise arithmetic, matmul, reductions,
-shape moves, gather, softmax, rms_norm, and the nonlinearities used by the
-model (tanh, sigmoid, silu, sin, cos). Anything else raises rather than
-differentiating silently.
+shape moves, gather, softmax, rms_norm, pairwise rotation (RoPE), and the
+nonlinearities used by the model (tanh, sigmoid, silu, sin, cos). Anything
+else raises rather than differentiating silently.
 """
 
 from __future__ import annotations
@@ -274,7 +274,13 @@ def matmul(a, b):
         if isinstance(a, Var):
             gs.append(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
         if isinstance(b, Var):
-            gs.append(_unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+            if bv.ndim == 2 and av.ndim > 2:
+                # a weight shared over leading axes: one GEMM over the
+                # flattened rows, not a stack of outer products summed away
+                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
+            gs.append(gb)
         return tuple(gs)
 
     return _node(out, (a, b), vjp)
@@ -361,16 +367,34 @@ def stack(items, axis=0):
     return _node(out, tuple(items), vjp)
 
 
+def _is_basic_index(idx) -> bool:
+    """Ints, slices, Ellipsis and None only: each source element is picked at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        p is None or p is Ellipsis or isinstance(p, slice)
+        or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+        for p in parts
+    )
+
+
 def take(a, idx):
-    """Basic or integer-array indexing; cotangent scatters (with accumulation)."""
+    """Basic or integer-array indexing.
+
+    A basic index writes the cotangent into place; integer arrays may repeat
+    an element, so their cotangent scatters with accumulation.
+    """
     av = val(a)
     out = av[idx]
     if not _tracked(a):
         return out
+    basic = _is_basic_index(idx)
 
     def vjp(g):
         ga = np.zeros_like(av)
-        np.add.at(ga, idx, g)
+        if basic:
+            ga[idx] = g
+        else:
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return _node(out, (a,), vjp)
@@ -414,8 +438,51 @@ def softmax(a, axis=-1):
 
 
 def rms_norm(a, gain, eps: float = 1e-6):
-    """Differentiable twin of numkernel.rms_norm (same expression order)."""
+    """Differentiable twin of numkernel.rms_norm (same expression order), one tape node.
+
+    With n = a * inv and inv = (mean(a^2) + eps)^-1/2, the cotangent of
+    a is inv * (u - n * mean(u * n)) for u = g * gain, and that of gain is
+    sum(g * n) over the broadcast axes (Zhang & Sennrich 2019).
+    """
+    av, gv = val(a), val(gain)
     if not _tracked(a, gain):
-        return numkernel.rms_norm(val(a), val(gain), eps)
-    inv = power(add(mean(mul(a, a), axis=-1, keepdims=True), eps), -0.5)
-    return mul(mul(a, inv), gain)
+        return numkernel.rms_norm(av, gv, eps)
+    inv = (np.mean(av * av, axis=-1, keepdims=True) + eps) ** -0.5
+    n = av * inv
+    out = n * gv
+
+    def vjp(g):
+        gs = []
+        if isinstance(a, Var):
+            u = g * gv
+            ga = inv * (u - n * np.mean(u * n, axis=-1, keepdims=True))
+            gs.append(_unbroadcast(ga, av.shape))
+        if isinstance(gain, Var):
+            gs.append(_unbroadcast(g * n, gv.shape))
+        return tuple(gs)
+
+    return _node(out, (a, gain), vjp)
+
+
+def rotate_pairs(x, cos, sin):
+    """Rotate the channel pairs (x[..., 2i], x[..., 2i+1]) by angles with these cos/sin.
+
+    cos and sin are constants broadcasting against x[..., 0::2]. The
+    cotangent is the rotation by the opposite angle (RoFormer, Su et al.).
+    """
+    if isinstance(cos, Var) or isinstance(sin, Var):
+        raise TypeError("rotate_pairs() angles must be constants")
+    xv = val(x)
+    xe, xo = xv[..., 0::2], xv[..., 1::2]
+    ye = xe * cos - xo * sin
+    yo = xe * sin + xo * cos
+    out = np.stack([ye, yo], axis=-1).reshape(xv.shape)
+    if not _tracked(x):
+        return out
+
+    def vjp(g):
+        ge, go = g[..., 0::2], g[..., 1::2]
+        gx = np.stack([ge * cos + go * sin, go * cos - ge * sin], axis=-1)
+        return (gx.reshape(xv.shape),)
+
+    return _node(out, (x,), vjp)

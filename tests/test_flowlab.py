@@ -297,6 +297,49 @@ def test_train_raises_on_divergence():
         training.train(model, data, config)
 
 
+def test_train_raises_on_non_finite_gradient(monkeypatch):
+    data = datasets.toy_dataset("eight_gaussians", 128, seed=0)
+    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    keep = model.w_out.copy()
+    real_grad = training.grad
+    calls = []
+
+    def poisoned(wrapped, loss):
+        grads = real_grad(wrapped, loss)
+        calls.append(len(calls))
+        if len(calls) == 3:  # the loss of step 2 is finite; one gradient is not
+            grads["blocks.0.attn.wk"][1, 2] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "grad", poisoned)
+    config = training.TrainConfig(steps=5, batch_size=16, seed=0)
+    with pytest.raises(training.DivergenceError, match=r"gradient of blocks\.0\.attn\.wk .* at step 2"):
+        training.train(model, data, config)
+    assert np.array_equal(model.w_out, keep)
+
+
+def test_training_step_tape_size_is_pinned():
+    # one cfm_loss on the criterion-11 model; a change that splits a fused
+    # op (rms_norm, rotate_pairs) back into primitives changes this count
+    model = training.wrap_parameters(dit.init_model(training.point_model_config(), seed=0))
+    rng = np.random.default_rng(16)
+    x1 = rng.standard_normal((64, 2))
+    t = rng.uniform(0, 1, 64)
+    noise = rng.standard_normal((64, 2))
+    loss = training.cfm_loss(model, x1, t, noise)
+    nodes, seen, stack = 0, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes += node._vjp is not None
+        stack.extend(node._parents)
+    leaves = len(seen) - nodes
+    assert leaves == len(dit.named_parameters(model))
+    assert nodes == 134
+
+
 def test_generate_fresh_model_returns_its_noise():
     model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
     out = training.generate(model, 64, sampler.ScheduleSpec(n_steps=4), seed=21)
