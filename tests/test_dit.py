@@ -3,12 +3,15 @@ per-head loop oracle, grouped-query expansion, masking, patch layout,
 and checkpoint round-trips."""
 
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowdit import autodiff as ad
-from flowdit import dit
+from flowdit import dit, flowlab
 from flowdit import numkernel as nk
 from flowdit import rope
 
@@ -423,6 +426,40 @@ def test_named_parameters_unique_and_settable():
     assert model.blocks[1].w_mlp1 is probe
     with pytest.raises(KeyError, match="no parameter"):
         dit.set_parameter(model, "blocks.9.w_mlp1", probe)
+
+
+def test_parameter_names_match_the_committed_checkpoint_manifest():
+    # perturbations and checkpoints walk the parameters in this order
+    manifest = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint" / "manifest.json"
+    want = json.loads(manifest.read_text())["tensors"]
+    model = dit.init_model(flowlab.point_model_config(), seed=0)
+    assert len(want) == 38
+    assert [name for name, _ in dit.named_parameters(model)] == want
+
+
+@pytest.mark.parametrize(
+    "config,size,digest",
+    [
+        (
+            dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2, time_dim=16, n_classes=3),
+            34732,
+            "1029ea9ec9775c094af06f7ed7ba80cdc0dd03d5755160c0a6e42fe717d04150",
+        ),
+        (
+            dit.ModelConfig(d_model=16, n_layers=2, n_q_heads=2, n_kv_heads=1, time_dim=8,
+                            mode="recognition", n_classes=5),
+            6297,
+            "72af37b42832e7b354e698352151ce506f4da4845a085da09bc3f102ae4bf70d",
+        ),
+    ],
+    ids=["generative_gqa_labels", "recognition"],
+)
+def test_init_draws_are_pinned(config, size, digest):
+    # a change in the draw order, the shapes or the manifest order moves the digest
+    params = dit.named_parameters(dit.init_model(config, seed=0))
+    flat = np.concatenate([a.ravel() for _, a in params])
+    assert flat.size == size
+    assert hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
