@@ -183,11 +183,8 @@ def _cmd_probe(args) -> None:
     model = dit.init_model(config, seed=args.seed, weight_std=args.weight_std)
     if args.gate is not None:
         # fixed gate bias on every block: probes signal growth with open gates
-        for block in model.blocks:
-            block.b_mod = block.b_mod.copy()
-            d = config.d_model
-            block.b_mod[2 * d] = args.gate
-            block.b_mod[4 * d + 1] = args.gate
+        for i in range(config.n_layers):
+            model.params[f"blocks.{i}.b_mod"][[2 * config.d_model, 4 * config.d_model + 1]] = args.gate
     rows = dit.activation_probe(
         model,
         _size(args.image),

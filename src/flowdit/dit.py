@@ -87,50 +87,18 @@ class ModelConfig:
 
 
 @dataclass(eq=False)
-class AttentionParams:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    q_gain: np.ndarray  # [d_head], shared across heads
-    k_gain: np.ndarray
-    n_q_heads: int = 1
-    n_kv_heads: int = 1
-
-
-@dataclass(eq=False)
-class BlockParams:
-    attn: AttentionParams
-    pre_attn_gain: np.ndarray
-    post_attn_gain: np.ndarray
-    pre_mlp_gain: np.ndarray
-    post_mlp_gain: np.ndarray
-    w_mlp1: np.ndarray
-    w_mlp2: np.ndarray
-    w_mod: np.ndarray | None  # generative: cond -> [shift|scale|gate] x2
-    b_mod: np.ndarray | None
-    gates: np.ndarray | None  # recognition: scalar gate per branch
-
-
-@dataclass(eq=False)
 class ModelParams:
+    """A config plus every weight in one ordered name -> array dict.
+
+    The names are the checkpoint names (`w_embed`, `blocks.0.attn.wq`, ...)
+    and the order is the checkpoint manifest's: embedding, then each block,
+    then the mode's time/label/output or classifier head entries. Entries a
+    mode does not use are absent, not None. Training swaps the arrays for
+    tape Vars under the same names.
+    """
+
     config: ModelConfig
-    w_embed: np.ndarray
-    b_embed: np.ndarray
-    blocks: list
-    time_w1: np.ndarray | None = None
-    time_b1: np.ndarray | None = None
-    time_w2: np.ndarray | None = None
-    time_b2: np.ndarray | None = None
-    label_embed: np.ndarray | None = None
-    w_final_mod: np.ndarray | None = None
-    b_final_mod: np.ndarray | None = None
-    w_out: np.ndarray | None = None
-    b_out: np.ndarray | None = None
-    head_w1: np.ndarray | None = None
-    head_b1: np.ndarray | None = None
-    head_w2: np.ndarray | None = None
-    head_b2: np.ndarray | None = None
+    params: dict
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -147,59 +115,59 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
     """Fresh parameters: truncated-normal projections, unit norm gains,
     zeroed modulation and output head."""
     rng = np.random.default_rng(seed)
-    d = config.d_model
-    blocks = []
-    for _ in range(config.n_layers):
-        attn = AttentionParams(
-            wq=_trunc_normal(rng, (d, d), weight_std),
-            wk=_trunc_normal(rng, (d, config.d_kv), weight_std),
-            wv=_trunc_normal(rng, (d, config.d_kv), weight_std),
-            wo=_trunc_normal(rng, (d, d), weight_std),
-            q_gain=np.ones(config.d_head),
-            k_gain=np.ones(config.d_head),
-            n_q_heads=config.n_q_heads,
-            n_kv_heads=config.n_kv_heads,
-        )
-        hidden = config.mlp_ratio * d
-        generative = config.mode == "generative"
-        blocks.append(
-            BlockParams(
-                attn=attn,
-                pre_attn_gain=np.ones(d),
-                post_attn_gain=np.ones(d),
-                pre_mlp_gain=np.ones(d),
-                post_mlp_gain=np.ones(d),
-                w_mlp1=_trunc_normal(rng, (d, hidden), weight_std),
-                w_mlp2=_trunc_normal(rng, (hidden, d), weight_std),
-                w_mod=np.zeros((d, 2 * (2 * d + 1))) if generative else None,
-                b_mod=np.zeros(2 * (2 * d + 1)) if generative else None,
-                gates=None if generative else np.zeros(2),
-            )
-        )
-    model = ModelParams(
-        config=config,
-        w_embed=_trunc_normal(rng, (config.token_dim, d), weight_std),
-        b_embed=np.zeros(d),
-        blocks=blocks,
-    )
-    if config.mode == "generative":
-        model.time_w1 = _trunc_normal(rng, (config.time_dim, d), weight_std)
-        model.time_b1 = np.zeros(d)
-        model.time_w2 = _trunc_normal(rng, (d, d), weight_std)
-        model.time_b2 = np.zeros(d)
+    d, hidden = config.d_model, config.mlp_ratio * config.d_model
+    generative = config.mode == "generative"
+
+    def normal(*shape):
+        return _trunc_normal(rng, shape, weight_std)
+
+    blocks = {}
+    for i in range(config.n_layers):
+        b = f"blocks.{i}."
+        blocks[b + "attn.wq"] = normal(d, d)
+        blocks[b + "attn.wk"] = normal(d, config.d_kv)
+        blocks[b + "attn.wv"] = normal(d, config.d_kv)
+        blocks[b + "attn.wo"] = normal(d, d)
+        blocks[b + "attn.q_gain"] = np.ones(config.d_head)  # shared across heads
+        blocks[b + "attn.k_gain"] = np.ones(config.d_head)
+        for name in ("pre_attn_gain", "post_attn_gain", "pre_mlp_gain", "post_mlp_gain"):
+            blocks[b + name] = np.ones(d)
+        blocks[b + "w_mlp1"] = normal(d, hidden)
+        blocks[b + "w_mlp2"] = normal(hidden, d)
+        if generative:  # cond -> [shift|scale|gate] x2
+            blocks[b + "w_mod"] = np.zeros((d, 2 * (2 * d + 1)))
+            blocks[b + "b_mod"] = np.zeros(2 * (2 * d + 1))
+        else:  # a scalar gate per branch
+            blocks[b + "gates"] = np.zeros(2)
+    params = {"w_embed": normal(config.token_dim, d), "b_embed": np.zeros(d), **blocks}
+    if generative:
+        params["time_w1"] = normal(config.time_dim, d)
+        params["time_b1"] = np.zeros(d)
+        params["time_w2"] = normal(d, d)
+        params["time_b2"] = np.zeros(d)
         if config.n_classes > 0:
             # one extra row: the null embedding for unconditional passes
-            model.label_embed = _trunc_normal(rng, (config.n_classes + 1, d), weight_std)
-        model.w_final_mod = np.zeros((d, d))
-        model.b_final_mod = np.zeros(d)
-        model.w_out = np.zeros((d, config.token_dim))
-        model.b_out = np.zeros(config.token_dim)
+            params["label_embed"] = normal(config.n_classes + 1, d)
+        params["w_final_mod"] = np.zeros((d, d))
+        params["b_final_mod"] = np.zeros(d)
+        params["w_out"] = np.zeros((d, config.token_dim))
+        params["b_out"] = np.zeros(config.token_dim)
     else:
-        model.head_w1 = _trunc_normal(rng, (d, d), weight_std)
-        model.head_b1 = np.zeros(d)
-        model.head_w2 = _trunc_normal(rng, (d, config.n_classes), weight_std)
-        model.head_b2 = np.zeros(config.n_classes)
-    return model
+        params["head_w1"] = normal(d, d)
+        params["head_b1"] = np.zeros(d)
+        params["head_w2"] = normal(d, config.n_classes)
+        params["head_b2"] = np.zeros(config.n_classes)
+    return ModelParams(config, params)
+
+
+def prefixed(params: dict, prefix: str) -> dict:
+    """The entries whose names start with prefix, keyed by the rest of the name.
+
+    The arrays are shared, not copied: `prefixed(model.params, "blocks.0.")`
+    is what sandwich_block takes, and its `prefixed(block, "attn.")` is what
+    gqa_attention takes.
+    """
+    return {name[len(prefix) :]: value for name, value in params.items() if name.startswith(prefix)}
 
 
 @lru_cache(maxsize=None)
@@ -225,10 +193,13 @@ def _merge_heads(x):
     return ad.reshape(x, shape[:-2] + (shape[-2] * shape[-1],))
 
 
-def gqa_attention(x, params: AttentionParams, freqs: rope.RopeFreqs, coords, mask=None, kv_pool=None, eps: float = 1e-6):
+def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_pool=None, eps: float = 1e-6):
     """Grouped-query attention with QK RMS norm and rotary phases.
 
-    x [..., n, d_model]; coords [n, axes]. mask marks valid keys (True =
+    params holds wq [d_model, h_q*d_head], wk and wv [d_model, h_kv*d_head],
+    wo and the per-head-dim gains q_gain and k_gain [d_head]; the head
+    counts follow from those shapes. x [..., n, d_model]; coords [n, axes].
+    mask marks valid keys (True =
     attend), shape [n] or [batch, n]; every row must keep at least one key.
     kv_pool = (grid, window) average-pools projected keys/values and their
     coordinates before normalisation and rotation; pooled keys have no
@@ -237,21 +208,23 @@ def gqa_attention(x, params: AttentionParams, freqs: rope.RopeFreqs, coords, mas
     """
     if mask is not None and kv_pool is not None:
         raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
-    d_head = ad.val(x).shape[-1] // params.n_q_heads
-    q = ad.matmul(x, params.wq)
-    k = ad.matmul(x, params.wk)
-    v = ad.matmul(x, params.wv)
+    d_head = ad.val(params["q_gain"]).shape[-1]
+    n_q_heads = ad.val(params["wq"]).shape[-1] // d_head
+    n_kv_heads = ad.val(params["wk"]).shape[-1] // d_head
+    q = ad.matmul(x, params["wq"])
+    k = ad.matmul(x, params["wk"])
+    v = ad.matmul(x, params["wv"])
     coords_k = coords
     if kv_pool is not None:
         k, v, coords_k = contextdrop.pool_kv(k, v, coords, *kv_pool)
-    q = _split_heads(q, params.n_q_heads)
-    k = _split_heads(k, params.n_kv_heads)
-    v = _split_heads(v, params.n_kv_heads)
-    q = ad.rms_norm(q, params.q_gain, eps)
-    k = ad.rms_norm(k, params.k_gain, eps)
+    q = _split_heads(q, n_q_heads)
+    k = _split_heads(k, n_kv_heads)
+    v = _split_heads(v, n_kv_heads)
+    q = ad.rms_norm(q, params["q_gain"], eps)
+    k = ad.rms_norm(k, params["k_gain"], eps)
     q = rope.apply_rope(q, coords, freqs)
     k = rope.apply_rope(k, coords_k, freqs)
-    group = params.n_q_heads // params.n_kv_heads
+    group = n_q_heads // n_kv_heads
     if group > 1:
         k = ad.repeat(k, group, axis=-3)
         v = ad.repeat(v, group, axis=-3)
@@ -263,7 +236,7 @@ def gqa_attention(x, params: AttentionParams, freqs: rope.RopeFreqs, coords, mas
         keep = keep.reshape(keep.shape[:-1] + (1, 1, keep.shape[-1]))
         logits = ad.mask_fill(logits, keep, -np.inf)
     out = ad.matmul(ad.softmax(logits, axis=-1), v)
-    return ad.matmul(_merge_heads(out), params.wo)
+    return ad.matmul(_merge_heads(out), params["wo"])
 
 
 def _with_token_axis(u):
@@ -272,17 +245,18 @@ def _with_token_axis(u):
     return ad.reshape(u, shape[:-1] + (1, shape[-1]))
 
 
-def _modulation(cond, block: BlockParams, d: int):
+def _modulation(cond, block: dict, d: int):
     """Zero-initialised AdaLN projection, split into two (shift, scale, gate)."""
-    mod = ad.add(ad.matmul(ad.silu(cond), block.w_mod), block.b_mod)
+    mod = ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"])
     bounds = np.cumsum([0, d, d, 1, d, d, 1])
     parts = [_with_token_axis(mod[..., bounds[i] : bounds[i + 1]]) for i in range(6)]
     return parts  # shift_a, scale_a, gate_a, shift_m, scale_m, gate_m
 
 
-def sandwich_block(x, cond, block: BlockParams, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
+def sandwich_block(x, cond, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
     """One residual block; exact identity at zero-initialised modulation.
 
+    block holds one block's entries without their `blocks.<i>.` prefix.
     Generative blocks modulate with cond-derived shift/scale/gate; recognition
     blocks (cond None) use bare scalar gates. block_style `prenorm` drops the
     post-branch norm, leaving branch scale unpinned.
@@ -291,22 +265,22 @@ def sandwich_block(x, cond, block: BlockParams, config: ModelConfig, freqs, coor
     if cond is not None:
         shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = _modulation(cond, block, config.d_model)
     else:
-        gate_a, gate_m = block.gates[0:1], block.gates[1:2]
+        gate_a, gate_m = block["gates"][0:1], block["gates"][1:2]
 
-    h = ad.rms_norm(x, block.pre_attn_gain, config.eps)
+    h = ad.rms_norm(x, block["pre_attn_gain"], config.eps)
     if cond is not None:
         h = ad.add(ad.mul(h, ad.add(scale_a, 1.0)), shift_a)
-    h = gqa_attention(h, block.attn, freqs, coords, mask=mask, kv_pool=kv_pool, eps=config.eps)
+    h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool, eps=config.eps)
     if sandwich:
-        h = ad.rms_norm(h, block.post_attn_gain, config.eps)
+        h = ad.rms_norm(h, block["post_attn_gain"], config.eps)
     x = ad.add(x, ad.mul(ad.tanh(gate_a), h))
 
-    h = ad.rms_norm(x, block.pre_mlp_gain, config.eps)
+    h = ad.rms_norm(x, block["pre_mlp_gain"], config.eps)
     if cond is not None:
         h = ad.add(ad.mul(h, ad.add(scale_m, 1.0)), shift_m)
-    h = ad.matmul(ad.silu(ad.matmul(h, block.w_mlp1)), block.w_mlp2)
+    h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
     if sandwich:
-        h = ad.rms_norm(h, block.post_mlp_gain, config.eps)
+        h = ad.rms_norm(h, block["post_mlp_gain"], config.eps)
     return ad.add(x, ad.mul(ad.tanh(gate_m), h))
 
 
@@ -316,8 +290,9 @@ def time_embedding(model: ModelParams, t_batch) -> np.ndarray:
     freqs_t = np.exp(-math.log(10000.0) * np.arange(half) / half)
     args = 1000.0 * np.asarray(t_batch, dtype=float)[..., None] * freqs_t
     feats = np.concatenate([np.cos(args), np.sin(args)], axis=-1)
-    h = ad.silu(ad.add(ad.matmul(feats, model.time_w1), model.time_b1))
-    return ad.add(ad.matmul(h, model.time_w2), model.time_b2)
+    p = model.params
+    h = ad.silu(ad.add(ad.matmul(feats, p["time_w1"]), p["time_b1"]))
+    return ad.add(ad.matmul(h, p["time_w2"]), p["time_b2"])
 
 
 def patchify(x, patch: int):
@@ -369,30 +344,31 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     if t_arr.shape != (batch,):
         raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
 
+    p = model.params
     tokens, coords, grid = patchify(x_t, config.patch)
-    h = ad.add(ad.matmul(tokens, model.w_embed), model.b_embed)
+    h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
     cond = time_embedding(model, t_arr)
-    if model.label_embed is not None:
+    if "label_embed" in p:
         if label is None:
             idx = np.full(batch, config.n_classes)
         else:
             idx = np.asarray(label)
             if idx.shape != (batch,) or idx.min() < 0 or idx.max() >= config.n_classes:
                 raise ValueError(f"labels must be {batch} ids below {config.n_classes}")
-        cond = ad.add(cond, model.label_embed[idx])
+        cond = ad.add(cond, p["label_embed"][idx])
     elif label is not None:
         raise ValueError("model has no label table")
 
     freqs = model_freqs(config)
-    for block in model.blocks:
-        h = sandwich_block(h, cond, block, config, freqs, coords, kv_pool=kv_pool)
+    for i in range(config.n_layers):
+        h = sandwich_block(h, cond, prefixed(p, f"blocks.{i}."), config, freqs, coords, kv_pool=kv_pool)
         if capture is not None:
             capture.append(np.array(ad.val(h)))
 
     h = ad.rms_norm(h, np.asarray(1.0), config.eps)
-    scale = ad.add(ad.matmul(ad.silu(cond), model.w_final_mod), model.b_final_mod)
+    scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
     h = ad.mul(h, ad.add(_with_token_axis(scale), 1.0))
-    out = ad.add(ad.matmul(h, model.w_out), model.b_out)
+    out = ad.add(ad.matmul(h, p["w_out"]), p["b_out"])
     out = unpatchify(out, grid, config.patch, config.in_channels)
     return out[0] if single else out
 
@@ -419,14 +395,15 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     if not mask_arr.any(axis=-1).all():
         raise ValueError("a sample has no valid tokens")
 
-    h = ad.add(ad.matmul(tokens, model.w_embed), model.b_embed)
+    p = model.params
+    h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
     freqs = model_freqs(config)
-    for block in model.blocks:
-        h = sandwich_block(h, None, block, config, freqs, coords, mask=mask_arr)
+    for i in range(config.n_layers):
+        h = sandwich_block(h, None, prefixed(p, f"blocks.{i}."), config, freqs, coords, mask=mask_arr)
     weights = mask_arr / mask_arr.sum(axis=-1, keepdims=True)
     pooled = ad.sum_(ad.mul(h, weights[..., None]), axis=-2)
-    h1 = ad.silu(ad.add(ad.matmul(pooled, model.head_w1), model.head_b1))
-    logits = ad.add(ad.matmul(h1, model.head_w2), model.head_b2)
+    h1 = ad.silu(ad.add(ad.matmul(pooled, p["head_w1"]), p["head_b1"]))
+    logits = ad.add(ad.matmul(h1, p["head_w2"]), p["head_b2"])
     return logits[0] if single else logits
 
 
@@ -449,35 +426,15 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
     return rows
 
 
-def _leaf_slots(obj, prefix: str = ""):
-    """Yield (holder, key, name) for every array leaf in a params tree."""
-    for f in dataclasses.fields(obj):
-        child = getattr(obj, f.name)
-        name = f"{prefix}{f.name}"
-        if isinstance(child, (np.ndarray, ad.Var)):
-            yield obj, f.name, name
-        elif isinstance(child, list):
-            for i, item in enumerate(child):
-                yield from _leaf_slots(item, f"{name}.{i}.")
-        elif dataclasses.is_dataclass(child) and not isinstance(child, ModelConfig):
-            yield from _leaf_slots(child, f"{name}.")
-
-
-def _get_leaf(holder, key):
-    return getattr(holder, key)
-
-
 def named_parameters(model: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Deterministic (name, array) manifest of every parameter."""
-    return [(name, _get_leaf(holder, key)) for holder, key, name in _leaf_slots(model)]
+    return list(model.params.items())
 
 
 def set_parameter(model: ModelParams, name: str, value) -> None:
-    for holder, key, leaf_name in _leaf_slots(model):
-        if leaf_name == name:
-            setattr(holder, key, value)
-            return
-    raise KeyError(f"no parameter named {name!r}")
+    if name not in model.params:
+        raise KeyError(f"no parameter named {name!r}")
+    model.params[name] = value
 
 
 CHECKPOINT_FORMAT = "flowdit-checkpoint-v1"
@@ -496,15 +453,12 @@ def save_model(dirpath, model: ModelParams) -> None:
     staged = work / "new"
     try:
         staged.mkdir()  # unlike mkdtemp's 0700, this honours the umask
-        names = []
-        for holder, key, name in _leaf_slots(model):
-            leaf = ad.val(_get_leaf(holder, key))
-            nk.save_tensor(staged / f"{name}.nkt", np.asarray(leaf, dtype=np.float64))
-            names.append(name)
+        for name, leaf in model.params.items():
+            nk.save_tensor(staged / f"{name}.nkt", np.asarray(ad.val(leaf), dtype=np.float64))
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "config": dataclasses.asdict(model.config),
-            "tensors": names,
+            "tensors": list(model.params),
         }
         (staged / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     except BaseException:
@@ -524,16 +478,14 @@ def load_model(dirpath) -> ModelParams:
         raise ValueError(f"{dirpath}: unknown checkpoint format {manifest.get('format')!r}")
     config = ModelConfig(**manifest["config"])
     model = init_model(config, seed=0)
-    slots = {name: (holder, key) for holder, key, name in _leaf_slots(model)}
-    if set(slots) != set(manifest["tensors"]):
+    if set(model.params) != set(manifest["tensors"]):
         raise ValueError(f"{dirpath}: tensor manifest does not match the architecture")
     for name in manifest["tensors"]:
         arr = nk.load_tensor(dirpath / f"{name}.nkt")
-        holder, key = slots[name]
-        current = _get_leaf(holder, key)
-        if arr.shape != current.shape:
-            raise ValueError(f"{name}: stored shape {arr.shape} != expected {current.shape}")
+        expected = model.params[name].shape
+        if arr.shape != expected:
+            raise ValueError(f"{name}: stored shape {arr.shape} != expected {expected}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{name}: stored tensor has non-finite values")
-        setattr(holder, key, arr)
+        model.params[name] = arr
     return model

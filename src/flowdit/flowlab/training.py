@@ -3,13 +3,16 @@
 2-d points ride through the image model as single-pixel two-channel images,
 so the full transformer stack (embedding, attention, modulation, output
 head) is exercised end to end. Gradients come from the built-in reverse-mode
-tape: parameters are wrapped into Vars once, the forward pass is re-taped
-every step, and the optimiser updates the Var values in place.
+tape. `train` makes one wrapped model that shares the caller's config and
+holds, under each parameter name, a Var around a copy of that array. Every
+step re-tapes the forward pass from those Vars, the optimiser replaces
+their values, and at the end one `params.update` puts plain arrays back
+into the caller's dict.
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +84,8 @@ def cfm_loss(model: dit.ModelParams, x1_batch, t_batch, noise_batch):
 
 
 def wrap_parameters(model: dit.ModelParams) -> dit.ModelParams:
-    """Deep copy of the model with every array leaf wrapped as a tape Var."""
-    wrapped = copy.deepcopy(model)
-    for holder, key, _ in dit._leaf_slots(wrapped):
-        setattr(holder, key, ad.Var(getattr(holder, key)))
-    return wrapped
+    """The same model with every parameter copied into a tape Var."""
+    return dataclasses.replace(model, params={name: ad.Var(np.array(a)) for name, a in model.params.items()})
 
 
 def grad(model: dit.ModelParams, loss: ad.Var) -> dict[str, np.ndarray]:
@@ -110,7 +110,7 @@ def grad(model: dit.ModelParams, loss: ad.Var) -> dict[str, np.ndarray]:
 
 def finite_difference_grad(model: dit.ModelParams, loss_fn, name: str, index, eps: float = 1e-4) -> float:
     """Central-difference d loss / d model[name][index] on a plain model."""
-    leaf = dict(dit.named_parameters(model))[name]
+    leaf = model.params[name]
     keep = leaf[index]
     try:
         leaf[index] = keep + eps
@@ -160,8 +160,7 @@ def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.n
             m_hat = m_state[name] / (1.0 - config.beta1 ** (step + 1))
             v_hat = v_state[name] / (1.0 - config.beta2 ** (step + 1))
             leaf.value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    for (holder, key, _), (_, leaf) in zip(dit._leaf_slots(model), leaves):
-        setattr(holder, key, np.array(leaf.value))
+    model.params.update((name, np.array(leaf.value)) for name, leaf in leaves)
     return losses
 
 

@@ -188,23 +188,23 @@ def test_criterion_06_oracle_transport_moments():
     assert time.perf_counter() - start < 30.0
 
 
-def reference_mha(x, p, freqs, coords, eps):
+def reference_mha(x, p, n_heads, freqs, coords, eps):
     """Plain multi-head attention, no grouping logic anywhere."""
-    d_head = x.shape[-1] // p.n_q_heads
+    d_head = x.shape[-1] // n_heads
 
     def split(a):
         s = a.shape
-        return np.swapaxes(a.reshape(s[:-1] + (p.n_q_heads, s[-1] // p.n_q_heads)), -3, -2)
+        return np.swapaxes(a.reshape(s[:-1] + (n_heads, s[-1] // n_heads)), -3, -2)
 
-    q = split(nk.matmul(x, p.wq))
-    k = split(nk.matmul(x, p.wk))
-    v = split(nk.matmul(x, p.wv))
-    q = rope.apply_rope(nk.rms_norm(q, p.q_gain, eps), coords, freqs)
-    k = rope.apply_rope(nk.rms_norm(k, p.k_gain, eps), coords, freqs)
+    q = split(nk.matmul(x, p["wq"]))
+    k = split(nk.matmul(x, p["wk"]))
+    v = split(nk.matmul(x, p["wv"]))
+    q = rope.apply_rope(nk.rms_norm(q, p["q_gain"], eps), coords, freqs)
+    k = rope.apply_rope(nk.rms_norm(k, p["k_gain"], eps), coords, freqs)
     logits = nk.matmul(q, np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(d_head))
     out = np.swapaxes(nk.matmul(nk.softmax(logits, axis=-1), v), -3, -2)
     s = out.shape
-    return nk.matmul(out.reshape(s[:-2] + (s[-2] * s[-1],)), p.wo)
+    return nk.matmul(out.reshape(s[:-2] + (s[-2] * s[-1],)), p["wo"])
 
 
 def test_criterion_07_block_identity_gqa_probe_masking():
@@ -217,30 +217,28 @@ def test_criterion_07_block_identity_gqa_probe_masking():
     cond = rng.standard_normal((3, config.d_model))
     coords = nk.grid_coords((2, 4))
     freqs = dit.model_freqs(config)
-    y = dit.sandwich_block(x, cond, model.blocks[0], config, freqs, coords)
+    y = dit.sandwich_block(x, cond, dit.prefixed(model.params, "blocks.0."), config, freqs, coords)
     assert np.array_equal(y, x)
     img = rng.standard_normal((2, 4, 4, 2))
     assert np.all(dit.forward_velocity(model, img, 0.5) == 0.0)
 
-    p = model.blocks[0].attn
-    p = dit.AttentionParams(
+    p = dict(
         wq=rng.standard_normal((32, 32)), wk=rng.standard_normal((32, 32)),
         wv=rng.standard_normal((32, 32)), wo=rng.standard_normal((32, 32)),
         q_gain=rng.uniform(0.5, 1.5, 8), k_gain=rng.uniform(0.5, 1.5, 8),
-        n_q_heads=4, n_kv_heads=4,
     )
     xt = rng.standard_normal((2, 8, 32))
     got = dit.gqa_attention(xt, p, freqs, coords)
-    assert np.array_equal(got, reference_mha(xt, p, freqs, coords, 1e-6))
+    assert np.array_equal(got, reference_mha(xt, p, 4, freqs, coords, 1e-6))
 
     def probe_peak(style):
         cfg = dit.ModelConfig(d_model=64, n_layers=24, n_q_heads=4, n_kv_heads=4,
                               patch=2, in_channels=2, block_style=style)
         m = dit.init_model(cfg, seed=0, weight_std=4.0 / math.sqrt(64))
-        for block in m.blocks:
-            block.b_mod = block.b_mod.copy()
-            block.b_mod[2 * 64] = 1.0  # attention gate bias, pre-tanh
-            block.b_mod[4 * 64 + 1] = 1.0  # mlp gate bias
+        for i in range(cfg.n_layers):
+            b_mod = m.params[f"blocks.{i}.b_mod"]
+            b_mod[2 * 64] = 1.0  # attention gate bias, pre-tanh
+            b_mod[4 * 64 + 1] = 1.0  # mlp gate bias
         rows = dit.activation_probe(m, (8, 8), (0.0, 0.5, 1.0), n_samples=8, seed=0)
         return max(r[3] for r in rows)
 
@@ -275,10 +273,10 @@ def test_criterion_08_context_drop_identities_and_length_law():
     config = dit.ModelConfig(d_model=16, n_layers=1, n_q_heads=2, n_kv_heads=2,
                              patch=1, in_channels=2, time_dim=8)
     freqs = dit.model_freqs(config)
-    p = dit.AttentionParams(
+    p = dict(
         wq=rng.standard_normal((16, 16)), wk=rng.standard_normal((16, 16)),
         wv=rng.standard_normal((16, 16)), wo=rng.standard_normal((16, 16)),
-        q_gain=np.ones(8), k_gain=np.ones(8), n_q_heads=2, n_kv_heads=2,
+        q_gain=np.ones(8), k_gain=np.ones(8),
     )
     x = rng.standard_normal((12, 16))
     assert np.array_equal(

@@ -284,7 +284,7 @@ def test_gen_missing_checkpoint_returns_two(tmp_path):
 def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
     model = dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0)
     dit.save_model(tmp_path / "ckpt", model)
-    nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.full_like(model.w_embed, np.inf))
+    nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.full_like(model.params["w_embed"], np.inf))
     rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
     assert rc == 2
     assert "w_embed" in capsys.readouterr().err

@@ -2,7 +2,6 @@
 per-head loop oracle, grouped-query expansion, masking, patch layout,
 and checkpoint round-trips."""
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -74,7 +73,7 @@ def test_init_is_deterministic_and_seed_sensitive():
 
 def test_truncated_init_stays_within_two_sigma():
     model = dit.init_model(small_config(), seed=0, weight_std=0.5)
-    w = model.blocks[0].attn.wq
+    w = model.params["blocks.0.attn.wq"]
     assert np.abs(w).max() <= 2.0 * 0.5
     assert w.std() > 0.2
 
@@ -87,7 +86,7 @@ def test_zero_init_block_is_exact_identity():
     cond = rng.standard_normal((3, config.d_model))
     coords = nk.grid_coords((2, 3))
     freqs = dit.model_freqs(config)
-    y = dit.sandwich_block(x, cond, model.blocks[0], config, freqs, coords)
+    y = dit.sandwich_block(x, cond, dit.prefixed(model.params, "blocks.0."), config, freqs, coords)
     assert np.array_equal(y, x)
 
 
@@ -122,47 +121,45 @@ def loop_pool(x, grid, window):
     return np.stack([x[cell].mean(axis=0) for cell in cells])
 
 
-def slow_attention(x, p, freqs, coords, eps, kv_pool=None):
+def slow_attention(x, p, n_q, n_kv, freqs, coords, eps, kv_pool=None):
     """Per-head loop with explicit softmax; handles grouping by indexing.
 
     kv_pool = (grid, window) loop-pools keys, values and key coordinates.
     """
     n, d = x.shape
-    dh = d // p.n_q_heads
-    group = p.n_q_heads // p.n_kv_heads
-    q, k, v = x @ p.wq, x @ p.wk, x @ p.wv
+    dh = d // n_q
+    group = n_q // n_kv
+    q, k, v = x @ p["wq"], x @ p["wk"], x @ p["wv"]
     coords_k = coords
     if kv_pool is not None:
         k, v, coords_k = (loop_pool(a, *kv_pool) for a in (k, v, coords))
     outs = []
-    for i in range(p.n_q_heads):
+    for i in range(n_q):
         j = i // group
         qi = q[:, i * dh : (i + 1) * dh]
         kj = k[:, j * dh : (j + 1) * dh]
         vj = v[:, j * dh : (j + 1) * dh]
-        qi = qi / np.sqrt(np.mean(qi * qi, -1, keepdims=True) + eps) * p.q_gain
-        kj = kj / np.sqrt(np.mean(kj * kj, -1, keepdims=True) + eps) * p.k_gain
+        qi = qi / np.sqrt(np.mean(qi * qi, -1, keepdims=True) + eps) * p["q_gain"]
+        kj = kj / np.sqrt(np.mean(kj * kj, -1, keepdims=True) + eps) * p["k_gain"]
         qi = rotate_complex(qi, coords, freqs)
         kj = rotate_complex(kj, coords_k, freqs)
         logits = qi @ kj.T / np.sqrt(dh)
         w = np.exp(logits - logits.max(-1, keepdims=True))
         w = w / w.sum(-1, keepdims=True)
         outs.append(w @ vj)
-    return np.concatenate(outs, -1) @ p.wo
+    return np.concatenate(outs, -1) @ p["wo"]
 
 
 def make_attn(d, n_q, n_kv, seed):
     rng = np.random.default_rng(seed)
     dh = d // n_q
-    return dit.AttentionParams(
+    return dict(
         wq=rng.standard_normal((d, d)),
         wk=rng.standard_normal((d, n_kv * dh)),
         wv=rng.standard_normal((d, n_kv * dh)),
         wo=rng.standard_normal((d, d)),
         q_gain=rng.uniform(0.5, 1.5, dh),
         k_gain=rng.uniform(0.5, 1.5, dh),
-        n_q_heads=n_q,
-        n_kv_heads=n_kv,
     )
 
 
@@ -174,7 +171,7 @@ def test_attention_matches_per_head_oracle(n_q, n_kv):
     coords = nk.grid_coords((2, 3))
     x = np.random.default_rng(0).standard_normal((6, d))
     got = dit.gqa_attention(x, p, freqs, coords)
-    want = slow_attention(x, p, freqs, coords, 1e-6)
+    want = slow_attention(x, p, n_q, n_kv, freqs, coords, 1e-6)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -188,24 +185,23 @@ def test_pooled_attention_matches_per_head_oracle(grid, window):
     coords = nk.grid_coords(grid)
     x = np.random.default_rng(12).standard_normal((grid[0] * grid[1], d))
     got = dit.gqa_attention(x, p, freqs, coords, kv_pool=(grid, window))
-    want = slow_attention(x, p, freqs, coords, 1e-6, kv_pool=(grid, window))
+    want = slow_attention(x, p, n_q, n_kv, freqs, coords, 1e-6, kv_pool=(grid, window))
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_grouped_kv_equals_duplicated_heads_bitwise():
-    # duplicating each kv head's columns and declaring n_kv = n_q must
-    # reproduce the grouped computation exactly: the repeat axis is -3,
+    # duplicating each kv head's columns (so the shapes give n_kv = n_q)
+    # must reproduce the grouped computation exactly: the repeat axis is -3,
     # so head j serves query heads [j*group, (j+1)*group)
     d, n_q, n_kv = 16, 4, 2
     dh, group = d // n_q, n_q // n_kv
     p = make_attn(d, n_q, n_kv, seed=3)
-    cols = [p.wk[:, j * dh : (j + 1) * dh] for j in range(n_kv)]
-    colsv = [p.wv[:, j * dh : (j + 1) * dh] for j in range(n_kv)]
-    wide = dataclasses.replace(
+    cols = [p["wk"][:, j * dh : (j + 1) * dh] for j in range(n_kv)]
+    colsv = [p["wv"][:, j * dh : (j + 1) * dh] for j in range(n_kv)]
+    wide = dict(
         p,
         wk=np.concatenate([c for j in range(n_kv) for c in [cols[j]] * group], axis=1),
         wv=np.concatenate([c for j in range(n_kv) for c in [colsv[j]] * group], axis=1),
-        n_kv_heads=n_q,
     )
     freqs = rope.freq_matrix(100.0, dh, 2)
     coords = nk.grid_coords((2, 2))
@@ -368,12 +364,13 @@ def test_recognition_zero_gates_reduce_to_embedding_head():
     logits = dit.recognition_forward(model, tokens, coords, mask=mask)
     # gates start at zero: the trunk is the identity, so only the
     # embedding, the masked mean, and the head participate
-    h = tokens @ model.w_embed + model.b_embed
+    p = model.params
+    h = tokens @ p["w_embed"] + p["b_embed"]
     w = mask / mask.sum(-1, keepdims=True)
     pooled = (h * w[..., None]).sum(-2)
-    z = pooled @ model.head_w1 + model.head_b1
+    z = pooled @ p["head_w1"] + p["head_b1"]
     h1 = z * (1.0 / (1.0 + np.exp(-z)))
-    want = h1 @ model.head_w2 + model.head_b2
+    want = h1 @ p["head_w2"] + p["head_b2"]
     assert logits.shape == (3, 5)
     assert np.allclose(logits, want, atol=1e-12)
 
@@ -421,9 +418,9 @@ def test_named_parameters_unique_and_settable():
     names = [n for n, _ in dit.named_parameters(model)]
     assert len(names) == len(set(names))
     assert "blocks.0.attn.wq" in names and "label_embed" in names
-    probe = np.full_like(model.blocks[1].w_mlp1, 0.5)
+    probe = np.full_like(model.params["blocks.1.w_mlp1"], 0.5)
     dit.set_parameter(model, "blocks.1.w_mlp1", probe)
-    assert model.blocks[1].w_mlp1 is probe
+    assert model.params["blocks.1.w_mlp1"] is probe
     with pytest.raises(KeyError, match="no parameter"):
         dit.set_parameter(model, "blocks.9.w_mlp1", probe)
 

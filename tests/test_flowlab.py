@@ -201,12 +201,12 @@ def test_cfm_loss_fresh_model_equals_target_norm():
 
 def test_wrap_parameters_is_a_deep_var_copy():
     model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
-    keep = model.w_embed.copy()
+    keep = model.params["w_embed"].copy()
     wrapped = training.wrap_parameters(model)
     assert all(isinstance(leaf, ad.Var) for _, leaf in dit.named_parameters(wrapped))
-    wrapped.blocks[0].attn.wq.value += 1.0
-    assert np.array_equal(model.w_embed, keep)
-    assert not np.array_equal(wrapped.blocks[0].attn.wq.value, model.blocks[0].attn.wq)
+    wrapped.params["blocks.0.attn.wq"].value += 1.0
+    assert np.array_equal(model.params["w_embed"], keep)
+    assert not np.array_equal(wrapped.params["blocks.0.attn.wq"].value, model.params["blocks.0.attn.wq"])
 
 
 def test_grad_requires_taped_loss_and_wrapped_model():
@@ -250,14 +250,14 @@ def test_grad_spot_checked_against_finite_differences():
 
 def test_finite_difference_grad_restores_on_error():
     model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
-    keep = model.w_embed.copy()
+    keep = model.params["w_embed"].copy()
 
     def explode(_):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
         training.finite_difference_grad(model, explode, "w_embed", (0, 0))
-    assert np.array_equal(model.w_embed, keep)
+    assert np.array_equal(model.params["w_embed"], keep)
 
 
 def test_train_rejects_bad_data():
@@ -300,7 +300,7 @@ def test_train_raises_on_divergence():
 def test_train_raises_on_non_finite_gradient(monkeypatch):
     data = datasets.toy_dataset("eight_gaussians", 128, seed=0)
     model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
-    keep = model.w_out.copy()
+    keep = model.params["w_out"].copy()
     real_grad = training.grad
     calls = []
 
@@ -315,7 +315,7 @@ def test_train_raises_on_non_finite_gradient(monkeypatch):
     config = training.TrainConfig(steps=5, batch_size=16, seed=0)
     with pytest.raises(training.DivergenceError, match=r"gradient of blocks\.0\.attn\.wk .* at step 2"):
         training.train(model, data, config)
-    assert np.array_equal(model.w_out, keep)
+    assert np.array_equal(model.params["w_out"], keep)
 
 
 def test_training_step_tape_size_is_pinned():
