@@ -118,13 +118,17 @@ def load_tensor(path) -> Tensor:
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 9:
+        raise ValueError(f"{path}: truncated header")
     tag, rank = struct.unpack_from("<BI", raw, 4)
     if tag not in _TAG_DTYPES:
         raise ValueError(f"{path}: unknown dtype tag {tag}")
+    start = 9 + 8 * rank
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{rank}Q", raw, 9)
     dtype = _TAG_DTYPES[tag]
     count = int(np.prod(dims)) if rank else 1
-    start = 9 + 8 * rank
     expected = start + count * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")

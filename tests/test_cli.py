@@ -290,6 +290,17 @@ def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert "w_embed" in capsys.readouterr().err
 
 
+def test_gen_rejects_truncated_tensor_header(tmp_path, capsys):
+    model = dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0)
+    dit.save_model(tmp_path / "ckpt", model)
+    path = tmp_path / "ckpt" / "blocks.0.attn.wk.nkt"
+    path.write_bytes(path.read_bytes()[:5])
+    rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "blocks.0.attn.wk.nkt: truncated header" in err
+
+
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []

@@ -191,6 +191,23 @@ def test_tensor_load_rejects_corruption(tmp_path):
         nk.load_tensor(bad_tag)
 
 
+def test_tensor_load_rejects_header_cut_before_rank(tmp_path):
+    path = tmp_path / "t.nkt"
+    path.write_bytes(b"NKT1\x02")  # magic and dtype tag, no rank
+    with pytest.raises(ValueError, match=r"t\.nkt: truncated header"):
+        nk.load_tensor(path)
+
+
+def test_tensor_load_rejects_dims_past_end_of_file(tmp_path):
+    path = tmp_path / "t.nkt"
+    nk.save_tensor(path, np.ones((2, 3, 4)))
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.nkt"
+    cut.write_bytes(raw[: 9 + 8 * 2])  # the header names 3 dims; 2 remain
+    with pytest.raises(ValueError, match=r"cut\.nkt: truncated header"):
+        nk.load_tensor(cut)
+
+
 def test_save_tensor_rejects_other_dtypes(tmp_path):
     with pytest.raises(ValueError, match="dtype"):
         nk.save_tensor(tmp_path / "t.nkt", np.ones(3, dtype=np.int64))
