@@ -8,8 +8,9 @@ forward codebase and produce bit-identical values.
 
 The op set is deliberately small: elementwise arithmetic, matmul, reductions,
 shape moves, gather, softmax, rms_norm, pairwise rotation (RoPE), and the
-nonlinearities used by the model (tanh, sigmoid, silu, sin, cos). Anything
-else raises rather than differentiating silently.
+nonlinearities exp, log, tanh, sigmoid, silu, sin and cos, of which the
+model uses tanh and silu. Anything else raises rather than differentiating
+silently.
 """
 
 from __future__ import annotations
