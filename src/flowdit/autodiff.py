@@ -270,14 +270,20 @@ def matmul(a, b):
     if not _tracked(a, b):
         return out
 
+    # a 2-d weight shared over leading axes: both cotangents are one GEMM
+    # over the flattened rows, not a stack of small products
+    shared = bv.ndim == 2 and av.ndim > 2
+
     def vjp(g):
         gs = []
         if isinstance(a, Var):
-            gs.append(_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+            if shared:
+                ga = (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)
+            else:
+                ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
+            gs.append(ga)
         if isinstance(b, Var):
-            if bv.ndim == 2 and av.ndim > 2:
-                # a weight shared over leading axes: one GEMM over the
-                # flattened rows, not a stack of outer products summed away
+            if shared:
                 gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)

@@ -50,6 +50,8 @@ X2318 = RNG.standard_normal((2, 3, 1, 8))
 FREQS = rope.freq_matrix(100.0, 8, 2)
 COORDS = RNG.uniform(0.0, 9.0, (5, 2))
 ANG = rope.rope_angles(COORDS, FREQS)
+# distinct per-row weights, so a cotangent whose rows land out of order shows
+ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
 
 
 @pytest.mark.parametrize(
@@ -75,6 +77,8 @@ ANG = rope.rope_angles(COORDS, FREQS)
         ("matmul_shared_weight_3d", lambda v: ad.matmul(X253, v), W34),
         ("matmul_shared_weight_4d", lambda v: ad.matmul(X2253, v), W34),
         ("matmul_lhs_under_shared_weight", lambda v: ad.matmul(v, W34), X2253),
+        ("matmul_lhs_under_shared_weight_rows", lambda v: ad.mul(ad.matmul(v, W34), ROWS2254), X2253),
+        ("matmul_shared_weight_rows", lambda v: ad.mul(ad.matmul(X2253, v), ROWS2254), W34),
         ("sum_axis", lambda v: ad.mul(ad.sum_(v, axis=0), np.arange(3.0)), X23),
         ("sum_keepdims", lambda v: ad.mul(ad.sum_(v, axis=-1, keepdims=True), v), X23),
         ("mean_all", lambda v: ad.mul(ad.mean(v), 7.0), X23),
