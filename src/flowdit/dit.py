@@ -199,8 +199,8 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     params holds wq [d_model, h_q*d_head], wk and wv [d_model, h_kv*d_head],
     wo and the per-head-dim gains q_gain and k_gain [d_head]; the head
     counts follow from those shapes. x [..., n, d_model]; coords [n, axes].
-    mask marks valid keys (True =
-    attend), shape [n] or [batch, n]; every row must keep at least one key.
+    mask marks valid keys (True = attend), shape [n] or [batch, n]; every
+    row must keep at least one key.
     kv_pool = (grid, window) average-pools projected keys/values and their
     coordinates before normalisation and rotation; pooled keys have no
     per-token identity, so kv_pool and mask are mutually exclusive. A
