@@ -205,15 +205,33 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     coordinates before normalisation and rotation; pooled keys have no
     per-token identity, so kv_pool and mask are mutually exclusive. A
     (1, 1) window is a no-op, bit-identical to kv_pool=None.
+
+    One token (the point model) attends to its single key with weight
+    exactly 1.0, so the output is its value row, repeated over the query
+    groups, through wo: bit-identical to the general expression. That path
+    never reads wq, wk, q_gain or k_gain, so a tape does not reach them
+    (their gradient was exactly zero before too).
     """
     if mask is not None and kv_pool is not None:
         raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
+    keep = None
+    if mask is not None:
+        keep = np.asarray(mask, dtype=bool)
+        if not keep.any(axis=-1).all():
+            raise ValueError("mask leaves a sample with no valid keys")
     d_head = ad.val(params["q_gain"]).shape[-1]
     n_q_heads = ad.val(params["wq"]).shape[-1] // d_head
     n_kv_heads = ad.val(params["wk"]).shape[-1] // d_head
+    group = n_q_heads // n_kv_heads
+    v = ad.matmul(x, params["wv"])
+    if ad.val(x).shape[-2] == 1:
+        if kv_pool is not None and kv_pool[0][0] * kv_pool[0][1] != 1:
+            raise ValueError(f"got 1 token for grid {kv_pool[0]}")
+        if group > 1:
+            v = _merge_heads(ad.repeat(_split_heads(v, n_kv_heads), group, axis=-3))
+        return ad.matmul(v, params["wo"])
     q = ad.matmul(x, params["wq"])
     k = ad.matmul(x, params["wk"])
-    v = ad.matmul(x, params["wv"])
     coords_k = coords
     if kv_pool is not None:
         k, v, coords_k = contextdrop.pool_kv(k, v, coords, *kv_pool)
@@ -224,15 +242,11 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     k = ad.rms_norm(k, params["k_gain"], eps)
     q = rope.apply_rope(q, coords, freqs)
     k = rope.apply_rope(k, coords_k, freqs)
-    group = n_q_heads // n_kv_heads
     if group > 1:
         k = ad.repeat(k, group, axis=-3)
         v = ad.repeat(v, group, axis=-3)
     logits = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(d_head))
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        if not keep.any(axis=-1).all():
-            raise ValueError("mask leaves a sample with no valid keys")
+    if keep is not None:
         keep = keep.reshape(keep.shape[:-1] + (1, 1, keep.shape[-1]))
         logits = ad.mask_fill(logits, keep, -np.inf)
     out = ad.matmul(ad.softmax(logits, axis=-1), v)

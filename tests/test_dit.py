@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from flowdit import autodiff as ad
+from flowdit import contextdrop as cd
 from flowdit import dit, flowlab
 from flowdit import numkernel as nk
 from flowdit import rope
@@ -253,6 +254,62 @@ def test_kv_pool_identity_window_is_bitwise_noop():
     pooled = dit.gqa_attention(x, p, freqs, coords, kv_pool=((2, 2), (2, 1)))
     assert np.array_equal(plain, noop)
     assert not np.allclose(plain, pooled, atol=1e-6)
+
+
+def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
+    """gqa_attention's general expression, with no one-token shortcut."""
+    d_head = ad.val(p["q_gain"]).shape[-1]
+    n_q, n_kv = ad.val(p["wq"]).shape[-1] // d_head, ad.val(p["wk"]).shape[-1] // d_head
+    q, k, v = (ad.matmul(x, p[w]) for w in ("wq", "wk", "wv"))
+    coords_k = coords
+    if kv_pool is not None:
+        k, v, coords_k = cd.pool_kv(k, v, coords, *kv_pool)
+    q, k, v = dit._split_heads(q, n_q), dit._split_heads(k, n_kv), dit._split_heads(v, n_kv)
+    q = rope.apply_rope(ad.rms_norm(q, p["q_gain"], eps), coords, freqs)
+    k = rope.apply_rope(ad.rms_norm(k, p["k_gain"], eps), coords_k, freqs)
+    if n_q > n_kv:
+        k, v = ad.repeat(k, n_q // n_kv, axis=-3), ad.repeat(v, n_q // n_kv, axis=-3)
+    logits = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(d_head))
+    if mask is not None:
+        keep = np.asarray(mask, dtype=bool)
+        logits = ad.mask_fill(logits, keep.reshape(keep.shape[:-1] + (1, 1, keep.shape[-1])), -np.inf)
+    out = ad.matmul(ad.softmax(logits, axis=-1), v)
+    return ad.matmul(dit._merge_heads(out), p["wo"])
+
+
+@pytest.mark.parametrize("n_q,n_kv", [(4, 4), (4, 2)])
+@pytest.mark.parametrize("extra", [{}, {"mask": [True]}, {"kv_pool": ((1, 1), (1, 1))}])
+def test_one_token_attention_is_the_general_expression_bitwise(n_q, n_kv, extra):
+    d = 32
+    p = make_attn(d, n_q, n_kv, seed=n_q + n_kv)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords((1, 1))
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((5, 1, d))
+    weights = rng.standard_normal((5, 1, d))
+    got = dit.gqa_attention(x, p, freqs, coords, **extra)
+    assert np.array_equal(got, general_attention(x, p, freqs, coords, **extra))
+
+    grads = []
+    for attention in (dit.gqa_attention, general_attention):
+        xv, pv = ad.Var(x), {name: ad.Var(a) for name, a in p.items()}
+        out = attention(xv, pv, freqs, coords, **extra)
+        ad.sum_(ad.mul(out, weights)).backward()
+        assert np.array_equal(out.value, got)
+        grads.append([xv.grad, pv["wv"].grad, pv["wo"].grad])
+    for fast, general in zip(*grads):
+        assert np.array_equal(fast, general)
+
+
+def test_one_token_attention_keeps_its_checks():
+    p = make_attn(16, 2, 2, seed=14)
+    freqs = rope.freq_matrix(100.0, 8, 2)
+    coords = nk.grid_coords((1, 1))
+    x = np.ones((1, 16))
+    with pytest.raises(ValueError, match="no valid keys"):
+        dit.gqa_attention(x, p, freqs, coords, mask=[False])
+    with pytest.raises(ValueError, match="grid"):
+        dit.gqa_attention(x, p, freqs, coords, kv_pool=((2, 1), (1, 1)))
 
 
 def test_attention_permutation_equivariance():
