@@ -341,6 +341,9 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     """Predicted flow velocity for images x_t at time t.
 
     x_t is [H, W, C] or [B, H, W, C]; t a scalar or per-sample vector.
+    A scalar t gives one conditioning row (time MLP, modulation and final
+    scale computed once) that broadcasts over the batch; it equals the
+    per-sample call with np.full(B, t) to rounding, not bitwise.
     label is an int array of class ids (None uses the null embedding when
     the model is conditional). kv_pool = (grid, window) pools attention
     context in every block. capture, if a list, receives each block's
@@ -354,9 +357,12 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     if single:
         x_t = x_t[None] if isinstance(x_t, ad.Var) else arr[None]
     batch = ad.val(x_t).shape[0]
-    t_arr = np.full(batch, float(t)) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    if t_arr.shape != (batch,):
-        raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
+    if np.ndim(t) == 0:  # one conditioning row, broadcast over the batch
+        t_arr = np.full(1, float(t))
+    else:
+        t_arr = np.asarray(t, dtype=float)
+        if t_arr.shape != (batch,):
+            raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
 
     p = model.params
     tokens, coords, grid = patchify(x_t, config.patch)
@@ -364,7 +370,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     cond = time_embedding(model, t_arr)
     if "label_embed" in p:
         if label is None:
-            idx = np.full(batch, config.n_classes)
+            idx = np.full(len(t_arr), config.n_classes)
         else:
             idx = np.asarray(label)
             if idx.shape != (batch,) or idx.min() < 0 or idx.max() >= config.n_classes:

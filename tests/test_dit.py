@@ -387,6 +387,22 @@ def test_forward_velocity_validation():
         dit.forward_velocity(rec, x, 0.2)
 
 
+@pytest.mark.parametrize(
+    "config,side",
+    [(flowlab.point_model_config(), 1), (small_config(n_q_heads=4, n_kv_heads=2, n_classes=3), 4)],
+    ids=["point", "gqa_labels"],
+)
+def test_scalar_t_equals_per_sample_t(config, side):
+    # a scalar t conditions through one row; per-sample t through batch rows
+    model = randomized(dit.init_model(config, seed=0), seed=3)
+    x = np.random.default_rng(15).standard_normal((6, side, side, config.in_channels))
+    for t in (0.0, 0.37, 1.0):
+        one_row = dit.forward_velocity(model, x, t)
+        assert np.allclose(one_row, dit.forward_velocity(model, x, np.full(6, t)), rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="t has shape"):
+        dit.forward_velocity(model, x, np.full((6, 1), 0.5))
+
+
 def test_label_conditioning_changes_output():
     config = small_config(n_classes=4)
     model = randomized(dit.init_model(config, seed=0), seed=2)
