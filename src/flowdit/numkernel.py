@@ -26,13 +26,19 @@ _TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """c[i,j] = sum_k a[i,k] * b[k,j], with optional shared leading batch axes."""
+    """c[i,j] = sum_k a[i,k] * b[k,j], with optional shared leading batch axes.
+
+    A 2-d b under a batched a is one GEMM over a's flattened rows, not one
+    small product per leading index.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs rank >= 2 operands, got {a.ndim} and {b.ndim}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner axes mismatch: {a.shape} x {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
     return a @ b
 
 

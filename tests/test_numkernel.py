@@ -21,6 +21,20 @@ def test_matmul_matches_einsum():
     assert np.allclose(nk.matmul(a, b), np.einsum("bik,bkj->bij", a, b), atol=1e-13)
 
 
+@pytest.mark.parametrize("lead", [(7,), (3, 4)], ids=["rank3", "rank4"])
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "swapaxes"])
+def test_matmul_under_shared_weight_matches_einsum(lead, contiguous):
+    # a 2-d weight under a batched lhs runs as one GEMM over the flat rows
+    rng = np.random.default_rng(len(lead))
+    a = rng.standard_normal(lead + (5, 6))
+    if not contiguous:
+        a = np.swapaxes(rng.standard_normal(lead + (6, 5)), -1, -2)
+    b = rng.standard_normal((6, 3))
+    got = nk.matmul(a, b)
+    assert got.shape == lead + (5, 3)
+    assert np.allclose(got, np.einsum("...ik,kj->...ij", a, b), rtol=0.0, atol=1e-13)
+
+
 def test_matmul_rejects_vectors_and_mismatched_inner_axes():
     with pytest.raises(ValueError, match="rank >= 2"):
         nk.matmul(np.ones(3), np.ones((3, 2)))
