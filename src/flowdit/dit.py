@@ -209,8 +209,8 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     One token (the point model) attends to its single key with weight
     exactly 1.0, so the output is its value row, repeated over the query
     groups, through wo: bit-identical to the general expression. That path
-    never reads wq, wk, q_gain or k_gain, so a tape does not reach them
-    (their gradient was exactly zero before too).
+    never reads wq, wk, q_gain or k_gain, so a tape does not reach them;
+    through a single key their gradient is exactly zero anyway.
     """
     if mask is not None and kv_pool is not None:
         raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
