@@ -1,8 +1,6 @@
 """Key/value pooling windows: drop-ratio bookkeeping, the window picker,
 and pooled tensors checked against a plain loop over window cells."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,38 +101,6 @@ def test_pool_kv_matches_loop_oracle(h, w, ratio, window):
     assert np.allclose(pk, pooled_oracle(k, h, w, window), atol=1e-12)
     assert np.allclose(pv, pooled_oracle(v, h, w, window), atol=1e-12)
     assert np.allclose(pc, pooled_oracle(coords, h, w, window), atol=1e-12)
-
-
-def window_mean_oracle(x, grid, window):
-    """Mean over each window, sliced out of the [h, w] grid one at a time."""
-    h, w = grid
-    wh, ww = window
-    x = x.reshape(x.shape[:-2] + (h, w) + x.shape[-1:])
-    oh, ow = math.ceil(h / wh), math.ceil(w / ww)
-    out = np.empty(x.shape[:-3] + (oh, ow) + x.shape[-1:])
-    for i in range(oh):
-        for j in range(ow):
-            block = x[..., i * wh : (i + 1) * wh, j * ww : (j + 1) * ww, :]
-            out[..., i, j, :] = block.mean(axis=(-3, -2))
-    return out.reshape(out.shape[:-3] + (oh * ow,) + out.shape[-1:])
-
-
-@pytest.mark.parametrize("grid", [(1, 1), (2, 3), (4, 4), (5, 7), (8, 8)])
-@pytest.mark.parametrize("window", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)])
-def test_pool_kv_matches_window_mean_oracle(grid, window):
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, grid[0] * grid[1], 3))
-    pooled, _, _ = cd.pool_kv(x, x, nk.grid_coords(grid), grid, window)
-    assert np.allclose(pooled, window_mean_oracle(x, grid, window), atol=1e-14)
-
-
-def test_pool_kv_identity_window_returns_inputs():
-    # the (1, 1) window returns its inputs unchanged, as the same objects
-    x = np.arange(12.0).reshape(6, 2)
-    coords = nk.grid_coords((2, 3))
-    pk, pv, pc = cd.pool_kv(x, x, coords, (2, 3), (1, 1))
-    assert np.array_equal(pk, x) and np.array_equal(pv, x)
-    assert pk is x and pv is x and pc is coords
 
 
 def test_pool_kv_constant_rows_are_preserved():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdit import contextdrop as cd
 from flowdit import numkernel as nk
 
 
@@ -82,6 +83,39 @@ def test_rms_norm_output_has_unit_rms_at_unit_gain():
 def test_rms_norm_rejects_negative_eps():
     with pytest.raises(ValueError, match="eps"):
         nk.rms_norm(np.ones(3), np.ones(3), eps=-1e-6)
+
+
+def _pool_oracle(x, grid, window):
+    # independent route: explicit window membership, mean per window
+    h, w = grid
+    wh, ww = window
+    x = x.reshape(x.shape[:-2] + (h, w) + x.shape[-1:])
+    oh, ow = math.ceil(h / wh), math.ceil(w / ww)
+    out = np.empty(x.shape[:-3] + (oh, ow) + x.shape[-1:])
+    for i in range(oh):
+        for j in range(ow):
+            block = x[..., i * wh : (i + 1) * wh, j * ww : (j + 1) * ww, :]
+            out[..., i, j, :] = block.mean(axis=(-3, -2))
+    return out.reshape(out.shape[:-3] + (oh * ow,) + out.shape[-1:])
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 3), (4, 4), (5, 7), (8, 8)])
+@pytest.mark.parametrize("window", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)])
+def test_avg_pool_tokens_matches_loop_oracle(grid, window):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, grid[0] * grid[1], 3))
+    pooled, _, _ = cd.pool_kv(x, x, nk.grid_coords(grid), grid, window)
+    assert np.allclose(pooled, _pool_oracle(x, grid, window), atol=1e-14)
+
+
+def test_avg_pool_tokens_identity_window_copies():
+    # kept under its old id; the (1, 1) window of contextdrop.pool_kv now
+    # returns its inputs unchanged as the same objects rather than copies
+    x = np.arange(12.0).reshape(6, 2)
+    coords = nk.grid_coords((2, 3))
+    pk, pv, pc = cd.pool_kv(x, x, coords, (2, 3), (1, 1))
+    assert np.array_equal(pk, x) and np.array_equal(pv, x)
+    assert pk is x and pv is x and pc is coords
 
 
 def test_pool_assignments_counts_and_edges():
