@@ -134,7 +134,10 @@ def load_tensor(path) -> Tensor:
         raise ValueError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{rank}Q", raw, 9)
     dtype = _TAG_DTYPES[tag]
-    count = int(np.prod(dims)) if rank else 1
+    # exact integers: a numpy product wraps silently past int64
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{path}: shape {dims} is too large")
+    count = math.prod(dims)
     expected = start + count * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -3,6 +3,7 @@ tensor container, plus the exact-arithmetic properties the rest of the
 stack leans on."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -220,6 +221,15 @@ def test_tensor_load_rejects_dims_past_end_of_file(tmp_path):
     cut.write_bytes(raw[: 9 + 8 * 2])  # the header names 3 dims; 2 remain
     with pytest.raises(ValueError, match=r"cut\.nkt: truncated header"):
         nk.load_tensor(cut)
+
+
+@pytest.mark.parametrize("dims", [(2**32, 2**32), (2**32, 2**32, 0)], ids=["wraps_to_zero", "zero_size"])
+def test_tensor_load_rejects_dims_too_large_to_count(tmp_path, dims):
+    # an int64 product of these dims is 0, so only exact counting sees the size
+    path = tmp_path / "huge.nkt"
+    path.write_bytes(b"NKT1" + struct.pack("<BI", 2, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims))
+    with pytest.raises(ValueError, match=r"huge\.nkt: shape .* is too large"):
+        nk.load_tensor(path)
 
 
 def test_save_tensor_rejects_other_dtypes(tmp_path):
