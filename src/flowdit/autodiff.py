@@ -6,11 +6,11 @@ or Vars; with no Var among the arguments it returns a plain ndarray computed
 by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
-The op set is deliberately small: elementwise arithmetic, matmul, reductions,
-shape moves, gather, softmax, rms_norm, pairwise rotation (RoPE), and the
-nonlinearities exp, log, tanh, sigmoid, silu, sin and cos, of which the
-model uses tanh and silu. Anything else raises rather than differentiating
-silently.
+The op set is the one the model runs: add, sub, mul, matmul, sum_, mean,
+reshape, swapaxes, transpose, take, repeat, mask_fill, softmax, rms_norm,
+rotate_pairs (RoPE), and the nonlinearities tanh and silu. Indexing is the
+only operator a Var supports; anything else, numpy ufuncs included, raises
+rather than differentiating silently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import numkernel
 class Var:
     """Node in the reverse-mode tape."""
 
-    # keep numpy from consuming Vars elementwise; reflected ops dispatch here
+    # keep numpy from consuming Vars elementwise: ufuncs and array operators raise
     __array_ufunc__ = None
     __slots__ = ("value", "grad", "_parents", "_vjp")
 
@@ -73,40 +73,6 @@ class Var:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -181,62 +147,11 @@ def mul(a, b):
     return _node(out, (a, b), vjp)
 
 
-def div(a, b):
-    av, bv = val(a), val(b)
-    out = av / bv
-    if not _tracked(a, b):
-        return out
-
-    def vjp(g):
-        gs = []
-        if isinstance(a, Var):
-            gs.append(_unbroadcast(g / bv, av.shape))
-        if isinstance(b, Var):
-            gs.append(_unbroadcast(-g * av / (bv * bv), bv.shape))
-        return tuple(gs)
-
-    return _node(out, (a, b), vjp)
-
-
-def power(a, p):
-    """a ** p for a constant scalar exponent."""
-    if isinstance(p, Var):
-        raise TypeError("power() exponent must be a constant")
-    av = val(a)
-    out = av**p
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (g * p * av ** (p - 1),))
-
-
-def exp(a):
-    out = np.exp(val(a))
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    av = val(a)
-    out = np.log(av)
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (g / av,))
-
-
 def tanh(a):
     out = np.tanh(val(a))
     if not _tracked(a):
         return out
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a):
-    av = val(a)
-    out = 1.0 / (1.0 + np.exp(-av))
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def silu(a):
@@ -246,22 +161,6 @@ def silu(a):
     if not _tracked(a):
         return out
     return _node(out, (a,), lambda g: (g * sig * (1.0 + av * (1.0 - sig)),))
-
-
-def sin(a):
-    av = val(a)
-    out = np.sin(av)
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (g * np.cos(av),))
-
-
-def cos(a):
-    av = val(a)
-    out = np.cos(av)
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (-g * np.sin(av),))
 
 
 def matmul(a, b):
@@ -346,34 +245,6 @@ def transpose(a, axes):
     return _node(out, (a,), lambda g: (g.transpose(inv),))
 
 
-def concat(items, axis=-1):
-    vals = [val(x) for x in items]
-    out = np.concatenate(vals, axis=axis)
-    if not _tracked(*items):
-        return out
-    splits = np.cumsum([v.shape[axis] for v in vals])[:-1]
-
-    def vjp(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(p for p, x in zip(pieces, items) if isinstance(x, Var))
-
-    return _node(out, tuple(items), vjp)
-
-
-def stack(items, axis=0):
-    vals = [val(x) for x in items]
-    out = np.stack(vals, axis=axis)
-    if not _tracked(*items):
-        return out
-
-    def vjp(g):
-        return tuple(
-            np.take(g, i, axis=axis) for i, x in enumerate(items) if isinstance(x, Var)
-        )
-
-    return _node(out, tuple(items), vjp)
-
-
 def _is_basic_index(idx) -> bool:
     """Ints, slices, Ellipsis and None only: each source element is picked at most once."""
     parts = idx if isinstance(idx, tuple) else (idx,)
@@ -454,7 +325,7 @@ def rms_norm(a, gain, eps: float = 1e-6):
     av, gv = val(a), val(gain)
     if not _tracked(a, gain):
         return numkernel.rms_norm(av, gv, eps)
-    inv = (np.mean(av * av, axis=-1, keepdims=True) + eps) ** -0.5
+    inv = numkernel._rms_inverse(av, eps)
     n = av * inv
     out = n * gv
 

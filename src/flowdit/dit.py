@@ -72,6 +72,8 @@ class ModelConfig:
             raise ValueError("recognition mode needs n_classes >= 1")
         if min(self.patch, self.in_channels, self.mlp_ratio) < 1:
             raise ValueError("patch, in_channels, and mlp_ratio must be positive")
+        if self.eps < 0:
+            raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
     @property
     def d_head(self) -> int:

@@ -55,13 +55,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """y = x / sqrt(mean(x^2, last axis) + eps) * gain."""
+def _rms_inverse(x: Tensor, eps: float) -> Tensor:
+    """(mean(x^2, last axis) + eps)^-1/2; the taped rms_norm shares it."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    return (np.mean(x * x, axis=-1, keepdims=True) + eps) ** -0.5
+
+
+def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+    """y = x / sqrt(mean(x^2, last axis) + eps) * gain."""
     x = np.asarray(x)
-    inv = (np.mean(x * x, axis=-1, keepdims=True) + eps) ** -0.5
-    return (x * inv) * np.asarray(gain)
+    return (x * _rms_inverse(x, eps)) * np.asarray(gain)
 
 
 def pool_assignments(grid: tuple[int, int], window: tuple[int, int]) -> tuple[np.ndarray, int, np.ndarray]:

@@ -51,6 +51,8 @@ def test_config_validation_messages():
         small_config(mode="recognition", n_classes=0)
     with pytest.raises(ValueError, match="positive"):
         small_config(patch=0)
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        small_config(eps=-1.0)
 
 
 def test_config_derived_sizes():
@@ -561,6 +563,16 @@ def test_checkpoint_rejects_manifest_mismatch(tmp_path):
     manifest["tensors"] = manifest["tensors"][:-1]
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="manifest does not match"):
+        dit.load_model(tmp_path / "ckpt")
+
+
+def test_checkpoint_rejects_negative_eps(tmp_path):
+    # a model loaded for untracked inference keeps the taped path's eps check
+    dit.save_model(tmp_path / "ckpt", dit.init_model(small_config(), seed=0))
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    manifest["config"]["eps"] = -1e-3
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
         dit.load_model(tmp_path / "ckpt")
 
 
