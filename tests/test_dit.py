@@ -567,7 +567,7 @@ def test_checkpoint_rejects_manifest_mismatch(tmp_path):
 
 
 def test_checkpoint_rejects_negative_eps(tmp_path):
-    # a model loaded for untracked inference keeps the taped path's eps check
+    # a manifest comes from outside the program; its config gets the same checks
     dit.save_model(tmp_path / "ckpt", dit.init_model(small_config(), seed=0))
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     manifest["config"]["eps"] = -1e-3
