@@ -7,7 +7,7 @@ by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
 The op set is the one the model runs: add, sub, mul, matmul, sum_, mean,
-reshape, swapaxes, transpose, take, repeat, mask_fill, softmax, rms_norm,
+reshape, swapaxes, transpose, take, mask_fill, softmax, rms_norm,
 rotate_pairs (RoPE), and the nonlinearities tanh and silu. Indexing is the
 only operator a Var supports; anything else, numpy ufuncs included, raises
 rather than differentiating silently.
@@ -274,21 +274,6 @@ def take(a, idx):
         else:
             np.add.at(ga, idx, g)
         return (ga,)
-
-    return _node(out, (a,), vjp)
-
-
-def repeat(a, repeats, axis):
-    """np.repeat with scalar repeats along one axis (GQA head expansion)."""
-    av = val(a)
-    out = np.repeat(av, repeats, axis=axis)
-    if not _tracked(a):
-        return out
-    ax = axis % av.ndim
-
-    def vjp(g):
-        shape = av.shape[:ax] + (av.shape[ax], repeats) + av.shape[ax + 1 :]
-        return (g.reshape(shape).sum(axis=ax + 1),)
 
     return _node(out, (a,), vjp)
 

@@ -181,18 +181,20 @@ def model_freqs(config: ModelConfig) -> rope.RopeFreqs:
     return _cached_freqs(config.rope_base, config.d_head, config.axes)
 
 
-def _split_heads(x, n_heads: int):
-    """[..., n, h*dh] -> [..., h, n, dh]"""
-    shape = ad.val(x).shape
-    x = ad.reshape(x, shape[:-1] + (n_heads, shape[-1] // n_heads))
-    return ad.swapaxes(x, -3, -2)
+def _split_heads(x, d_head: int, group: int = 1):
+    """[..., n, h*d_head] -> [..., h/group, group, n, d_head]"""
+    *lead, n, _ = ad.val(x).shape
+    x = ad.reshape(x, (*lead, n, -1, group, d_head))
+    b = len(lead)
+    return ad.transpose(x, (*range(b), b + 1, b + 2, b, b + 3))
 
 
 def _merge_heads(x):
-    """[..., h, n, dh] -> [..., n, h*dh]"""
-    x = ad.swapaxes(x, -3, -2)
-    shape = ad.val(x).shape
-    return ad.reshape(x, shape[:-2] + (shape[-2] * shape[-1],))
+    """[..., h, group, n, dh] -> [..., n, h*group*dh]"""
+    *lead, h, group, n, dh = ad.val(x).shape
+    b = len(lead)
+    x = ad.transpose(x, (*range(b), b + 2, b, b + 1, b + 3))
+    return ad.reshape(x, (*lead, n, h * group * dh))
 
 
 def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_pool=None, eps: float = 1e-6):
@@ -208,11 +210,12 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     per-token identity, so kv_pool and mask are mutually exclusive. A
     (1, 1) window is a no-op, bit-identical to kv_pool=None.
 
-    One token (the point model) attends to its single key with weight
-    exactly 1.0, so the output is its value row, repeated over the query
-    groups, through wo: bit-identical to the general expression. That path
-    never reads wq, wk, q_gain or k_gain, so a tape does not reach them;
-    through a single key their gradient is exactly zero anyway.
+    Kv heads broadcast over their query groups, never copied: queries are
+    [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
+    Under MHA, one token (the point model) attends to its one key with
+    weight exactly 1.0: the output is its value row through wo, bitwise as
+    the general path, and wq, wk, q_gain and k_gain (exact-zero gradient
+    through one key) stay off the tape. One-token GQA runs the general path.
     """
     if mask is not None and kv_pool is not None:
         raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
@@ -222,34 +225,27 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
         if not keep.any(axis=-1).all():
             raise ValueError("mask leaves a sample with no valid keys")
     d_head = ad.val(params["q_gain"]).shape[-1]
-    n_q_heads = ad.val(params["wq"]).shape[-1] // d_head
-    n_kv_heads = ad.val(params["wk"]).shape[-1] // d_head
-    group = n_q_heads // n_kv_heads
+    group = ad.val(params["wq"]).shape[-1] // ad.val(params["wk"]).shape[-1]
     v = ad.matmul(x, params["wv"])
-    if ad.val(x).shape[-2] == 1:
+    if ad.val(x).shape[-2] == 1 and group == 1:
         if kv_pool is not None and kv_pool[0][0] * kv_pool[0][1] != 1:
             raise ValueError(f"got 1 token for grid {kv_pool[0]}")
-        if group > 1:
-            v = _merge_heads(ad.repeat(_split_heads(v, n_kv_heads), group, axis=-3))
         return ad.matmul(v, params["wo"])
     q = ad.matmul(x, params["wq"])
     k = ad.matmul(x, params["wk"])
     coords_k = coords
     if kv_pool is not None:
         k, v, coords_k = contextdrop.pool_kv(k, v, coords, *kv_pool)
-    q = _split_heads(q, n_q_heads)
-    k = _split_heads(k, n_kv_heads)
-    v = _split_heads(v, n_kv_heads)
+    q = _split_heads(q, d_head, group)
+    k = _split_heads(k, d_head)
+    v = _split_heads(v, d_head)
     q = ad.rms_norm(q, params["q_gain"], eps)
     k = ad.rms_norm(k, params["k_gain"], eps)
     q = rope.apply_rope(q, coords, freqs)
     k = rope.apply_rope(k, coords_k, freqs)
-    if group > 1:
-        k = ad.repeat(k, group, axis=-3)
-        v = ad.repeat(v, group, axis=-3)
     logits = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(d_head))
     if keep is not None:
-        keep = keep.reshape(keep.shape[:-1] + (1, 1, keep.shape[-1]))
+        keep = keep.reshape(keep.shape[:-1] + (1, 1, 1, keep.shape[-1]))
         logits = ad.mask_fill(logits, keep, -np.inf)
     out = ad.matmul(ad.softmax(logits, axis=-1), v)
     return ad.matmul(_merge_heads(out), params["wo"])
@@ -435,6 +431,8 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
     Returns rows (layer, t, rms_mean, rms_max): per-token RMS of each
     block's output, averaged / maximised over tokens and samples.
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     config = model.config
     rng = np.random.default_rng(seed)
     rows = []

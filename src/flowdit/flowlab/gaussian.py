@@ -56,6 +56,8 @@ def velocity(spec: GaussianFlowSpec):
 
 def source_sample(spec: GaussianFlowSpec, n: int, seed: int = 0) -> np.ndarray:
     """n draws from the source N(0, I)."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, spec.mean_vec.size))
 

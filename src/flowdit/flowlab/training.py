@@ -21,6 +21,7 @@ from .. import autodiff as ad
 from .. import dit, sampler
 
 OPTIMIZERS = ("adam", "sgd")
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class DivergenceError(RuntimeError):
@@ -33,9 +34,6 @@ class TrainConfig:
     batch_size: int = 256
     lr: float = 2e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -155,17 +153,19 @@ def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.n
             if config.optimizer == "sgd":
                 leaf.value = leaf.value - config.lr * g
                 continue
-            m_state[name] = config.beta1 * m_state[name] + (1.0 - config.beta1) * g
-            v_state[name] = config.beta2 * v_state[name] + (1.0 - config.beta2) * g * g
-            m_hat = m_state[name] / (1.0 - config.beta1 ** (step + 1))
-            v_hat = v_state[name] / (1.0 - config.beta2 ** (step + 1))
-            leaf.value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m_state[name] = _BETA1 * m_state[name] + (1.0 - _BETA1) * g
+            v_state[name] = _BETA2 * v_state[name] + (1.0 - _BETA2) * g * g
+            m_hat = m_state[name] / (1.0 - _BETA1 ** (step + 1))
+            v_hat = v_state[name] / (1.0 - _BETA2 ** (step + 1))
+            leaf.value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     model.params.update((name, np.array(leaf.value)) for name, leaf in leaves)
     return losses
 
 
 def generate(model: dit.ModelParams, n: int, spec: sampler.ScheduleSpec, solver: str = "midpoint", seed: int = 0) -> np.ndarray:
     """Integrate n noise points through the learned field to t=1."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((n, 2))
     return sampler.sample_flow(lambda x, t: point_velocity(model, x, t), x0, spec, solver)

@@ -1,10 +1,10 @@
 """Minimal deterministic dense-tensor kernels shared by every other module.
 
 Plain numpy ndarrays are the tensor carrier: contiguous row-major buffers of
-f32 or f64 scalars. f64 is the default dtype everywhere; f32 is offered for
-speed runs. All kernels are pure functions of their inputs, deterministic for
-identical inputs and dtype, and support leading batch axes only (no other
-broadcasting, so the contracts stay auditable).
+f64 scalars; f32 is a container dtype only (the tensor files read and write
+it, but models, checkpoints and training are f64). Kernels are pure and
+deterministic for identical inputs and dtype, over leading batch axes that
+matmul broadcasts as numpy does (GQA shares a kv head over a group axis).
 
 Tensors serialize to a small binary container for test fixtures and model
 checkpoints: magic "NKT1", u8 dtype tag (1 = f32, 2 = f64), u32 rank, one u64
@@ -26,7 +26,7 @@ _TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """c[i,j] = sum_k a[i,k] * b[k,j], with optional shared leading batch axes.
+    """c[i,j] = sum_k a[i,k] * b[k,j], with optional broadcast leading batch axes.
 
     A 2-d b under a batched a is one GEMM over a's flattened rows, not one
     small product per leading index.

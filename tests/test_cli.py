@@ -301,6 +301,34 @@ def test_gen_rejects_truncated_tensor_header(tmp_path, capsys):
     assert "blocks.0.attn.wk.nkt: truncated header" in err
 
 
+@pytest.mark.parametrize(
+    "argv,config,count",
+    [
+        (["sample", "--n", "0", "--steps", "2", "--pgm", "d.pgm"], None, 0),
+        (["sample", "--n", "-3", "--steps", "2"], None, -3),
+        (["sample", "--steps", "2"], {"n": 0}, 0),
+        (["diagnose", "--n", "0", "--anchors", "2", "--substeps", "2"], None, 0),
+        (["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2",
+          "--image", "4x4", "--samples", "0"], None, 0),
+        (["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2",
+          "--image", "4x4"], {"samples": -1}, -1),
+        (["gen", "--model", "ckpt", "--n", "0", "--steps", "2", "--pgm", "g.pgm"], None, 0),
+        (["gen", "--model", "ckpt", "--steps", "2"], {"n": 0}, 0),
+    ],
+    ids=["sample", "sample_negative", "sample_config", "diagnose", "probe", "probe_config", "gen", "gen_config"],
+)
+def test_sample_counts_below_one_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, config, count):
+    monkeypatch.chdir(tmp_path)
+    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0))
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv + ["--out", "out.csv"]) == 2
+    assert f"need at least one sample, got {count}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []

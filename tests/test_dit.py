@@ -194,8 +194,8 @@ def test_pooled_attention_matches_per_head_oracle(grid, window):
 
 def test_grouped_kv_equals_duplicated_heads_bitwise():
     # duplicating each kv head's columns (so the shapes give n_kv = n_q)
-    # must reproduce the grouped computation exactly: the repeat axis is -3,
-    # so head j serves query heads [j*group, (j+1)*group)
+    # must reproduce the grouped computation exactly: kv head j is broadcast
+    # over query heads [j*group, (j+1)*group)
     d, n_q, n_kv = 16, 4, 2
     dh, group = d // n_q, n_q // n_kv
     p = make_attn(d, n_q, n_kv, seed=3)
@@ -261,20 +261,18 @@ def test_kv_pool_identity_window_is_bitwise_noop():
 def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
     """gqa_attention's general expression, with no one-token shortcut."""
     d_head = ad.val(p["q_gain"]).shape[-1]
-    n_q, n_kv = ad.val(p["wq"]).shape[-1] // d_head, ad.val(p["wk"]).shape[-1] // d_head
+    group = ad.val(p["wq"]).shape[-1] // ad.val(p["wk"]).shape[-1]
     q, k, v = (ad.matmul(x, p[w]) for w in ("wq", "wk", "wv"))
     coords_k = coords
     if kv_pool is not None:
         k, v, coords_k = cd.pool_kv(k, v, coords, *kv_pool)
-    q, k, v = dit._split_heads(q, n_q), dit._split_heads(k, n_kv), dit._split_heads(v, n_kv)
+    q, k, v = dit._split_heads(q, d_head, group), dit._split_heads(k, d_head), dit._split_heads(v, d_head)
     q = rope.apply_rope(ad.rms_norm(q, p["q_gain"], eps), coords, freqs)
     k = rope.apply_rope(ad.rms_norm(k, p["k_gain"], eps), coords_k, freqs)
-    if n_q > n_kv:
-        k, v = ad.repeat(k, n_q // n_kv, axis=-3), ad.repeat(v, n_q // n_kv, axis=-3)
     logits = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(d_head))
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
-        logits = ad.mask_fill(logits, keep.reshape(keep.shape[:-1] + (1, 1, keep.shape[-1])), -np.inf)
+        logits = ad.mask_fill(logits, keep.reshape(keep.shape[:-1] + (1, 1, 1, keep.shape[-1])), -np.inf)
     out = ad.matmul(ad.softmax(logits, axis=-1), v)
     return ad.matmul(dit._merge_heads(out), p["wo"])
 
@@ -312,6 +310,40 @@ def test_one_token_attention_keeps_its_checks():
         dit.gqa_attention(x, p, freqs, coords, mask=[False])
     with pytest.raises(ValueError, match="grid"):
         dit.gqa_attention(x, p, freqs, coords, kv_pool=((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("n_q,n_kv", [(4, 2), (4, 1)])
+@pytest.mark.parametrize(
+    "extra",
+    [{"kv_pool": ((2, 3), (2, 2))}, {"mask": [[True] * 6, [True] * 4 + [False] * 2]}],
+    ids=["kv_pool", "mask"],
+)
+def test_grouped_attention_gradients_match_finite_differences(n_q, n_kv, extra):
+    # each kv head is broadcast over its query group, so its cotangent must
+    # come back summed over that group through matmul's backward
+    d, eps = 16, 1e-6
+    p = make_attn(d, n_q, n_kv, seed=10 * n_q + n_kv)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords((2, 3))
+    rng = np.random.default_rng(n_kv)
+    inputs = {"x": rng.standard_normal((2, 6, d)), **p}
+    weights = rng.standard_normal((2, 6, d))
+
+    def loss(named):
+        return ad.sum_(ad.mul(dit.gqa_attention(named["x"], named, freqs, coords, **extra), weights))
+
+    tracked = {name: ad.Var(a) for name, a in inputs.items()}
+    loss(tracked).backward()
+    for name, value in inputs.items():
+        fd = np.zeros_like(value)
+        for i in np.ndindex(value.shape):
+            shifted = value.copy()
+            shifted[i] += eps
+            up = float(loss(dict(inputs, **{name: shifted})))
+            shifted[i] -= 2 * eps
+            fd[i] = (up - float(loss(dict(inputs, **{name: shifted})))) / (2 * eps)
+        err = np.abs(tracked[name].grad - fd).max()
+        assert err < 1e-7 * max(1.0, np.abs(fd).max()), (name, err)
 
 
 def test_attention_permutation_equivariance():

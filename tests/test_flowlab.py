@@ -318,6 +318,19 @@ def test_train_raises_on_non_finite_gradient(monkeypatch):
     assert np.array_equal(model.params["w_out"], keep)
 
 
+def tape_of(root):
+    """(op node count, ids of every Var reached) of the tape behind root."""
+    nodes, seen, stack = 0, set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes += node._vjp is not None
+        stack.extend(node._parents)
+    return nodes, seen
+
+
 def test_training_step_tape_size_is_pinned():
     # one cfm_loss on the criterion-11 model; a change that splits a fused
     # op (rms_norm) back into primitives changes this count
@@ -327,14 +340,7 @@ def test_training_step_tape_size_is_pinned():
     t = rng.uniform(0, 1, 64)
     noise = rng.standard_normal((64, 2))
     loss = training.cfm_loss(model, x1, t, noise)
-    nodes, seen, stack = 0, set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes += node._vjp is not None
-        stack.extend(node._parents)
+    nodes, seen = tape_of(loss)
     # one token attends to its own value row, so the query/key path is
     # never built: those 8 leaves are unreached and get exact zeros
     unreached = {name for name, leaf in dit.named_parameters(model) if id(leaf) not in seen}
@@ -343,6 +349,18 @@ def test_training_step_tape_size_is_pinned():
     assert nodes == 96
     grads = training.grad(model, loss)
     assert all(not grads[name].any() for name in unreached)
+
+
+@pytest.mark.parametrize("kv_pool,size", [(None, 169), (((4, 4), (2, 2)), 173)], ids=["plain", "pooled"])
+def test_gqa_image_tape_size_is_pinned(kv_pool, size):
+    # a GQA 4/2 image velocity: each kv head is broadcast over its query
+    # group, not copied by a tape node; pooling adds two matmuls per block
+    config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2, time_dim=16)
+    model = training.wrap_parameters(dit.init_model(config, seed=0))
+    v = dit.forward_velocity(model, np.random.default_rng(17).standard_normal((2, 8, 8, 2)), 0.4, kv_pool=kv_pool)
+    nodes, seen = tape_of(ad.mean(ad.mul(v, v)))
+    assert len(seen) - nodes == len(model.params) == 38  # every leaf is reached
+    assert len(seen) == size
 
 
 def test_generate_fresh_model_returns_its_noise():
