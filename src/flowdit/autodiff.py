@@ -7,8 +7,8 @@ by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
 The op set is the one the model runs: add, sub, mul, matmul, sum_, mean,
-reshape, swapaxes, transpose, take, mask_fill, softmax, rms_norm,
-rotate_pairs (RoPE), and the nonlinearities tanh and silu. Indexing is the
+reshape, swapaxes, transpose, take, softmax, rms_norm, rotate_pairs
+(RoPE), and the nonlinearities tanh and silu. Indexing is the
 only operator a Var supports; anything else, numpy ufuncs included, raises
 rather than differentiating silently.
 """
@@ -276,15 +276,6 @@ def take(a, idx):
         return (ga,)
 
     return _node(out, (a,), vjp)
-
-
-def mask_fill(a, keep, fill):
-    """Where keep (constant bool) holds, pass a through; elsewhere use fill."""
-    av = val(a)
-    out = np.where(keep, av, fill)
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (np.where(keep, g, 0.0),))
 
 
 def softmax(a, axis=-1):

@@ -163,7 +163,7 @@ def _cmd_partition(args) -> None:
             for g in candidates
         ]
         _write_csv(args.out, ["rows", "cols", "tokens", "ratio", "chosen"], rows)
-    target = partitioner.resize_target(best)
+    target = best.pixel_size
     print(
         f"partition: {args.height}x{args.width} -> grid {best.rows}x{best.cols} "
         f"({best.tokens} tokens), resize to {target[0]}x{target[1]}"

@@ -210,6 +210,8 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     per-token identity, so kv_pool and mask are mutually exclusive. A
     (1, 1) window is a no-op, bit-identical to kv_pool=None.
 
+    The scores are rope.rope_attention_logits of the normalised queries and
+    keys, scaled by 1/sqrt(d_head); masked keys get a constant -inf bias.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -219,11 +221,12 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     """
     if mask is not None and kv_pool is not None:
         raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
-    keep = None
+    bias = None
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
         if not keep.any(axis=-1).all():
             raise ValueError("mask leaves a sample with no valid keys")
+        bias = np.where(keep, 0.0, -np.inf)[..., None, None, None, :]  # over heads, groups, queries
     d_head = ad.val(params["q_gain"]).shape[-1]
     group = ad.val(params["wq"]).shape[-1] // ad.val(params["wk"]).shape[-1]
     v = ad.matmul(x, params["wv"])
@@ -241,12 +244,9 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     v = _split_heads(v, d_head)
     q = ad.rms_norm(q, params["q_gain"], eps)
     k = ad.rms_norm(k, params["k_gain"], eps)
-    q = rope.apply_rope(q, coords, freqs)
-    k = rope.apply_rope(k, coords_k, freqs)
-    logits = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(d_head))
-    if keep is not None:
-        keep = keep.reshape(keep.shape[:-1] + (1, 1, 1, keep.shape[-1]))
-        logits = ad.mask_fill(logits, keep, -np.inf)
+    logits = ad.mul(rope.rope_attention_logits(q, k, coords, coords_k, freqs), 1.0 / math.sqrt(d_head))
+    if bias is not None:
+        logits = ad.add(logits, bias)
     out = ad.matmul(ad.softmax(logits, axis=-1), v)
     return ad.matmul(_merge_heads(out), params["wo"])
 
@@ -335,6 +335,19 @@ def unpatchify(tokens, grid: tuple[int, int], patch: int, channels: int):
     return ad.reshape(t, lead + (rows * patch, cols * patch, channels))
 
 
+def _trunk(model: ModelParams, tokens, cond, coords, mask=None, kv_pool=None, capture=None):
+    """Token embedding and the block loop under both heads; cond is None for
+    recognition blocks, and capture as in forward_velocity."""
+    p, config = model.params, model.config
+    h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
+    freqs = model_freqs(config)
+    for i in range(config.n_layers):
+        h = sandwich_block(h, cond, prefixed(p, f"blocks.{i}."), config, freqs, coords, mask=mask, kv_pool=kv_pool)
+        if capture is not None:
+            capture.append(np.array(ad.val(h)))
+    return h
+
+
 def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, capture=None):
     """Predicted flow velocity for images x_t at time t.
 
@@ -350,10 +363,9 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     config = model.config
     if config.mode != "generative":
         raise ValueError("forward_velocity needs a generative-mode model")
-    arr = ad.val(x_t)
-    single = arr.ndim == 3
+    single = ad.val(x_t).ndim == 3
     if single:
-        x_t = x_t[None] if isinstance(x_t, ad.Var) else arr[None]
+        x_t = ad.take(x_t, None)
     batch = ad.val(x_t).shape[0]
     if np.ndim(t) == 0:  # one conditioning row, broadcast over the batch
         t_arr = np.full(1, float(t))
@@ -364,7 +376,6 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
 
     p = model.params
     tokens, coords, grid = patchify(x_t, config.patch)
-    h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
     cond = time_embedding(model, t_arr)
     if "label_embed" in p:
         if label is None:
@@ -377,12 +388,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     elif label is not None:
         raise ValueError("model has no label table")
 
-    freqs = model_freqs(config)
-    for i in range(config.n_layers):
-        h = sandwich_block(h, cond, prefixed(p, f"blocks.{i}."), config, freqs, coords, kv_pool=kv_pool)
-        if capture is not None:
-            capture.append(np.array(ad.val(h)))
-
+    h = _trunk(model, tokens, cond, coords, kv_pool=kv_pool, capture=capture)
     h = ad.rms_norm(h, np.asarray(1.0), config.eps)
     scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
     h = ad.mul(h, ad.add(_with_token_axis(scale), 1.0))
@@ -403,7 +409,7 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
         raise ValueError("recognition_forward needs a recognition-mode model")
     single = ad.val(tokens).ndim == 2
     if single:
-        tokens = tokens[None] if isinstance(tokens, ad.Var) else ad.val(tokens)[None]
+        tokens = ad.take(tokens, None)
     if mask is None:
         mask_arr = np.ones(ad.val(tokens).shape[:-1], dtype=bool)
     else:
@@ -414,10 +420,7 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
         raise ValueError("a sample has no valid tokens")
 
     p = model.params
-    h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
-    freqs = model_freqs(config)
-    for i in range(config.n_layers):
-        h = sandwich_block(h, None, prefixed(p, f"blocks.{i}."), config, freqs, coords, mask=mask_arr)
+    h = _trunk(model, tokens, None, coords, mask=mask_arr)
     weights = mask_arr / mask_arr.sum(axis=-1, keepdims=True)
     pooled = ad.sum_(ad.mul(h, weights[..., None]), axis=-2)
     h1 = ad.silu(ad.add(ad.matmul(pooled, p["head_w1"]), p["head_b1"]))
@@ -433,6 +436,8 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
+    if len(timesteps) == 0:
+        raise ValueError("need at least one timestep")
     config = model.config
     rng = np.random.default_rng(seed)
     rows = []

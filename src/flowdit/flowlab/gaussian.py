@@ -28,6 +28,8 @@ class GaussianFlowSpec:
     def __post_init__(self):
         if self.std <= 0.0:
             raise ValueError(f"target std must be positive, got {self.std}")
+        if self.mean_vec.size == 0:
+            raise ValueError("target mean needs at least one coordinate")
 
     @property
     def mean_vec(self) -> np.ndarray:

@@ -78,11 +78,6 @@ def best_partition(height: int, width: int, candidates: list[PartitionGrid]) -> 
     return best
 
 
-def resize_target(grid: PartitionGrid) -> tuple[int, int]:
-    """Pixel size an image must be resized to before patchifying."""
-    return grid.pixel_size
-
-
 def pad_batch(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Zero-pad [n_i, d] sequences to [B, n_max, d] plus a validity mask.
 

@@ -190,12 +190,9 @@ def apply_rope(x, coords, freqs: RopeFreqs):
     shape = ad.val(x).shape
     if shape[-1] != freqs.d_head:
         raise ValueError(f"x last axis {shape[-1]} != d_head {freqs.d_head}")
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    if coords.shape[0] != shape[-2]:
-        raise ValueError(f"{coords.shape[0]} coords for {shape[-2]} tokens")
     ang = rope_angles(coords, freqs)
+    if ang.shape[0] != shape[-2]:
+        raise ValueError(f"{ang.shape[0]} coords for {shape[-2]} tokens")
     return ad.rotate_pairs(x, np.cos(ang), np.sin(ang))
 
 

@@ -97,7 +97,6 @@ class ButcherTableau:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    order: int
 
     def validate(self) -> None:
         a = np.asarray(self.a, dtype=float)
@@ -118,14 +117,12 @@ EULER = ButcherTableau(
     a=np.array([[0.0]]),
     b=np.array([1.0]),
     c=np.array([0.0]),
-    order=1,
 )
 
 MIDPOINT = ButcherTableau(
     a=np.array([[0.0, 0.0], [0.5, 0.0]]),
     b=np.array([0.0, 1.0]),
     c=np.array([0.0, 0.5]),
-    order=2,
 )
 
 RK4 = ButcherTableau(
@@ -139,7 +136,6 @@ RK4 = ButcherTableau(
     ),
     b=np.array([1.0, 2.0, 2.0, 1.0]) / 6.0,
     c=np.array([0.0, 0.5, 0.5, 1.0]),
-    order=4,
 )
 
 TABLEAUS = {"euler": EULER, "midpoint": MIDPOINT, "rk4": RK4}

@@ -86,7 +86,6 @@ ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
         ("take_basic_tuple", lambda v: ad.mul(v[..., 1:3], np.array([2.0, -1.0])), X23),
         ("take_array_and_slice", lambda v: ad.mul(v[np.array([1, 0, 1]), 1:], W32), X23),
         ("take_int_and_none", lambda v: ad.mul(v[1, None], 3.0), X23),
-        ("mask_fill", lambda v: ad.mask_fill(v, X23 > 0, -2.0), X23),
         ("softmax", lambda v: ad.mul(ad.softmax(v), np.arange(3.0)), X23),
         ("rms_norm_input", lambda v: ad.rms_norm(v, np.arange(1.0, 4.0)), X23),
         ("rms_norm_scalar_gain", lambda v: ad.mul(ad.rms_norm(v, np.asarray(1.0)), W43[:2]), X23),

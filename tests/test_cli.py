@@ -329,6 +329,23 @@ def test_sample_counts_below_one_exit_two_and_write_nothing(tmp_path, capsys, mo
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2",
+          "--image", "4x4", "--timesteps", ","], "need at least one timestep"),
+        (["sample", "--mean", ",", "--steps", "2"], "target mean needs at least one coordinate"),
+        (["diagnose", "--mean", ",", "--anchors", "3", "--substeps", "2"], "target mean needs at least one coordinate"),
+    ],
+    ids=["probe", "sample", "diagnose"],
+)
+def test_empty_list_flags_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []

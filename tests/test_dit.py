@@ -258,6 +258,30 @@ def test_kv_pool_identity_window_is_bitwise_noop():
     assert not np.allclose(plain, pooled, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "n_q,n_kv,extra",
+    [
+        (4, 4, {}),
+        (4, 2, {"kv_pool": ((4, 4), (2, 2))}),
+        (4, 2, {"mask": [[True] * 16, [True] * 10 + [False] * 6]}),
+    ],
+    ids=["mha", "gqa_kv_pool", "gqa_mask"],
+)
+def test_attention_is_translation_invariant(n_q, n_kv, extra):
+    # RoPE makes the scores depend on coordinates only through differences,
+    # so moving the whole grid (and the pooled coordinates with it) by one
+    # constant vector leaves the attention output unchanged
+    d = 32
+    p = make_attn(d, n_q, n_kv, seed=3 * n_q + n_kv)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords((4, 4))
+    x = np.random.default_rng(17).standard_normal((2, 16, d))
+    base = dit.gqa_attention(x, p, freqs, coords, **extra)
+    for shift in ([41.0, 17.25], [-3.5, 7.0], [0.125, -60.0]):
+        moved = dit.gqa_attention(x, p, freqs, coords + np.array(shift), **extra)
+        assert np.max(np.abs(moved - base)) <= 1e-12, shift
+
+
 def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
     """gqa_attention's general expression, with no one-token shortcut."""
     d_head = ad.val(p["q_gain"]).shape[-1]
@@ -267,12 +291,11 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
     if kv_pool is not None:
         k, v, coords_k = cd.pool_kv(k, v, coords, *kv_pool)
     q, k, v = dit._split_heads(q, d_head, group), dit._split_heads(k, d_head), dit._split_heads(v, d_head)
-    q = rope.apply_rope(ad.rms_norm(q, p["q_gain"], eps), coords, freqs)
-    k = rope.apply_rope(ad.rms_norm(k, p["k_gain"], eps), coords_k, freqs)
-    logits = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(d_head))
+    q, k = ad.rms_norm(q, p["q_gain"], eps), ad.rms_norm(k, p["k_gain"], eps)
+    logits = ad.mul(rope.rope_attention_logits(q, k, coords, coords_k, freqs), 1.0 / np.sqrt(d_head))
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
-        logits = ad.mask_fill(logits, keep.reshape(keep.shape[:-1] + (1, 1, 1, keep.shape[-1])), -np.inf)
+        logits = ad.add(logits, np.where(keep, 0.0, -np.inf)[..., None, None, None, :])
     out = ad.matmul(ad.softmax(logits, axis=-1), v)
     return ad.matmul(dit._merge_heads(out), p["wo"])
 

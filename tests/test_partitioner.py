@@ -41,7 +41,6 @@ def test_grid_validation_and_properties():
     assert g.tokens == 15
     assert g.aspect == 5 / 3
     assert g.pixel_size == (48, 80)
-    assert pt.resize_target(g) == (48, 80)
 
 
 def test_candidate_set_validation():
@@ -82,7 +81,7 @@ def test_best_partition_worked_example():
     cands = pt.candidate_set(128, 4.0, 16)
     grid = pt.best_partition(448, 224, cands)
     assert (grid.rows, grid.cols) == (16, 8)
-    assert pt.resize_target(grid) == (256, 128)
+    assert grid.pixel_size == (256, 128)
 
 
 def test_best_partition_rejects_empty_set():

@@ -117,12 +117,12 @@ def test_tableau_validation():
     sampler.MIDPOINT.validate()
     sampler.RK4.validate()
     bad_diag = sampler.ButcherTableau(
-        a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.5]), order=1
+        a=np.array([[0.5]]), b=np.array([1.0]), c=np.array([0.5])
     )
     with pytest.raises(ValueError, match="explicit"):
         bad_diag.validate()
     bad_weights = sampler.ButcherTableau(
-        a=np.zeros((1, 1)), b=np.array([0.9]), c=np.array([0.0]), order=1
+        a=np.zeros((1, 1)), b=np.array([0.9]), c=np.array([0.0])
     )
     with pytest.raises(ValueError, match="sum"):
         bad_weights.validate()
@@ -130,12 +130,11 @@ def test_tableau_validation():
         a=np.array([[0.0, 0.0], [0.5, 0.0]]),
         b=np.array([0.0, 1.0]),
         c=np.array([0.0, 0.25]),
-        order=2,
     )
     with pytest.raises(ValueError, match="row sums"):
         bad_nodes.validate()
     bad_shape = sampler.ButcherTableau(
-        a=np.zeros((2, 1)), b=np.array([1.0, 0.0]), c=np.zeros(2), order=1
+        a=np.zeros((2, 1)), b=np.array([1.0, 0.0]), c=np.zeros(2)
     )
     with pytest.raises(ValueError, match="shapes"):
         bad_shape.validate()
