@@ -156,7 +156,13 @@ def tanh(a):
 
 def silu(a):
     av = val(a)
-    sig = 1.0 / (1.0 + np.exp(-av))
+    # sig = 1 / (1 + exp(-a)) built in one buffer by the same operations in
+    # the same order, so both paths stay bitwise equal to that expression;
+    # a is never written, and only sig (the VJP keeps it) and out are new
+    sig = np.negative(av)
+    sig = np.exp(sig, out=sig if np.issubdtype(sig.dtype, np.inexact) else None)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     out = av * sig
     if not _tracked(a):
         return out

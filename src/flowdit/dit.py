@@ -438,6 +438,9 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
         raise ValueError(f"need at least one sample, got {n_samples}")
     if len(timesteps) == 0:
         raise ValueError("need at least one timestep")
+    for t in timesteps:
+        if not 0.0 <= t <= 1.0:  # also false for NaN
+            raise ValueError(f"timesteps must lie in [0, 1], got {t}")
     config = model.config
     rng = np.random.default_rng(seed)
     rows = []

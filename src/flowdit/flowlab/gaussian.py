@@ -26,10 +26,12 @@ class GaussianFlowSpec:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0.0:
-            raise ValueError(f"target std must be positive, got {self.std}")
+        if not 0.0 < self.std < np.inf:
+            raise ValueError(f"target std must be positive and finite, got {self.std}")
         if self.mean_vec.size == 0:
             raise ValueError("target mean needs at least one coordinate")
+        if not np.isfinite(self.mean_vec).all():
+            raise ValueError(f"target mean must be finite, got {self.mean}")
 
     @property
     def mean_vec(self) -> np.ndarray:

@@ -48,11 +48,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     Outputs are nonnegative and sum to 1 along the axis. NaN inputs propagate
     to NaN outputs; a slice that is entirely -inf also yields NaN (callers
     guarantee at least one finite logit per slice).
+
+    Allocates only the array it returns: exp and the normalisation run in
+    place on the max-subtracted copy, the same expressions in the same
+    order as fresh arrays would, so results are bitwise unchanged (and the
+    taped softmax, which calls this, stays equal to the untracked one). The
+    input is never written.
     """
     x = np.asarray(x)
     z = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    # an integer z cannot hold its exp; numpy picks the float dtype then
+    z = np.exp(z, out=z if np.issubdtype(z.dtype, np.inexact) else None)
+    z /= np.sum(z, axis=axis, keepdims=True)
+    return z
 
 
 def _rms_inverse(x: Tensor, eps: float) -> Tensor:
@@ -63,9 +71,21 @@ def _rms_inverse(x: Tensor, eps: float) -> Tensor:
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """y = x / sqrt(mean(x^2, last axis) + eps) * gain."""
+    """y = x / sqrt(mean(x^2, last axis) + eps) * gain.
+
+    Allocates only the array it returns: the gain multiplies in place into
+    x * inv, bitwise equal to the fresh-array product, unless the gain
+    broadcasts x to a larger shape or a wider dtype. The input is never
+    written, and the taped rms_norm computes the same products in the same
+    order, so both paths stay bitwise equal.
+    """
     x = np.asarray(x)
-    return (x * _rms_inverse(x, eps)) * np.asarray(gain)
+    gain = np.asarray(gain)
+    y = x * _rms_inverse(x, eps)
+    if np.broadcast(y, gain).shape != y.shape or np.result_type(y, gain) != y.dtype:
+        return y * gain
+    y *= gain
+    return y
 
 
 def pool_assignments(grid: tuple[int, int], window: tuple[int, int]) -> tuple[np.ndarray, int, np.ndarray]:

@@ -346,6 +346,28 @@ def test_empty_list_flags_exit_two_and_write_nothing(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+_PROBE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2", "--image", "4x4"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sample", "--std", "nan", "--n", "4"], "target std must be positive and finite, got nan"),
+        (["sample", "--std", "inf", "--n", "4"], "target std must be positive and finite, got inf"),
+        (["sample", "--mean", "nan,1", "--n", "4"], "target mean must be finite, got (nan, 1.0)"),
+        (["diagnose", "--mean", "inf,0", "--anchors", "3", "--substeps", "2"], "target mean must be finite, got (inf, 0.0)"),
+        (_PROBE + ["--timesteps", "nan,0.5"], "timesteps must lie in [0, 1], got nan"),
+        (_PROBE + ["--timesteps", "2.0"], "timesteps must lie in [0, 1], got 2.0"),
+    ],
+    ids=["sample_std_nan", "sample_std_inf", "sample_mean_nan", "diagnose_mean_inf", "probe_t_nan", "probe_t_above_one"],
+)
+def test_non_finite_or_out_of_domain_inputs_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []

@@ -4,12 +4,14 @@ stack leans on."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdit import autodiff as ad
 from flowdit import contextdrop as cd
 from flowdit import numkernel as nk
 
@@ -84,6 +86,89 @@ def test_rms_norm_output_has_unit_rms_at_unit_gain():
 def test_rms_norm_rejects_negative_eps():
     with pytest.raises(ValueError, match="eps"):
         nk.rms_norm(np.ones(3), np.ones(3), eps=-1e-6)
+
+
+# The fresh-array expressions these kernels computed before they worked in
+# place; the in-place forms must match them bit for bit.
+def _softmax_reference(x):
+    z = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _rms_norm_reference(x, gain, eps=1e-6):
+    return (x * (np.mean(x * x, axis=-1, keepdims=True) + eps) ** -0.5) * gain
+
+
+def _silu_reference(x):
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig
+
+
+def _gain(x):
+    return np.linspace(0.25, 2.0, x.shape[-1])
+
+
+_KERNELS = {
+    "softmax": (nk.softmax, _softmax_reference),
+    "rms_norm": (lambda x: nk.rms_norm(x, _gain(x)), lambda x: _rms_norm_reference(x, _gain(x))),
+    "silu_untracked": (ad.silu, _silu_reference),
+    "silu_tracked": (lambda x: ad.silu(ad.Var(x)).value, _silu_reference),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNELS))
+def test_in_place_kernels_keep_their_contract(name):
+    kernel, reference = _KERNELS[name]
+    rng = np.random.default_rng(11)
+    inputs = [rng.standard_normal((3, 5, 8)) * 4.0, np.swapaxes(rng.standard_normal((8, 5, 3)) * 4.0, 0, -1)]
+    if name == "softmax":
+        row = rng.standard_normal((2, 8))
+        row[0, [1, 4, 5]] = -np.inf
+        inputs.append(row)
+    inputs.append(np.arange(-12, 12, dtype=np.int64).reshape(3, 8))
+    for x in inputs:
+        before = x.tobytes()
+        got = kernel(x)
+        assert x.tobytes() == before
+        assert not np.shares_memory(got, x)
+        want = reference(x)
+        assert got.dtype == want.dtype == (np.float64 if x.dtype == np.int64 else x.dtype)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rms_norm_gain_may_broadcast_input_up():
+    # a gain that widens the result's shape or dtype cannot multiply in place
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((1, 4))
+    gain = rng.standard_normal((3, 1, 4))
+    got = nk.rms_norm(x, gain)
+    assert got.shape == (3, 1, 4)
+    assert got.tobytes() == _rms_norm_reference(x, gain).tobytes()
+    x32 = x.astype(np.float32)
+    got = nk.rms_norm(x32, gain[0])
+    assert got.dtype == np.float64
+    assert got.tobytes() == _rms_norm_reference(x32, gain[0]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name,shape,bound",
+    [("softmax", (2, 2, 2, 250, 250), 1.5), ("rms_norm", (2, 250, 64), 1.75)],
+    ids=["softmax", "rms_norm"],
+)
+def test_in_place_kernels_allocate_little_beyond_their_result(name, shape, bound):
+    # numpy reports its buffers to tracemalloc, so the peak counts every
+    # temporary: the result alone is 1.0x the input's bytes
+    kernel, _ = _KERNELS[name]
+    x = np.random.default_rng(13).standard_normal(shape)
+    nbytes = x.nbytes
+    tracemalloc.start()
+    try:
+        kernel(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * nbytes, peak / nbytes
 
 
 def _pool_oracle(x, grid, window):
