@@ -6,11 +6,12 @@ or Vars; with no Var among the arguments it returns a plain ndarray computed
 by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
-The op set is the one the model runs: add, sub, mul, matmul, sum_, mean,
-reshape, swapaxes, transpose, take, softmax, rms_norm, rotate_pairs
-(RoPE), and the nonlinearities tanh and silu. Indexing is the
-only operator a Var supports; anything else, numpy ufuncs included, raises
-rather than differentiating silently.
+The op set is the thirteen ops the model runs: add, mul, matmul, sum_,
+mean, reshape, transpose, take, softmax, rms_norm, rotate_pairs (RoPE),
+and the nonlinearities tanh and silu. A difference is add of a negated
+constant, and an axis swap is transpose. Indexing is the only operator a
+Var supports; anything else, numpy ufuncs included, raises rather than
+differentiating silently.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ class Var:
     @property
     def shape(self):
         return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    @property
-    def dtype(self):
-        return self.value.dtype
 
     def __repr__(self):
         return f"Var(shape={self.value.shape}, dtype={self.value.dtype})"
@@ -110,22 +103,6 @@ def add(a, b):
         return tuple(
             _unbroadcast(g, p.value.shape) for p in (a, b) if isinstance(p, Var)
         )
-
-    return _node(out, (a, b), vjp)
-
-
-def sub(a, b):
-    out = val(a) - val(b)
-    if not _tracked(a, b):
-        return out
-
-    def vjp(g):
-        gs = []
-        if isinstance(a, Var):
-            gs.append(_unbroadcast(g, a.value.shape))
-        if isinstance(b, Var):
-            gs.append(_unbroadcast(-g, b.value.shape))
-        return tuple(gs)
 
     return _node(out, (a, b), vjp)
 
@@ -233,13 +210,6 @@ def reshape(a, shape):
     if not _tracked(a):
         return out
     return _node(out, (a,), lambda g: (g.reshape(av.shape),))
-
-
-def swapaxes(a, ax1, ax2):
-    out = np.swapaxes(val(a), ax1, ax2)
-    if not _tracked(a):
-        return out
-    return _node(out, (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
 def transpose(a, axes):

@@ -183,8 +183,10 @@ def _cmd_probe(args) -> None:
     model = dit.init_model(config, seed=args.seed, weight_std=args.weight_std)
     if args.gate is not None:
         # fixed gate bias on every block: probes signal growth with open gates
+        parts = dit.modulation_slices(config.d_model)
+        gates = [parts["gate_a"].start, parts["gate_m"].start]
         for i in range(config.n_layers):
-            model.params[f"blocks.{i}.b_mod"][[2 * config.d_model, 4 * config.d_model + 1]] = args.gate
+            model.params[f"blocks.{i}.b_mod"][gates] = args.gate
     rows = dit.activation_probe(
         model,
         _size(args.image),
@@ -228,15 +230,18 @@ def _cmd_gen(args) -> None:
     if config.mode != "generative" or (config.patch, config.in_channels) != (1, 2):
         raise ValueError("gen expects a point-flow checkpoint (1x1 two-channel patches)")
     x1 = flowlab.generate(model, args.n, _schedule_spec(args), solver=args.solver, seed=args.seed)
+    if args.held_out:
+        # scored before any file is written, so a non-finite score leaves none behind;
+        # criterion 11's convention: as many held-out points as samples, seed 1234
+        held_out = flowlab.toy_dataset(args.held_out, args.n, seed=1234)
+        score = flowlab.energy_distance(x1, held_out)
     if args.out:
         _write_csv(args.out, ["x0", "x1"], x1.tolist())
     if args.pgm:
         write_pgm(args.pgm, render_density(x1))
     print(f"gen: {args.n} samples via {args.solver} x{args.steps} from {args.model}")
     if args.held_out:
-        # criterion 11's convention: as many held-out points as samples, seed 1234
-        held_out = flowlab.toy_dataset(args.held_out, args.n, seed=1234)
-        print(f"gen: energy distance to held-out {args.held_out}: {flowlab.energy_distance(x1, held_out):.4f}")
+        print(f"gen: energy distance to held-out {args.held_out}: {score:.4f}")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -113,6 +113,20 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return std * x
 
 
+def modulation_slices(d: int) -> dict[str, slice]:
+    """Where each AdaLN part sits in a generative block's w_mod/b_mod columns.
+
+    [shift|scale|gate] for attention (`_a`), then the same for the MLP
+    (`_m`); shifts and scales are d wide, each gate is one column.
+    """
+    widths = {"shift_a": d, "scale_a": d, "gate_a": 1, "shift_m": d, "scale_m": d, "gate_m": 1}
+    out, start = {}, 0
+    for name, width in widths.items():
+        out[name] = slice(start, start + width)
+        start += width
+    return out
+
+
 def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> ModelParams:
     """Fresh parameters: truncated-normal projections, unit norm gains,
     zeroed modulation and output head."""
@@ -137,8 +151,9 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
         blocks[b + "w_mlp1"] = normal(d, hidden)
         blocks[b + "w_mlp2"] = normal(hidden, d)
         if generative:  # cond -> [shift|scale|gate] x2
-            blocks[b + "w_mod"] = np.zeros((d, 2 * (2 * d + 1)))
-            blocks[b + "b_mod"] = np.zeros(2 * (2 * d + 1))
+            width = modulation_slices(d)["gate_m"].stop
+            blocks[b + "w_mod"] = np.zeros((d, width))
+            blocks[b + "b_mod"] = np.zeros(width)
         else:  # a scalar gate per branch
             blocks[b + "gates"] = np.zeros(2)
     params = {"w_embed": normal(config.token_dim, d), "b_embed": np.zeros(d), **blocks}
@@ -258,11 +273,10 @@ def _with_token_axis(u):
 
 
 def _modulation(cond, block: dict, d: int):
-    """Zero-initialised AdaLN projection, split into two (shift, scale, gate)."""
+    """Zero-initialised AdaLN projection, split into the parts of
+    `modulation_slices`, in its order."""
     mod = ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"])
-    bounds = np.cumsum([0, d, d, 1, d, d, 1])
-    parts = [_with_token_axis(mod[..., bounds[i] : bounds[i + 1]]) for i in range(6)]
-    return parts  # shift_a, scale_a, gate_a, shift_m, scale_m, gate_m
+    return [_with_token_axis(mod[..., part]) for part in modulation_slices(d).values()]
 
 
 def sandwich_block(x, cond, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):

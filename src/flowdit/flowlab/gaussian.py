@@ -51,8 +51,7 @@ def velocity(spec: GaussianFlowSpec):
 
     def v(x, t):
         x = np.asarray(x, dtype=float)
-        q = (1.0 - t) ** 2 + (t * spec.std) ** 2
-        g = (t * s2 - (1.0 - t)) / q
+        g = (t * s2 - (1.0 - t)) / marginal_variance(spec, t)
         return m + g * (x - t * m)
 
     return v

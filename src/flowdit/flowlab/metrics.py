@@ -21,14 +21,19 @@ def energy_distance(a, b) -> float:
 
     All pairs including self-pairs enter each mean, so identical sample sets
     give exactly 0. Nonnegative up to floating rounding; 0 iff the underlying
-    distributions coincide (in the infinite-sample limit).
+    distributions coincide (in the infinite-sample limit). Raises
+    FloatingPointError when the result is not finite, as it is when a set
+    holds values whose squared distances overflow.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"need [n, d] sample sets with matching d, got {a.shape}, {b.shape}")
-    return (
+    out = (
         2.0 * _mean_pairwise_distance(a, b)
         - _mean_pairwise_distance(a, a)
         - _mean_pairwise_distance(b, b)
     )
+    if not np.isfinite(out):
+        raise FloatingPointError(f"energy distance is not finite ({float(out)})")
+    return out

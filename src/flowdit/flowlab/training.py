@@ -77,7 +77,7 @@ def cfm_loss(model: dit.ModelParams, x1_batch, t_batch, noise_batch):
     noise = np.asarray(noise_batch, dtype=float)
     x_t = (1.0 - t)[:, None] * noise + t[:, None] * x1
     target = x1 - noise
-    diff = ad.sub(point_velocity(model, x_t, t), target)
+    diff = ad.add(point_velocity(model, x_t, t), -target)
     return ad.mean(ad.sum_(ad.mul(diff, diff), axis=-1))
 
 

@@ -31,10 +31,6 @@ class PartitionGrid:
         return self.rows * self.cols
 
     @property
-    def aspect(self) -> float:
-        return max(self.rows, self.cols) / min(self.rows, self.cols)
-
-    @property
     def pixel_size(self) -> tuple[int, int]:
         return (self.rows * self.patch, self.cols * self.patch)
 

@@ -204,7 +204,9 @@ def rope_attention_logits(q, k, coords_q, coords_k, freqs: RopeFreqs):
     """
     qr = apply_rope(q, coords_q, freqs)
     kr = apply_rope(k, coords_k, freqs)
-    return ad.matmul(qr, ad.swapaxes(kr, -1, -2))
+    # non-negative axes: transpose's VJP inverts them with argsort
+    lead = ad.val(kr).ndim - 2
+    return ad.matmul(qr, ad.transpose(kr, (*range(lead), lead + 1, lead)))
 
 
 def scaled_fourier_features(p, theta, t: float, s: float):

@@ -61,8 +61,6 @@ ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
     "name,build,x",
     [
         ("add_broadcast", lambda v: ad.add(v, np.ones(3)), X23),
-        ("sub_left", lambda v: ad.sub(v, X23 * 0.5), X23),
-        ("sub_right", lambda v: ad.sub(1.5, v), X23),
         ("mul_broadcast", lambda v: ad.mul(v, np.arange(3.0)), X23),
         ("tanh", ad.tanh, X23),
         ("silu", ad.silu, X23),
@@ -79,7 +77,7 @@ ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
         ("mean_all", lambda v: ad.mul(ad.mean(v), 7.0), X23),
         ("mean_axis", lambda v: ad.mul(ad.mean(v, axis=1), np.array([2.0, -1.0])), X23),
         ("reshape", lambda v: ad.mul(ad.reshape(v, (3, 2)), np.ones((3, 2))), X23),
-        ("swapaxes", lambda v: ad.mul(ad.swapaxes(v, 0, 1), np.arange(6.0).reshape(3, 2)), X23),
+        ("transpose_last_two", lambda v: ad.mul(ad.transpose(v, (0, 2, 1)), ROWS2254[0, :, :4, :3]), RNG.standard_normal((2, 3, 4))),
         ("transpose", lambda v: ad.mul(ad.transpose(v, (2, 0, 1)), 2.0), RNG.standard_normal((2, 3, 4))),
         ("take_slice", lambda v: ad.mul(v[0:1], 3.0), X23),
         ("take_fancy_repeats", lambda v: v[np.array([0, 1, 0])], X23),

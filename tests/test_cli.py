@@ -4,6 +4,7 @@ CSV bytes, PGM layout, and the train -> gen round trip."""
 import json
 import os
 import shlex
+import shutil
 import string
 import subprocess
 import sys
@@ -288,6 +289,21 @@ def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
     rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
     assert rc == 2
     assert "w_embed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward pass overflows on the way
+def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, capsys):
+    # every entry is finite, so load_model accepts the copy, yet the samples
+    # reach 1.7e308 and their squared distances overflow
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint", ckpt)
+    nk.save_tensor(ckpt / "b_out.nkt", np.full_like(nk.load_tensor(ckpt / "b_out.nkt"), 1.7e308))
+    out, pgm = tmp_path / "g.csv", tmp_path / "g.pgm"
+    rc = cli.main(["gen", "--model", str(ckpt), "--n", "8", "--steps", "4", "--held-out", "eight_gaussians",
+                   "--out", str(out), "--pgm", str(pgm)])
+    assert rc == 1
+    assert "energy distance is not finite" in capsys.readouterr().err
+    assert not out.exists() and not pgm.exists()
 
 
 def test_gen_rejects_truncated_tensor_header(tmp_path, capsys):

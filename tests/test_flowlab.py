@@ -161,6 +161,8 @@ def test_energy_distance_validation_and_discrimination():
         metrics.energy_distance(np.zeros((4, 2)), np.zeros((4, 3)))
     with pytest.raises(ValueError, match="sample sets"):
         metrics.energy_distance(np.zeros(4), np.zeros(4))
+    with pytest.raises(FloatingPointError, match="energy distance is not finite"):
+        metrics.energy_distance(np.array([[np.nan, 0.0], [1.0, 2.0]]), np.zeros((3, 2)))
     rng = np.random.default_rng(11)
     same = metrics.energy_distance(rng.standard_normal((800, 2)), rng.standard_normal((800, 2)))
     far = metrics.energy_distance(

@@ -39,7 +39,6 @@ def test_grid_validation_and_properties():
         pt.PartitionGrid(3, 3, 0)
     g = pt.PartitionGrid(3, 5, 16)
     assert g.tokens == 15
-    assert g.aspect == 5 / 3
     assert g.pixel_size == (48, 80)
 
 
@@ -141,7 +140,7 @@ def test_candidate_set_invariants(max_tokens, max_aspect):
     assert cands  # (1, 1) always qualifies
     for g in cands:
         assert g.tokens <= max_tokens
-        assert g.aspect <= max_aspect
+        assert max(g.rows, g.cols) / min(g.rows, g.cols) <= max_aspect
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,6 +1,7 @@
 """Schedule and solver contracts: exact identities, convergence orders
 measured against closed-form solutions, and the evaluation-count budget
-of each method."""
+of each method. The dedicated Euler and midpoint loops below are oracles
+for the generic Runge-Kutta driver, which must reproduce them bit for bit."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,30 @@ class CountingField:
 
 def decay(x, t):
     return -x
+
+
+def euler_sample(v, x0, ts):
+    """N forward-Euler steps across the grid; N velocity evaluations."""
+    x = np.asarray(x0, dtype=float)
+    for i in range(len(ts) - 1):
+        h = ts[i + 1] - ts[i]
+        x = x + h * v(x, ts[i])
+    return x
+
+
+def midpoint_sample(v, x0, ts):
+    """Explicit midpoint: half step to probe, full step with the probe slope.
+
+    2N velocity evaluations for N intervals.
+    """
+    x = np.asarray(x0, dtype=float)
+    for i in range(len(ts) - 1):
+        h = ts[i + 1] - ts[i]
+        k1 = v(x, ts[i])
+        xm = x + (h * 0.5) * k1
+        k2 = v(xm, ts[i] + 0.5 * h)
+        x = x + h * k2
+    return x
 
 
 def test_schedule_spec_validation():
@@ -168,11 +193,11 @@ def test_dedicated_loops_match_generic_driver_bitwise():
     x0 = rng.standard_normal((5, 2))
     ts = sampler.schedule_points(sampler.ScheduleSpec(kind="sigmoid", n_steps=9))
     assert np.array_equal(
-        sampler.midpoint_sample(nonlinear, x0, ts),
+        midpoint_sample(nonlinear, x0, ts),
         sampler.rk_sample(sampler.MIDPOINT, nonlinear, x0, ts),
     )
     assert np.array_equal(
-        sampler.euler_sample(nonlinear, x0, ts),
+        euler_sample(nonlinear, x0, ts),
         sampler.rk_sample(sampler.EULER, nonlinear, x0, ts),
     )
 
@@ -183,6 +208,19 @@ def test_evaluation_budget(solver, per_step):
     counter = CountingField(decay)
     sampler.sample_flow(counter, np.ones(2), sampler.ScheduleSpec(n_steps=n), solver)
     assert counter.calls == per_step * n
+
+
+def test_sample_flow_names_the_step_and_time_of_a_non_finite_velocity():
+    times = []
+
+    def field(x, t):
+        times.append(t)
+        return np.full_like(x, np.nan) if len(times) == 3 else -x
+
+    # midpoint on a 5-step uniform grid: the third evaluation opens step 1, at t = 0.2
+    with pytest.raises(FloatingPointError, match=r"step 1, t=0\.2$"):
+        sampler.sample_flow(field, np.ones(2), sampler.ScheduleSpec(n_steps=5), "midpoint")
+    assert len(times) == 3
 
 
 def test_sample_flow_rejects_unknown_solver():
