@@ -3,7 +3,8 @@
 Every run is deterministic given its flags (and --seed where randomness is
 involved): CSV and PGM outputs are byte-reproducible. Exit codes: 0 on
 success, 2 for configuration errors (bad flags, bad config file, invalid
-parameter combinations), 1 for runtime failures such as divergent training.
+parameter combinations, a warp or rope-scaling value that the chosen kind or
+strategy never reads), 1 for runtime failures such as divergent training.
 
 --config FILE loads a JSON object of flag defaults (keys are flag dests);
 explicit command-line flags win over the file, the file wins over built-ins.
@@ -68,26 +69,34 @@ def render_density(points: np.ndarray, bins: int = 64, extent: float = 6.0) -> n
     return img.astype(np.uint8)
 
 
+def _reject_unread(args, flags: dict[str, str], read, chosen: str) -> None:
+    """Exit 2 on a flag (or config key) whose field the chosen kind or
+    strategy never reads; flags maps each flag dest to its spec field."""
+    unread = [f"--{flag}" for flag, field in flags.items() if getattr(args, flag) is not None and field not in read]
+    if unread:
+        raise ValueError(f"{', '.join(unread)}: no effect with {chosen}")
+
+
+# warp flags default to None, so a flag the kind ignores is caught; unset, ScheduleSpec's defaults apply
+_WARP_FLAGS = ("form", "sigma", "mu", "alpha", "beta")
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="uniform", choices=sampler.SCHEDULE_KINDS, help="timestep warp")
     p.add_argument("--steps", type=int, default=50, help="number of solver intervals")
-    p.add_argument("--form", default="endpoint_normalized", choices=sampler.SCHEDULE_FORMS)
-    p.add_argument("--sigma", type=float, default=1.0, help="rational warp strength")
-    p.add_argument("--mu", type=float, default=0.6, help="sigmoid crossover")
-    p.add_argument("--alpha", type=float, default=6.0, help="sigmoid left sharpness")
-    p.add_argument("--beta", type=float, default=20.0, help="sigmoid right sharpness")
+    p.add_argument("--form", default=None, choices=sampler.SCHEDULE_FORMS,
+                   help="rational and sigmoid warps (default endpoint_normalized)")
+    p.add_argument("--sigma", type=float, default=None, help="rational warp strength (default 1)")
+    p.add_argument("--mu", type=float, default=None, help="sigmoid crossover (default 0.6)")
+    p.add_argument("--alpha", type=float, default=None, help="sigmoid left sharpness (default 6)")
+    p.add_argument("--beta", type=float, default=None, help="sigmoid right sharpness (default 20)")
 
 
 def _schedule_spec(args) -> sampler.ScheduleSpec:
-    return sampler.ScheduleSpec(
-        kind=args.kind,
-        n_steps=args.steps,
-        form=args.form,
-        sigma=args.sigma,
-        mu=args.mu,
-        alpha=args.alpha,
-        beta=args.beta,
-    )
+    warp = {f: getattr(args, f) for f in _WARP_FLAGS if getattr(args, f) is not None}
+    spec = sampler.ScheduleSpec(kind=args.kind, n_steps=args.steps, **warp)
+    _reject_unread(args, {f: f for f in _WARP_FLAGS}, sampler.SCHEDULE_FIELDS[spec.kind], f"--kind {spec.kind}")
+    return spec
 
 
 def _cmd_schedule(args) -> None:
@@ -121,8 +130,7 @@ def _cmd_diagnose(args) -> None:
     spec = _gaussian_spec(args)
     v = flowlab.velocity(spec)
     x0 = flowlab.source_sample(spec, args.n, seed=args.seed)
-    taus = sampler.truncation_error_profile(v, x0, args.anchors, args.substeps)
-    kappas = sampler.curvature_profile(v, x0, args.anchors, args.substeps)
+    taus, kappas = sampler.error_profiles(v, x0, args.anchors, args.substeps)
     ts = np.arange(args.anchors + 1) / args.anchors
     rows = []
     for i in range(args.anchors):
@@ -135,21 +143,27 @@ def _cmd_diagnose(args) -> None:
     )
 
 
+# rope-scan flag dest -> (ScaleSpec field, value when unset)
+_SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t", 0.5)}
+
+
 def _cmd_rope_scan(args) -> None:
     base = rope.freq_matrix(args.base, args.d_head, args.axes, args.convention)
     chosen = args.strategy
     if isinstance(chosen, str):
         chosen = [s.strip() for s in chosen.split(",")]
     strategies = list(rope.STRATEGIES) if "all" in chosen else chosen
+    fields = {
+        field: default if getattr(args, flag) is None else getattr(args, flag)
+        for flag, (field, default) in _SCALE_FLAGS.items()
+    }
     rows = []
     for strategy in strategies:
-        spec = rope.ScaleSpec(
-            strategy=strategy,
-            s=args.scale,
-            train_extent=args.extent,
-            t=args.t,
-        )
+        spec = rope.ScaleSpec(strategy=strategy, **fields)
         rows.extend(rope.freq_table_rows(rope.scaled_freqs(base, spec), strategy))
+    read = {field for strategy in strategies for field in rope.STRATEGY_FIELDS[strategy]}
+    flags = {flag: field for flag, (field, _) in _SCALE_FLAGS.items()}
+    _reject_unread(args, flags, read, f"--strategy {','.join(strategies)}")
     _write_csv(args.out, ["strategy", "axis", "d", "theta", "lambda"], rows)
     print(f"rope-scan: {len(strategies)} strategies x {base.axes} axes x {base.dims_per_axis} dims -> {args.out}")
 
@@ -283,9 +297,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--base", type=float, default=5.0)
     p.add_argument("--dhead", type=int, default=24, dest="d_head")
     p.add_argument("--axes", type=int, default=3)
-    p.add_argument("--extent", type=float, default=16.0, help="max trained extent per axis")
-    p.add_argument("--scale", type=float, default=2.0, help="extension factor s")
-    p.add_argument("--t", type=float, default=0.5, help="diffusion time for time_aware")
+    p.add_argument("--extent", type=float, default=None, help="max trained extent per axis, for freq_aware (default 16)")
+    p.add_argument("--scale", type=float, default=None, help="extension factor s, for all but extrapolate (default 2)")
+    p.add_argument("--t", type=float, default=None, help="diffusion time for time_aware (default 0.5)")
     p.add_argument("--strategy", default="all", help="'all' or a comma list")
     p.add_argument("--convention", default="consistent", choices=rope.CONVENTIONS)
     p.add_argument("--out", required=True)

@@ -321,32 +321,32 @@ def time_embedding(model: ModelParams, t_batch) -> np.ndarray:
     return ad.add(ad.matmul(h, p["time_w2"]), p["time_b2"])
 
 
+# swaps the patch-row and grid-column axes; its own inverse
+_PATCH_PERM = (0, 1, 3, 2, 4, 5)
+
+
 def patchify(x, patch: int):
-    """[..., H, W, C] -> ([..., n, patch^2*C], coords [n, 2], (rows, cols))."""
+    """[B, H, W, C] -> ([B, n, patch^2*C], coords [n, 2], (rows, cols))."""
     shape = ad.val(x).shape
-    if len(shape) not in (3, 4):
-        raise ValueError(f"expected [H,W,C] or [B,H,W,C], got shape {shape}")
-    height, width, channels = shape[-3:]
+    if len(shape) != 4:
+        raise ValueError(f"expected [B,H,W,C], got shape {shape}")
+    batch, height, width, channels = shape
     if height % patch or width % patch:
         raise ValueError(f"{height}x{width} image not divisible by patch {patch}")
     rows, cols = height // patch, width // patch
-    lead = shape[:-3]
-    t = ad.reshape(x, lead + (rows, patch, cols, patch, channels))
-    perm = tuple(range(len(lead))) + tuple(i + len(lead) for i in (0, 2, 1, 3, 4))
-    t = ad.transpose(t, perm)
-    tokens = ad.reshape(t, lead + (rows * cols, patch * patch * channels))
+    t = ad.reshape(x, (batch, rows, patch, cols, patch, channels))
+    t = ad.transpose(t, _PATCH_PERM)
+    tokens = ad.reshape(t, (batch, rows * cols, patch * patch * channels))
     return tokens, nk.grid_coords((rows, cols)), (rows, cols)
 
 
 def unpatchify(tokens, grid: tuple[int, int], patch: int, channels: int):
-    """Inverse of patchify for a known grid."""
-    shape = ad.val(tokens).shape
+    """Inverse of patchify for a known grid: [B, n, patch^2*C] -> [B, H, W, C]."""
+    batch = ad.val(tokens).shape[0]
     rows, cols = grid
-    lead = shape[:-2]
-    t = ad.reshape(tokens, lead + (rows, cols, patch, patch, channels))
-    perm = tuple(range(len(lead))) + tuple(i + len(lead) for i in (0, 2, 1, 3, 4))
-    t = ad.transpose(t, perm)
-    return ad.reshape(t, lead + (rows * patch, cols * patch, channels))
+    t = ad.reshape(tokens, (batch, rows, cols, patch, patch, channels))
+    t = ad.transpose(t, _PATCH_PERM)
+    return ad.reshape(t, (batch, rows * patch, cols * patch, channels))
 
 
 def _trunk(model: ModelParams, tokens, cond, coords, mask=None, kv_pool=None, capture=None):
@@ -365,7 +365,7 @@ def _trunk(model: ModelParams, tokens, cond, coords, mask=None, kv_pool=None, ca
 def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, capture=None):
     """Predicted flow velocity for images x_t at time t.
 
-    x_t is [H, W, C] or [B, H, W, C]; t a scalar or per-sample vector.
+    x_t is [B, H, W, C] and so is the result; t a scalar or a [B] vector.
     A scalar t gives one conditioning row (time MLP, modulation and final
     scale computed once) that broadcasts over the batch; it equals the
     per-sample call with np.full(B, t) to rounding, not bitwise.
@@ -377,9 +377,8 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     config = model.config
     if config.mode != "generative":
         raise ValueError("forward_velocity needs a generative-mode model")
-    single = ad.val(x_t).ndim == 3
-    if single:
-        x_t = ad.take(x_t, None)
+    if ad.val(x_t).ndim != 4:
+        raise ValueError(f"x_t must be [B,H,W,C], got shape {ad.val(x_t).shape}")
     batch = ad.val(x_t).shape[0]
     if np.ndim(t) == 0:  # one conditioning row, broadcast over the batch
         t_arr = np.full(1, float(t))
@@ -407,29 +406,23 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
     h = ad.mul(h, ad.add(_with_token_axis(scale), 1.0))
     out = ad.add(ad.matmul(h, p["w_out"]), p["b_out"])
-    out = unpatchify(out, grid, config.patch, config.in_channels)
-    return out[0] if single else out
+    return unpatchify(out, grid, config.patch, config.in_channels)
 
 
 def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     """Class logits from a masked mean of the final token states.
 
-    tokens [n, token_dim] or [B, n, token_dim]; mask True = real token.
+    tokens [B, n, token_dim], coords [n, axes], mask [B, n] with True for a
+    real token; the result is [B, n_classes].
     With all gates at zero initialisation the trunk is the identity, so
     logits equal head(mean of embedded tokens) exactly.
     """
     config = model.config
     if config.mode != "recognition":
         raise ValueError("recognition_forward needs a recognition-mode model")
-    single = ad.val(tokens).ndim == 2
-    if single:
-        tokens = ad.take(tokens, None)
-    if mask is None:
-        mask_arr = np.ones(ad.val(tokens).shape[:-1], dtype=bool)
-    else:
-        mask_arr = np.asarray(mask, dtype=bool)
-        if single and mask_arr.ndim == 1:
-            mask_arr = mask_arr[None]
+    if ad.val(tokens).ndim != 3:
+        raise ValueError(f"tokens must be [B,n,token_dim], got shape {ad.val(tokens).shape}")
+    mask_arr = np.ones(ad.val(tokens).shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if not mask_arr.any(axis=-1).all():
         raise ValueError("a sample has no valid tokens")
 
@@ -438,8 +431,7 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     weights = mask_arr / mask_arr.sum(axis=-1, keepdims=True)
     pooled = ad.sum_(ad.mul(h, weights[..., None]), axis=-2)
     h1 = ad.silu(ad.add(ad.matmul(pooled, p["head_w1"]), p["head_b1"]))
-    logits = ad.add(ad.matmul(h1, p["head_w2"]), p["head_b2"])
-    return logits[0] if single else logits
+    return ad.add(ad.matmul(h1, p["head_w2"]), p["head_b2"])
 
 
 def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n_samples: int = 8, seed: int = 0) -> list[tuple]:

@@ -1,20 +1,12 @@
 """Flow-matching experiment lab: exact Gaussian flows, 2-d toys, training."""
 
-from .datasets import DATASETS, EIGHT_CENTERS, EIGHT_STD, mode_assignments, toy_dataset
-from .gaussian import (
-    GaussianFlowSpec,
-    marginal_sample,
-    marginal_variance,
-    source_sample,
-    target_sample,
-    velocity,
-)
+from .datasets import DATASETS, EIGHT_CENTERS, EIGHT_STD, toy_dataset
+from .gaussian import GaussianFlowSpec, marginal_variance, source_sample, velocity
 from .metrics import energy_distance
 from .training import (
     DivergenceError,
     TrainConfig,
     cfm_loss,
-    finite_difference_grad,
     generate,
     grad,
     point_model_config,
@@ -32,16 +24,12 @@ __all__ = [
     "TrainConfig",
     "cfm_loss",
     "energy_distance",
-    "finite_difference_grad",
     "generate",
     "grad",
-    "marginal_sample",
     "marginal_variance",
-    "mode_assignments",
     "point_model_config",
     "point_velocity",
     "source_sample",
-    "target_sample",
     "toy_dataset",
     "train",
     "velocity",

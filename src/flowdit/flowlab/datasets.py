@@ -49,8 +49,3 @@ def toy_dataset(name: str, n: int, seed: int = 0) -> np.ndarray:
         return _checkerboard(n, rng)
     raise ValueError(f"unknown dataset {name!r}; choose from {DATASETS}")
 
-
-def mode_assignments(points: np.ndarray) -> np.ndarray:
-    """Nearest eight_gaussians mode index for each point."""
-    d2 = ((np.asarray(points)[:, None, :] - EIGHT_CENTERS[None, :, :]) ** 2).sum(-1)
-    return d2.argmin(axis=1)

@@ -64,15 +64,3 @@ def source_sample(spec: GaussianFlowSpec, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, spec.mean_vec.size))
 
-
-def target_sample(spec: GaussianFlowSpec, n: int, seed: int = 0) -> np.ndarray:
-    """n draws from the target N(mean, std^2 I)."""
-    rng = np.random.default_rng(seed)
-    return spec.mean_vec + spec.std * rng.standard_normal((n, spec.mean_vec.size))
-
-
-def marginal_sample(spec: GaussianFlowSpec, n: int, t: float, seed: int = 0) -> np.ndarray:
-    """n draws from the time-t marginal N(t m, q(t) I)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, spec.mean_vec.size))
-    return t * spec.mean_vec + np.sqrt(marginal_variance(spec, t)) * z

@@ -106,20 +106,6 @@ def grad(model: dit.ModelParams, loss: ad.Var) -> dict[str, np.ndarray]:
     }
 
 
-def finite_difference_grad(model: dit.ModelParams, loss_fn, name: str, index, eps: float = 1e-4) -> float:
-    """Central-difference d loss / d model[name][index] on a plain model."""
-    leaf = model.params[name]
-    keep = leaf[index]
-    try:
-        leaf[index] = keep + eps
-        up = float(ad.val(loss_fn(model)))
-        leaf[index] = keep - eps
-        down = float(ad.val(loss_fn(model)))
-    finally:
-        leaf[index] = keep
-    return (up - down) / (2.0 * eps)
-
-
 def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.ndarray:
     """Optimise the model on a fixed dataset in place; returns the loss curve.
 

@@ -22,7 +22,15 @@ import numpy as np
 
 from . import autodiff as ad
 
-STRATEGIES = ("extrapolate", "interpolate", "ntk", "freq_aware", "time_aware")
+# the ScaleSpec fields each strategy reads; it ignores the others
+STRATEGY_FIELDS = {
+    "extrapolate": (),
+    "interpolate": ("s",),
+    "ntk": ("s",),
+    "freq_aware": ("s", "train_extent"),
+    "time_aware": ("s", "t"),
+}
+STRATEGIES = tuple(STRATEGY_FIELDS)
 CONVENTIONS = ("paper_literal", "consistent")
 
 TWO_PI = 2.0 * math.pi
@@ -170,12 +178,11 @@ def scaled_freqs(freqs: RopeFreqs, spec: ScaleSpec) -> RopeFreqs:
 
 
 def rope_angles(coords, freqs: RopeFreqs) -> np.ndarray:
-    """Per-token rotation angles, shape [n, d_head/2] (axis chunks concatenated)."""
+    """Per-token rotation angles of coords [n, axes], shape [n, d_head/2]
+    (axis chunks concatenated)."""
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    if coords.shape[-1] != freqs.axes:
-        raise ValueError(f"coords have {coords.shape[-1]} axes, freqs expect {freqs.axes}")
+    if coords.ndim != 2 or coords.shape[1] != freqs.axes:
+        raise ValueError(f"coords must be [n, {freqs.axes}] for {freqs.axes} axes, got shape {coords.shape}")
     chunks = [coords[:, a : a + 1] * freqs.theta[a][None, :] for a in range(freqs.axes)]
     return np.concatenate(chunks, axis=-1)
 

@@ -4,10 +4,11 @@ Time runs from 0 (noise) to 1 (data). A schedule warps the uniform grid
 i/N through a monotone reparameterisation; solvers then integrate
 dx/dt = v(x, t) across consecutive grid nodes. `rk_sample`, the generic
 Runge-Kutta driver, is the only integrator: `sample_flow` runs every
-solver through it on the solver's tableau. The dedicated Euler and
-midpoint loops live in the tests as oracles; the driver reproduces them
-bit for bit because it forms the products h*A[i,j] and h*b[i] the same
-way and skips zero entries outright.
+solver through it on the solver's tableau, and `error_profiles` crosses
+its dense reference path and takes its one-step probes with it on the
+Euler tableau. The dedicated Euler and midpoint loops live in the tests
+as oracles; the driver reproduces them bit for bit because it forms the
+products h*A[i,j] and h*b[i] the same way and skips zero entries outright.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEDULE_KINDS = ("uniform", "rational", "sigmoid")
+# the ScheduleSpec fields each warp kind reads; it ignores the others
+SCHEDULE_FIELDS = {"uniform": (), "rational": ("form", "sigma"), "sigmoid": ("form", "mu", "alpha", "beta")}
+SCHEDULE_KINDS = tuple(SCHEDULE_FIELDS)
 SCHEDULE_FORMS = ("paper_literal", "endpoint_normalized")
 
 
@@ -195,62 +198,46 @@ def cfg_velocity(v_cond, v_uncond, guidance: float):
 
 
 def dense_trajectory(v, x0, ts: np.ndarray, substeps: int = 100) -> list:
-    """States at every grid node, integrated with `substeps` Euler substeps
-    per interval. The reference path for the error diagnostics below."""
+    """States at every grid node, each interval crossed by `substeps` Euler
+    steps of `rk_sample`. The reference path for `error_profiles`."""
     if substeps < 1:
         raise ValueError(f"need at least one substep, got {substeps}")
-    x = np.asarray(x0, dtype=float)
-    nodes = [x]
-    for i in range(len(ts) - 1):
-        h = (ts[i + 1] - ts[i]) / substeps
-        for j in range(substeps):
-            x = x + h * v(x, ts[i] + j * h)
-        nodes.append(x)
+    nodes = [np.asarray(x0, dtype=float)]
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        nodes.append(rk_sample(EULER, v, nodes[-1], np.linspace(t0, t1, substeps + 1)))
     return nodes
 
 
 def _batch_mean_norm(d: np.ndarray) -> float:
-    d = np.asarray(d, dtype=float)
-    if d.ndim == 1:
-        return float(np.linalg.norm(d))
-    return float(np.mean(np.linalg.norm(d.reshape(d.shape[0], -1), axis=1)))
+    """Mean L2 norm of the rows of d [n, dim]."""
+    return float(np.mean(np.linalg.norm(d, axis=1)))
 
 
-def truncation_error_profile(v, x0, n_anchor: int = 50, substeps: int = 100) -> np.ndarray:
-    """Per-step one-Euler-step error against the dense reference path.
+def error_profiles(v, x0, n_anchor: int = 50, substeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Truncation-error and curvature profiles of one dense reference path.
 
-    tau_i = batch-mean L2 distance between the dense solution at t_{i+1}
-    and a single Euler step launched from the dense state at t_i. Scales
-    as O(h^2) under grid refinement. Large early values flag noise-side
-    curvature that a step-size warp should absorb.
+    x0 is [n, dim]; the path is integrated once on n_anchor uniform anchor
+    intervals. tau_i (i = 0 .. N-1) is the batch-mean L2 distance between
+    the dense state at t_{i+1} and a single Euler step launched from the
+    dense state at t_i; it scales as O(h^2) under grid refinement, and
+    large early values flag noise-side curvature that a step-size warp
+    should absorb. kappa_i (i = 1 .. N-1) is the batch-mean L2 norm of
+    x_i - (x_{i+1} + x_{i-1})/2, exactly zero for straight trajectories.
 
-    For a Gaussian target N(m, s^2 I) the profile peaks at t* = 1/(1+s^2),
-    so contracting targets (s < 1) peak at the data end, not the noise end.
-    """
-    if n_anchor < 1:
-        raise ValueError(f"need at least one anchor interval, got {n_anchor}")
-    ts = np.arange(n_anchor + 1, dtype=float) / n_anchor
-    nodes = dense_trajectory(v, x0, ts, substeps)
-    taus = np.empty(n_anchor)
-    for i in range(n_anchor):
-        h = ts[i + 1] - ts[i]
-        xhat = nodes[i] + h * v(nodes[i], ts[i])
-        taus[i] = _batch_mean_norm(nodes[i + 1] - xhat)
-    return taus
-
-
-def curvature_profile(v, x0, n_anchor: int = 50, substeps: int = 100) -> np.ndarray:
-    """Second-difference curvature of the dense path at interior anchors.
-
-    kappa_i = batch-mean L2 norm of x_i - (x_{i+1} + x_{i-1})/2 for
-    i = 1 .. N-1; exactly zero for straight-line trajectories.
+    For a Gaussian target N(m, s^2 I) the tau profile peaks at
+    t* = 1/(1+s^2), so contracting targets (s < 1) peak at the data end,
+    not the noise end.
     """
     if n_anchor < 3:
         raise ValueError(f"need at least 3 anchor intervals, got {n_anchor}")
+    if np.ndim(x0) != 2:
+        raise ValueError(f"x0 must be [n, dim], got shape {np.shape(x0)}")
     ts = np.arange(n_anchor + 1, dtype=float) / n_anchor
     nodes = dense_trajectory(v, x0, ts, substeps)
-    kappas = np.empty(n_anchor - 1)
-    for i in range(1, n_anchor):
-        mid = 0.5 * (nodes[i + 1] + nodes[i - 1])
-        kappas[i - 1] = _batch_mean_norm(nodes[i] - mid)
-    return kappas
+    taus = np.array([
+        _batch_mean_norm(nodes[i + 1] - rk_sample(EULER, v, nodes[i], ts[i : i + 2])) for i in range(n_anchor)
+    ])
+    kappas = np.array([
+        _batch_mean_norm(nodes[i] - 0.5 * (nodes[i + 1] + nodes[i - 1])) for i in range(1, n_anchor)
+    ])
+    return taus, kappas

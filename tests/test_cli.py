@@ -187,6 +187,32 @@ def test_rope_scan_single_strategy(tmp_path):
     assert {r[0] for r in rows} == {"ntk"}
 
 
+@pytest.mark.parametrize(
+    "argv,config,flag",
+    [
+        (["schedule", "--kind", "uniform", "--form", "paper_literal"], None, "--form"),
+        (["sample", "--kind", "sigmoid", "--sigma", "3", "--n", "4"], None, "--sigma"),
+        (["schedule", "--kind", "rational", "--mu", "0.2"], None, "--mu"),
+        (["gen", "--model", "ckpt", "--n", "4"], {"alpha": 2.0}, "--alpha"),
+        (["sample", "--kind", "rational", "--n", "4"], {"beta": 5.0}, "--beta"),
+        (["rope-scan", "--strategy", "ntk", "--t", "0.9"], None, "--t"),
+        (["rope-scan", "--strategy", "interpolate,time_aware", "--extent", "100"], None, "--extent"),
+        (["rope-scan", "--strategy", "extrapolate"], {"scale": 3.0}, "--scale"),
+    ],
+    ids=["form", "sigma", "mu", "alpha_config", "beta_config", "t", "extent", "scale_config"],
+)
+def test_flags_the_chosen_kind_or_strategy_ignores_exit_two(tmp_path, capsys, monkeypatch, argv, config, flag):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "gen":
+        dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0))
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    assert cli.main(argv + ["--out", "out.csv"]) == 2
+    assert f"{flag}: no effect with" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_partition_worked_example(tmp_path, capsys):
     out = tmp_path / "parts.csv"
     rc = cli.main([

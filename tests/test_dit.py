@@ -384,13 +384,13 @@ def test_attention_permutation_equivariance():
 def test_patchify_layout_against_loop():
     patch, h, w, c = 2, 4, 6, 3
     x = np.arange(h * w * c, dtype=float).reshape(h, w, c)
-    tokens, coords, grid = dit.patchify(x, patch)
+    tokens, coords, grid = dit.patchify(x[None], patch)
     assert grid == (2, 3)
     assert np.array_equal(coords, nk.grid_coords(grid))
     for r in range(2):
         for col in range(3):
             want = x[r * patch : (r + 1) * patch, col * patch : (col + 1) * patch].reshape(-1)
-            assert np.array_equal(tokens[r * 3 + col], want)
+            assert np.array_equal(tokens[0, r * 3 + col], want)
 
 
 def test_patchify_roundtrip_bitwise():
@@ -405,7 +405,23 @@ def test_patchify_validation():
     with pytest.raises(ValueError, match="expected"):
         dit.patchify(np.zeros((4, 4)), 2)
     with pytest.raises(ValueError, match="divisible"):
-        dit.patchify(np.zeros((5, 4, 2)), 2)
+        dit.patchify(np.zeros((1, 5, 4, 2)), 2)
+
+
+@pytest.mark.parametrize("call", ["patchify", "forward_velocity", "recognition_forward"])
+def test_unbatched_inputs_raise_value_error(call):
+    # one image [H, W, C] or one token set [n, token_dim] without its batch axis
+    if call == "patchify":
+        run = lambda: dit.patchify(np.zeros((4, 4, 2)), 2)
+    elif call == "forward_velocity":
+        model = dit.init_model(small_config(), seed=0)
+        run = lambda: dit.forward_velocity(model, np.zeros((4, 4, 2)), 0.5)
+    else:
+        model = dit.init_model(small_config(mode="recognition", n_classes=2), seed=0)
+        tokens = np.zeros((4, model.config.token_dim))
+        run = lambda: dit.recognition_forward(model, tokens, nk.grid_coords((2, 2)))
+    with pytest.raises(ValueError, match=r"\[B,"):
+        run()
 
 
 def test_time_embedding_shape_and_determinism():
@@ -427,7 +443,7 @@ def test_forward_velocity_batch_consistency():
     out = dit.forward_velocity(model, x, t)
     for i in range(3):
         # blas may pick a different kernel for batch 1: equal to rounding
-        single = dit.forward_velocity(model, x[i], float(t[i]))
+        single = dit.forward_velocity(model, x[i][None], float(t[i]))[0]
         assert np.allclose(out[i], single, atol=1e-12)
 
 
@@ -515,8 +531,8 @@ def test_recognition_padding_invariance_with_active_gates():
     full = rng.standard_normal((8, config.token_dim))
     padded = np.concatenate([full[:5], 1e5 * np.ones((3, config.token_dim))])
     mask = np.array([True] * 5 + [False] * 3)
-    got = dit.recognition_forward(model, padded, coords, mask=mask)
-    want = dit.recognition_forward(model, full[:5], coords[:5])
+    got = dit.recognition_forward(model, padded[None], coords, mask=mask[None])
+    want = dit.recognition_forward(model, full[:5][None], coords[:5])
     assert np.allclose(got, want, atol=1e-9)
 
 

@@ -11,6 +11,42 @@ from flowdit import dit, sampler
 from flowdit.flowlab import datasets, gaussian, metrics, training
 
 
+# Oracles: sampling, labelling and differencing helpers that only the tests need.
+
+
+def target_sample(spec: gaussian.GaussianFlowSpec, n: int, seed: int = 0) -> np.ndarray:
+    """n draws from the target N(mean, std^2 I)."""
+    rng = np.random.default_rng(seed)
+    return spec.mean_vec + spec.std * rng.standard_normal((n, spec.mean_vec.size))
+
+
+def marginal_sample(spec: gaussian.GaussianFlowSpec, n: int, t: float, seed: int = 0) -> np.ndarray:
+    """n draws from the time-t marginal N(t m, q(t) I)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, spec.mean_vec.size))
+    return t * spec.mean_vec + np.sqrt(gaussian.marginal_variance(spec, t)) * z
+
+
+def mode_assignments(points: np.ndarray) -> np.ndarray:
+    """Nearest eight_gaussians mode index for each point."""
+    d2 = ((np.asarray(points)[:, None, :] - datasets.EIGHT_CENTERS[None, :, :]) ** 2).sum(-1)
+    return d2.argmin(axis=1)
+
+
+def finite_difference_grad(model: dit.ModelParams, loss_fn, name: str, index, eps: float = 1e-4) -> float:
+    """Central-difference d loss / d model[name][index] on a plain model."""
+    leaf = model.params[name]
+    keep = leaf[index]
+    try:
+        leaf[index] = keep + eps
+        up = float(ad.val(loss_fn(model)))
+        leaf[index] = keep - eps
+        down = float(ad.val(loss_fn(model)))
+    finally:
+        leaf[index] = keep
+    return (up - down) / (2.0 * eps)
+
+
 def test_spec_validation_and_mean_vec():
     with pytest.raises(ValueError, match="std"):
         gaussian.GaussianFlowSpec(mean=(0.0,), std=0.0)
@@ -51,7 +87,7 @@ def test_velocity_satisfies_transport_moment_identities():
     v = gaussian.velocity(spec)
     eps = 1e-6
     for t, seed in ((0.2, 1), (0.6, 2), (0.9, 3)):
-        x = gaussian.marginal_sample(spec, 200_000, t, seed=seed)
+        x = marginal_sample(spec, 200_000, t, seed=seed)
         vals = v(x, t)
         assert np.allclose(vals.mean(axis=0), spec.mean_vec, atol=0.02)
         centred = ((x - t * spec.mean_vec) * (vals - spec.mean_vec)).sum(-1).mean() / 2.0
@@ -75,12 +111,12 @@ def test_exact_field_transports_source_to_target():
 def test_sampling_helpers_moments_and_determinism():
     spec = gaussian.GaussianFlowSpec(mean=(3.0, 0.0), std=0.3)
     assert np.array_equal(
-        gaussian.target_sample(spec, 100, seed=5), gaussian.target_sample(spec, 100, seed=5)
+        target_sample(spec, 100, seed=5), target_sample(spec, 100, seed=5)
     )
-    tgt = gaussian.target_sample(spec, 50_000, seed=6)
+    tgt = target_sample(spec, 50_000, seed=6)
     assert np.allclose(tgt.mean(axis=0), [3.0, 0.0], atol=0.01)
     assert np.allclose(tgt.std(axis=0), 0.3, atol=0.01)
-    mid = gaussian.marginal_sample(spec, 50_000, 0.5, seed=7)
+    mid = marginal_sample(spec, 50_000, 0.5, seed=7)
     assert np.allclose(
         mid.std(axis=0), np.sqrt(gaussian.marginal_variance(spec, 0.5)), atol=0.01
     )
@@ -99,7 +135,7 @@ def test_toy_dataset_determinism_and_validation():
 
 def test_eight_gaussians_structure():
     pts = datasets.toy_dataset("eight_gaussians", 20_000, seed=0)
-    modes = datasets.mode_assignments(pts)
+    modes = mode_assignments(pts)
     # every point hugs its mode: 6 sigma = 1.2 around a centre
     dist = np.linalg.norm(pts - datasets.EIGHT_CENTERS[modes], axis=1)
     assert dist.max() < 1.2
@@ -125,7 +161,7 @@ def test_two_moons_bounded():
 def test_mode_assignments_exact_on_centres():
     jitter = 0.05 * np.random.default_rng(8).standard_normal((8, 2))
     assert np.array_equal(
-        datasets.mode_assignments(datasets.EIGHT_CENTERS + jitter), np.arange(8)
+        mode_assignments(datasets.EIGHT_CENTERS + jitter), np.arange(8)
     )
 
 
@@ -245,7 +281,7 @@ def test_grad_spot_checked_against_finite_differences():
     for name, index in (("blocks.0.attn.wq", (3, 5)), ("w_out", (7, 1)), ("b_mod" , None)):
         if name == "b_mod":
             name, index = "blocks.0.b_mod", (4,)
-        fd = training.finite_difference_grad(model, loss_fn, name, index)
+        fd = finite_difference_grad(model, loss_fn, name, index)
         got = grads[name][index]
         assert abs(got - fd) / max(abs(got), abs(fd), 1e-8) < 1e-4, name
 
@@ -258,7 +294,7 @@ def test_finite_difference_grad_restores_on_error():
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
-        training.finite_difference_grad(model, explode, "w_embed", (0, 0))
+        finite_difference_grad(model, explode, "w_embed", (0, 0))
     assert np.array_equal(model.params["w_embed"], keep)
 
 

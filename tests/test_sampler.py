@@ -252,7 +252,7 @@ def test_dense_trajectory_nodes_and_validation():
 
 def test_truncation_error_zero_for_constant_field():
     const = lambda x, t: np.full_like(x, 1.5)
-    taus = sampler.truncation_error_profile(const, np.zeros((4, 2)), n_anchor=8, substeps=16)
+    taus, _ = sampler.error_profiles(const, np.zeros((4, 2)), n_anchor=8, substeps=16)
     assert np.array_equal(taus, np.zeros(8))
 
 
@@ -261,21 +261,43 @@ def test_curvature_zero_for_constant_field_bitwise():
     rng = np.random.default_rng(2)
     x0 = rng.integers(-512, 512, (16, 2)) / 256.0
     const = lambda x, t: np.broadcast_to(np.array([2.0, -3.0]), x.shape)
-    kappas = sampler.curvature_profile(const, x0, n_anchor=4, substeps=64)
+    _, kappas = sampler.error_profiles(const, x0, n_anchor=4, substeps=64)
     assert np.array_equal(kappas, np.zeros(3))
 
 
 def test_curvature_profile_validation():
     with pytest.raises(ValueError, match="anchor"):
-        sampler.curvature_profile(decay, np.ones(2), n_anchor=2)
+        sampler.error_profiles(decay, np.ones(2), n_anchor=2)
     with pytest.raises(ValueError, match="anchor"):
-        sampler.truncation_error_profile(decay, np.ones(2), n_anchor=0)
+        sampler.error_profiles(decay, np.ones(2), n_anchor=0)
+
+
+def test_error_profiles_integrate_the_reference_path_once():
+    # 4 anchors x 8 dense substeps, then one Euler probe per anchor
+    counter = CountingField(decay)
+    taus, kappas = sampler.error_profiles(counter, np.ones((3, 2)), n_anchor=4, substeps=8)
+    assert counter.calls == 4 * 8 + 4
+    assert taus.shape == (4,) and kappas.shape == (3,)
+
+
+def test_error_profiles_name_the_step_and_time_of_a_non_finite_velocity():
+    calls = 0
+
+    def field(x, t):
+        nonlocal calls
+        calls += 1
+        return np.full_like(x, np.nan) if calls == 5 else -x
+
+    # the fifth evaluation is dense substep 4 of the first anchor interval, at t = 4/32
+    with pytest.raises(FloatingPointError, match=r"step 4, t=0\.125$"):
+        sampler.error_profiles(field, np.ones((3, 2)), n_anchor=4, substeps=8)
+    assert calls == 5
 
 
 def test_diagnostics_scale_quadratically_on_linear_field():
     x0 = np.full((8, 2), 1.0)
-    tau_c = sampler.truncation_error_profile(decay, x0, n_anchor=10, substeps=50)
-    tau_f = sampler.truncation_error_profile(decay, x0, n_anchor=20, substeps=50)
+    tau_c, _ = sampler.error_profiles(decay, x0, n_anchor=10, substeps=50)
+    tau_f, _ = sampler.error_profiles(decay, x0, n_anchor=20, substeps=50)
     # error per step ~ h^2: halving h quarters the profile peak
     ratio = tau_c.max() / tau_f.max()
     assert 3.0 < ratio < 5.0
