@@ -230,8 +230,6 @@ def error_profiles(v, x0, n_anchor: int = 50, substeps: int = 100) -> tuple[np.n
     """
     if n_anchor < 3:
         raise ValueError(f"need at least 3 anchor intervals, got {n_anchor}")
-    if np.ndim(x0) != 2:
-        raise ValueError(f"x0 must be [n, dim], got shape {np.shape(x0)}")
     ts = np.arange(n_anchor + 1, dtype=float) / n_anchor
     nodes = dense_trajectory(v, x0, ts, substeps)
     taus = np.array([
