@@ -148,7 +148,8 @@ _SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t"
 
 
 def _cmd_rope_scan(args) -> None:
-    base = rope.freq_matrix(args.base, args.d_head, args.axes, args.convention)
+    convention = "consistent" if args.convention is None else args.convention
+    base = rope.freq_matrix(args.base, args.d_head, args.axes, convention)
     chosen = args.strategy
     if isinstance(chosen, str):
         chosen = [s.strip() for s in chosen.split(",")]
@@ -162,7 +163,9 @@ def _cmd_rope_scan(args) -> None:
         spec = rope.ScaleSpec(strategy=strategy, **fields)
         rows.extend(rope.freq_table_rows(rope.scaled_freqs(base, spec), strategy))
     read = {field for strategy in strategies for field in rope.STRATEGY_FIELDS[strategy]}
-    flags = {flag: field for flag, (field, _) in _SCALE_FLAGS.items()}
+    if set(strategies) != {"extrapolate"}:
+        read.add("convention")  # extrapolation keeps the base table under either convention
+    flags = {flag: field for flag, (field, _) in _SCALE_FLAGS.items()} | {"convention": "convention"}
     _reject_unread(args, flags, read, f"--strategy {','.join(strategies)}")
     _write_csv(args.out, ["strategy", "axis", "d", "theta", "lambda"], rows)
     print(f"rope-scan: {len(strategies)} strategies x {base.axes} axes x {base.dims_per_axis} dims -> {args.out}")
@@ -301,7 +304,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--scale", type=float, default=None, help="extension factor s, for all but extrapolate (default 2)")
     p.add_argument("--t", type=float, default=None, help="diffusion time for time_aware (default 0.5)")
     p.add_argument("--strategy", default="all", help="'all' or a comma list")
-    p.add_argument("--convention", default="consistent", choices=rope.CONVENTIONS)
+    p.add_argument("--convention", default=None, choices=rope.CONVENTIONS,
+                   help="scaling exponents, for all but extrapolate (default consistent)")
     p.add_argument("--out", required=True)
 
     p = sub("partition", _cmd_partition, "pick a patch grid for an image size")

@@ -16,11 +16,14 @@ a masked-mean class token.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import math
+import os
 import shutil
 import tempfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -226,7 +229,9 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     (1, 1) window is a no-op, bit-identical to kv_pool=None.
 
     The scores are rope.rope_attention_logits of the normalised queries and
-    keys, scaled by 1/sqrt(d_head); masked keys get a constant -inf bias.
+    keys, scaled by 1/sqrt(d_head) through the query gain (a [d_head] scale,
+    not a scores-sized one; exact when d_head is a power of 4); masked keys
+    get a constant -inf bias.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -257,9 +262,9 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     q = _split_heads(q, d_head, group)
     k = _split_heads(k, d_head)
     v = _split_heads(v, d_head)
-    q = ad.rms_norm(q, params["q_gain"], eps)
+    q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)), eps)
     k = ad.rms_norm(k, params["k_gain"], eps)
-    logits = ad.mul(rope.rope_attention_logits(q, k, coords, coords_k, freqs), 1.0 / math.sqrt(d_head))
+    logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
     if bias is not None:
         logits = ad.add(logits, bias)
     out = ad.matmul(ad.softmax(logits, axis=-1), v)
@@ -272,29 +277,30 @@ def _with_token_axis(u):
     return ad.reshape(u, shape[:-1] + (1, shape[-1]))
 
 
-def _modulation(cond, block: dict, d: int):
-    """Zero-initialised AdaLN projection, split into the parts of
-    `modulation_slices`, in its order."""
+def block_modulation(cond, block: dict, d: int) -> list:
+    """A generative block's zero-initialised AdaLN projection of cond, split
+    into the parts of `modulation_slices`, in its order, each [..., 1, width]."""
     mod = ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"])
     return [_with_token_axis(mod[..., part]) for part in modulation_slices(d).values()]
 
 
-def sandwich_block(x, cond, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
+def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
     """One residual block; exact identity at zero-initialised modulation.
 
     block holds one block's entries without their `blocks.<i>.` prefix.
-    Generative blocks modulate with cond-derived shift/scale/gate; recognition
-    blocks (cond None) use bare scalar gates. block_style `prenorm` drops the
-    post-branch norm, leaving branch scale unpinned.
+    Generative blocks modulate with mod = block_modulation(cond, block, d),
+    the shift/scale/gate parts; recognition blocks (mod None) use bare
+    scalar gates. block_style `prenorm` drops the post-branch norm, leaving
+    branch scale unpinned.
     """
     sandwich = config.block_style == "sandwich"
-    if cond is not None:
-        shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = _modulation(cond, block, config.d_model)
+    if mod is not None:
+        shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = mod
     else:
         gate_a, gate_m = block["gates"][0:1], block["gates"][1:2]
 
     h = ad.rms_norm(x, block["pre_attn_gain"], config.eps)
-    if cond is not None:
+    if mod is not None:
         h = ad.add(ad.mul(h, ad.add(scale_a, 1.0)), shift_a)
     h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool, eps=config.eps)
     if sandwich:
@@ -302,7 +308,7 @@ def sandwich_block(x, cond, block: dict, config: ModelConfig, freqs, coords, mas
     x = ad.add(x, ad.mul(ad.tanh(gate_a), h))
 
     h = ad.rms_norm(x, block["pre_mlp_gain"], config.eps)
-    if cond is not None:
+    if mod is not None:
         h = ad.add(ad.mul(h, ad.add(scale_m, 1.0)), shift_m)
     h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
     if sandwich:
@@ -349,17 +355,81 @@ def unpatchify(tokens, grid: tuple[int, int], patch: int, channels: int):
     return ad.reshape(t, (batch, rows * patch, cols * patch, channels))
 
 
-def _trunk(model: ModelParams, tokens, cond, coords, mask=None, kv_pool=None, capture=None):
-    """Token embedding and the block loop under both heads; cond is None for
-    recognition blocks, and capture as in forward_velocity."""
+def _trunk(model: ModelParams, tokens, mods, coords, mask=None, kv_pool=None, capture=None):
+    """Token embedding and the block loop under both heads; mods holds each
+    block's block_modulation (None for recognition blocks), and capture is as
+    in forward_velocity."""
     p, config = model.params, model.config
     h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
     freqs = model_freqs(config)
     for i in range(config.n_layers):
-        h = sandwich_block(h, cond, prefixed(p, f"blocks.{i}."), config, freqs, coords, mask=mask, kv_pool=kv_pool)
+        mod = None if mods is None else mods[i]
+        h = sandwich_block(h, mod, prefixed(p, f"blocks.{i}."), config, freqs, coords, mask=mask, kv_pool=kv_pool)
         if capture is not None:
             capture.append(np.array(ad.val(h)))
     return h
+
+
+# An untracked forward over more tokens than this runs in parts spread over
+# the usable CPUs. On 2 CPUs (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread)
+# a 4096-point evaluation of the point checkpoint took 15.8 ms in 1024-token
+# parts against 29.4 ms in one (median p50 of 10 perfbench gen_point runs),
+# at +5.4% peak RSS; 2048-token halves were 3% faster still but reached
+# +9.7% peak RSS, too close to the benchmark's 10% bound.
+_PART_TOKENS = 1024
+# What keeps a part's token rows bitwise equal to the same rows of the whole
+# batch, measured on that OpenBLAS (Haswell build, AVX-512 Xeon): parts start
+# on a multiple of 64 GEMM rows and hold at least 64 (834/833/833-row parts
+# and 1-row parts moved bits), and every GEMM a part runs is a multiple of 8
+# columns wide. Narrower column tails take other bits on OpenBLAS's small-
+# matrix path (M*N*K <= 1e6) than on its blocked one, so the conditioning
+# GEMMs (4d+2 wide) and the output projection run on the whole batch.
+_PART_ROWS = 64
+_PART_WIDTH = 8
+
+
+def _part_bounds(config: ModelConfig, batch: int, tokens: int) -> list[int]:
+    """Image indices cutting a batch of images of `tokens` tokens into
+    near-equal parts of about _PART_TOKENS tokens on the row rules above;
+    [0, batch] is one part."""
+    if config.d_model % _PART_WIDTH or config.d_kv % _PART_WIDTH:
+        return [0, batch]
+    unit = _PART_ROWS // math.gcd(_PART_ROWS, tokens)  # images per aligned cut
+    n_parts = -(-batch * tokens // _PART_TOKENS)
+    cuts = {round(batch * i / n_parts / unit) * unit for i in range(1, n_parts)}
+    return [0, *sorted(c for c in cuts if 0 < c <= batch - unit), batch]
+
+
+@lru_cache(maxsize=None)
+def _pool(pid: int):
+    """(executor, workers) for process pid: one worker thread per usable CPU
+    beyond the caller's, made on first use. Keyed by pid, so a forked child,
+    whose copy of the parent's pool has no threads, makes its own."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return (ThreadPoolExecutor(cpus - 1, thread_name_prefix="flowdit-part") if cpus > 1 else None), cpus - 1
+
+
+def _run_parts(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs]: the first contiguous share of jobs on the
+    calling thread, one share per pool worker, each worker in a copy of the
+    caller's context (so np.errstate carries over). Every share finishes
+    before this returns or raises, and the first exception in job order wins."""
+    executor, workers = _pool(os.getpid())
+    n_shares = min(len(jobs), 1 + workers)
+    edges = [len(jobs) * i // n_shares for i in range(n_shares + 1)]
+    shares = [jobs[a:b] for a, b in zip(edges, edges[1:])]
+
+    def run_share(share):
+        return [fn(job) for job in share]
+
+    futures = [executor.submit(contextvars.copy_context().run, run_share, share) for share in shares[1:]]
+    try:
+        outs = run_share(shares[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        outs.extend(future.result())
+    return outs
 
 
 def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, capture=None):
@@ -373,8 +443,15 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     the model is conditional). kv_pool = (grid, window) pools attention
     context in every block. capture, if a list, receives each block's
     output token array (values only, no tape).
+
+    Inference splits large untracked batches across the usable CPUs,
+    bitwise: when neither x_t nor any parameter is a tape Var, a batch of
+    more than 1024 tokens (_PART_TOKENS) runs its blocks in parts of whole
+    images on the calling thread and worker threads, and the result equals
+    the one-part call bit for bit. A tracked call runs as one part on the
+    calling thread.
     """
-    config = model.config
+    config, p = model.config, model.params
     if config.mode != "generative":
         raise ValueError("forward_velocity needs a generative-mode model")
     if ad.val(x_t).ndim != 4:
@@ -387,7 +464,6 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
         if t_arr.shape != (batch,):
             raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
 
-    p = model.params
     tokens, coords, grid = patchify(x_t, config.patch)
     cond = time_embedding(model, t_arr)
     if "label_embed" in p:
@@ -400,11 +476,35 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
         cond = ad.add(cond, p["label_embed"][idx])
     elif label is not None:
         raise ValueError("model has no label table")
-
-    h = _trunk(model, tokens, cond, coords, kv_pool=kv_pool, capture=capture)
-    h = ad.rms_norm(h, np.asarray(1.0), config.eps)
+    mods = [block_modulation(cond, prefixed(p, f"blocks.{i}."), config.d_model) for i in range(config.n_layers)]
     scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
-    h = ad.mul(h, ad.add(_with_token_axis(scale), 1.0))
+    scale = ad.add(_with_token_axis(scale), 1.0)
+
+    def head_input(tokens, mods, scale, states):
+        h = _trunk(model, tokens, mods, coords, kv_pool=kv_pool, capture=states)
+        return ad.mul(ad.rms_norm(h, np.asarray(1.0), config.eps), scale)
+
+    if any(isinstance(v, ad.Var) for v in (x_t, *p.values())):
+        bounds = [0, batch]  # the tape is single-threaded
+    else:
+        bounds = _part_bounds(config, batch, grid[0] * grid[1])
+    if len(bounds) == 2:
+        h = head_input(tokens, mods, scale, capture)
+    else:
+
+        def part(span):
+            lo, hi = span
+
+            def rows(a):  # per-sample rows follow the part; one broadcast row does not
+                return a[lo:hi] if len(a) == batch else a
+
+            states = None if capture is None else []
+            return head_input(tokens[lo:hi], [[rows(m) for m in mod] for mod in mods], rows(scale), states), states
+
+        outs = _run_parts(part, list(zip(bounds, bounds[1:])))
+        if capture is not None:
+            capture.extend(np.concatenate(layer) for layer in zip(*(states for _, states in outs)))
+        h = np.concatenate([h for h, _ in outs])
     out = ad.add(ad.matmul(h, p["w_out"]), p["b_out"])
     return unpatchify(out, grid, config.patch, config.in_channels)
 

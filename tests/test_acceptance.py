@@ -189,7 +189,9 @@ def test_criterion_06_oracle_transport_moments():
 
 
 def reference_mha(x, p, n_heads, freqs, coords, eps):
-    """Plain multi-head attention, no grouping logic anywhere."""
+    """Plain multi-head attention, no grouping logic anywhere. The logit
+    scale 1/sqrt(d_head) rides on the query gain, as in gqa_attention; at
+    d_head 8 scaling the scores instead differs at rounding level."""
     d_head = x.shape[-1] // n_heads
 
     def split(a):
@@ -199,9 +201,9 @@ def reference_mha(x, p, n_heads, freqs, coords, eps):
     q = split(nk.matmul(x, p["wq"]))
     k = split(nk.matmul(x, p["wk"]))
     v = split(nk.matmul(x, p["wv"]))
-    q = rope.apply_rope(nk.rms_norm(q, p["q_gain"], eps), coords, freqs)
+    q = rope.apply_rope(nk.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head)), eps), coords, freqs)
     k = rope.apply_rope(nk.rms_norm(k, p["k_gain"], eps), coords, freqs)
-    logits = nk.matmul(q, np.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(d_head))
+    logits = nk.matmul(q, np.swapaxes(k, -1, -2))
     out = np.swapaxes(nk.matmul(nk.softmax(logits, axis=-1), v), -3, -2)
     s = out.shape
     return nk.matmul(out.reshape(s[:-2] + (s[-2] * s[-1],)), p["wo"])
@@ -217,7 +219,8 @@ def test_criterion_07_block_identity_gqa_probe_masking():
     cond = rng.standard_normal((3, config.d_model))
     coords = nk.grid_coords((2, 4))
     freqs = dit.model_freqs(config)
-    y = dit.sandwich_block(x, cond, dit.prefixed(model.params, "blocks.0."), config, freqs, coords)
+    block = dit.prefixed(model.params, "blocks.0.")
+    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, freqs, coords)
     assert np.array_equal(y, x)
     img = rng.standard_normal((2, 4, 4, 2))
     assert np.all(dit.forward_velocity(model, img, 0.5) == 0.0)

@@ -198,8 +198,11 @@ def test_rope_scan_single_strategy(tmp_path):
         (["rope-scan", "--strategy", "ntk", "--t", "0.9"], None, "--t"),
         (["rope-scan", "--strategy", "interpolate,time_aware", "--extent", "100"], None, "--extent"),
         (["rope-scan", "--strategy", "extrapolate"], {"scale": 3.0}, "--scale"),
+        (["rope-scan", "--strategy", "extrapolate", "--convention", "paper_literal"], None, "--convention"),
+        (["rope-scan", "--strategy", "extrapolate"], {"convention": "consistent"}, "--convention"),
     ],
-    ids=["form", "sigma", "mu", "alpha_config", "beta_config", "t", "extent", "scale_config"],
+    ids=["form", "sigma", "mu", "alpha_config", "beta_config", "t", "extent", "scale_config", "convention",
+         "convention_config"],
 )
 def test_flags_the_chosen_kind_or_strategy_ignores_exit_two(tmp_path, capsys, monkeypatch, argv, config, flag):
     monkeypatch.chdir(tmp_path)
@@ -420,11 +423,13 @@ def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
         for argv in (
             ["train", "--steps", "40", "--batch", "256", "--train-points", "4096", "--out-dir", str(run)],
             ["gen", "--model", str(run), "--n", "512", "--steps", "4", "--out", str(run / "gen.csv")],
+            # 4096 points run the forward in parts on the caller and worker threads
+            ["gen", "--model", str(run), "--n", "4096", "--steps", "4", "--out", str(run / "gen_parts.csv")],
         ):
             subprocess.run([sys.executable, "-m", "flowdit.cli", *argv], env=env, check=True, capture_output=True)
         runs.append({p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()})
     names = {p.name for p in runs[0]}
-    assert {"losses.csv", "gen.csv", "manifest.json", "w_embed.nkt"} <= names
+    assert {"losses.csv", "gen.csv", "gen_parts.csv", "manifest.json", "w_embed.nkt"} <= names
     assert runs[0] == runs[1]
 
 

@@ -89,7 +89,8 @@ def test_zero_init_block_is_exact_identity():
     cond = rng.standard_normal((3, config.d_model))
     coords = nk.grid_coords((2, 3))
     freqs = dit.model_freqs(config)
-    y = dit.sandwich_block(x, cond, dit.prefixed(model.params, "blocks.0."), config, freqs, coords)
+    block = dit.prefixed(model.params, "blocks.0.")
+    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, freqs, coords)
     assert np.array_equal(y, x)
 
 
