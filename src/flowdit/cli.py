@@ -144,12 +144,12 @@ def _cmd_diagnose(args) -> None:
 
 
 # rope-scan flag dest -> (ScaleSpec field, value when unset)
-_SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t", 0.5)}
+_SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t", 0.5),
+                "convention": ("convention", "consistent")}
 
 
 def _cmd_rope_scan(args) -> None:
-    convention = "consistent" if args.convention is None else args.convention
-    base = rope.freq_matrix(args.base, args.d_head, args.axes, convention)
+    base = rope.freq_matrix(args.base, args.d_head, args.axes)
     chosen = args.strategy
     if isinstance(chosen, str):
         chosen = [s.strip() for s in chosen.split(",")]
@@ -163,9 +163,7 @@ def _cmd_rope_scan(args) -> None:
         spec = rope.ScaleSpec(strategy=strategy, **fields)
         rows.extend(rope.freq_table_rows(rope.scaled_freqs(base, spec), strategy))
     read = {field for strategy in strategies for field in rope.STRATEGY_FIELDS[strategy]}
-    if set(strategies) != {"extrapolate"}:
-        read.add("convention")  # extrapolation keeps the base table under either convention
-    flags = {flag: field for flag, (field, _) in _SCALE_FLAGS.items()} | {"convention": "convention"}
+    flags = {flag: field for flag, (field, _) in _SCALE_FLAGS.items()}
     _reject_unread(args, flags, read, f"--strategy {','.join(strategies)}")
     _write_csv(args.out, ["strategy", "axis", "d", "theta", "lambda"], rows)
     print(f"rope-scan: {len(strategies)} strategies x {base.axes} axes x {base.dims_per_axis} dims -> {args.out}")
@@ -197,6 +195,8 @@ def _cmd_probe(args) -> None:
         in_channels=args.channels,
         block_style=args.style,
     )
+    if args.gate is not None and not np.isfinite(args.gate):
+        raise ValueError(f"--gate must be finite, got {args.gate}")
     model = dit.init_model(config, seed=args.seed, weight_std=args.weight_std)
     if args.gate is not None:
         # fixed gate bias on every block: probes signal growth with open gates

@@ -133,6 +133,8 @@ def modulation_slices(d: int) -> dict[str, slice]:
 def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> ModelParams:
     """Fresh parameters: truncated-normal projections, unit norm gains,
     zeroed modulation and output head."""
+    if not np.isfinite(weight_std):
+        raise ValueError(f"weight_std must be finite, got {weight_std}")
     rng = np.random.default_rng(seed)
     d, hidden = config.d_model, config.mlp_ratio * config.d_model
     generative = config.mode == "generative"
@@ -410,26 +412,20 @@ def _pool(pid: int):
 
 
 def _run_parts(fn, jobs: list) -> list:
-    """[fn(job) for job in jobs]: the first contiguous share of jobs on the
-    calling thread, one share per pool worker, each worker in a copy of the
-    caller's context (so np.errstate carries over). Every share finishes
-    before this returns or raises, and the first exception in job order wins."""
+    """[fn(job) for job in jobs]: the leading len(jobs) // cpus jobs (at least
+    one) on the calling thread, and one pool future per other job, run in a
+    copy of the caller's context (so np.errstate carries over). Every job
+    finishes before this returns or raises; the first exception in job order
+    wins. The caller runs its share rather than waits: an idle caller beside
+    one worker per CPU cost gen_point +5% peak RSS (a third malloc arena)."""
     executor, workers = _pool(os.getpid())
-    n_shares = min(len(jobs), 1 + workers)
-    edges = [len(jobs) * i // n_shares for i in range(n_shares + 1)]
-    shares = [jobs[a:b] for a, b in zip(edges, edges[1:])]
-
-    def run_share(share):
-        return [fn(job) for job in share]
-
-    futures = [executor.submit(contextvars.copy_context().run, run_share, share) for share in shares[1:]]
+    own = max(1, len(jobs) // (1 + workers))
+    futures = [executor.submit(contextvars.copy_context().run, fn, job) for job in jobs[own:]]
     try:
-        outs = run_share(shares[0])
+        outs = [fn(job) for job in jobs[:own]]
     finally:
         wait(futures)
-    for future in futures:
-        outs.extend(future.result())
-    return outs
+    return outs + [future.result() for future in futures]
 
 
 def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, capture=None):
@@ -440,16 +436,17 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     scale computed once) that broadcasts over the batch; it equals the
     per-sample call with np.full(B, t) to rounding, not bitwise.
     label is an int array of class ids (None uses the null embedding when
-    the model is conditional). kv_pool = (grid, window) pools attention
-    context in every block. capture, if a list, receives each block's
-    output token array (values only, no tape).
+    the model is conditional). kv_pool = (grid, window), grid the patch
+    grid, pools attention context in every block. capture, if a list,
+    receives each block's output token array (values only, no tape).
 
-    Inference splits large untracked batches across the usable CPUs,
-    bitwise: when neither x_t nor any parameter is a tape Var, a batch of
-    more than 1024 tokens (_PART_TOKENS) runs its blocks in parts of whole
-    images on the calling thread and worker threads, and the result equals
-    the one-part call bit for bit. A tracked call runs as one part on the
-    calling thread.
+    Inference splits large batches across the usable CPUs, bitwise: an
+    untracked call (neither x_t nor any parameter a tape Var) with one
+    conditioning row (scalar t, no labels) and no capture runs a batch of
+    more than 1024 tokens (_PART_TOKENS) through its blocks in parts of
+    whole images on the calling thread and worker threads, and the result
+    equals the one-part call bit for bit. Every other call runs as one part
+    on the calling thread.
     """
     config, p = model.config, model.params
     if config.mode != "generative":
@@ -465,6 +462,8 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
             raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
 
     tokens, coords, grid = patchify(x_t, config.patch)
+    if kv_pool is not None and tuple(kv_pool[0]) != grid:
+        raise ValueError(f"kv_pool grid {tuple(kv_pool[0])} is not the patch grid {grid}")
     cond = time_embedding(model, t_arr)
     if "label_embed" in p:
         if label is None:
@@ -480,31 +479,20 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
     scale = ad.add(_with_token_axis(scale), 1.0)
 
-    def head_input(tokens, mods, scale, states):
-        h = _trunk(model, tokens, mods, coords, kv_pool=kv_pool, capture=states)
+    def head_input(tokens):
+        h = _trunk(model, tokens, mods, coords, kv_pool=kv_pool, capture=capture)
         return ad.mul(ad.rms_norm(h, np.asarray(1.0), config.eps), scale)
 
-    if any(isinstance(v, ad.Var) for v in (x_t, *p.values())):
-        bounds = [0, batch]  # the tape is single-threaded
-    else:
+    # the tape is single-threaded, and parts share mods and scale, which must be one broadcast row
+    untracked = not any(isinstance(v, ad.Var) for v in (x_t, *p.values()))
+    bounds = [0, batch]
+    if untracked and np.ndim(t) == 0 and label is None and capture is None:
         bounds = _part_bounds(config, batch, grid[0] * grid[1])
     if len(bounds) == 2:
-        h = head_input(tokens, mods, scale, capture)
+        h = head_input(tokens)
     else:
-
-        def part(span):
-            lo, hi = span
-
-            def rows(a):  # per-sample rows follow the part; one broadcast row does not
-                return a[lo:hi] if len(a) == batch else a
-
-            states = None if capture is None else []
-            return head_input(tokens[lo:hi], [[rows(m) for m in mod] for mod in mods], rows(scale), states), states
-
-        outs = _run_parts(part, list(zip(bounds, bounds[1:])))
-        if capture is not None:
-            capture.extend(np.concatenate(layer) for layer in zip(*(states for _, states in outs)))
-        h = np.concatenate([h for h, _ in outs])
+        spans = list(zip(bounds, bounds[1:]))
+        h = np.concatenate(_run_parts(lambda span: head_input(tokens[span[0] : span[1]]), spans))
     out = ad.add(ad.matmul(h, p["w_out"]), p["b_out"])
     return unpatchify(out, grid, config.patch, config.in_channels)
 

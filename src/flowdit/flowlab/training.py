@@ -41,8 +41,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
 
 
 def point_model_config(d_model: int = 32, n_layers: int = 2, n_heads: int = 4) -> dit.ModelConfig:

@@ -40,7 +40,7 @@ def candidate_set(max_tokens: int, max_aspect: float, patch: int) -> list[Partit
     ordered by rows then cols (deterministic tie-break order)."""
     if max_tokens < 1:
         raise ValueError(f"token budget must be positive, got {max_tokens}")
-    if max_aspect < 1.0:
+    if not max_aspect >= 1.0:
         raise ValueError(f"aspect bound must be >= 1, got {max_aspect}")
     out = []
     for rows in range(1, max_tokens + 1):

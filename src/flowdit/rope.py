@@ -25,10 +25,10 @@ from . import autodiff as ad
 # the ScaleSpec fields each strategy reads; it ignores the others
 STRATEGY_FIELDS = {
     "extrapolate": (),
-    "interpolate": ("s",),
-    "ntk": ("s",),
-    "freq_aware": ("s", "train_extent"),
-    "time_aware": ("s", "t"),
+    "interpolate": ("s", "convention"),
+    "ntk": ("s", "convention"),
+    "freq_aware": ("s", "train_extent", "convention"),
+    "time_aware": ("s", "t", "convention"),
 }
 STRATEGIES = tuple(STRATEGY_FIELDS)
 CONVENTIONS = ("paper_literal", "consistent")
@@ -44,7 +44,6 @@ class RopeFreqs:
     d_head: int
     base: float
     theta: np.ndarray
-    convention: str = "consistent"
 
     @property
     def dims_per_axis(self) -> int:
@@ -57,20 +56,26 @@ class ScaleSpec:
 
     s and train_extent may be scalars (shared by all axes) or one value per
     axis. train_extent is the maximal trained extent L in tokens (needed by
-    freq_aware); t is the diffusion time in [0,1] (needed by time_aware).
+    freq_aware); t is the diffusion time in [0,1] (needed by time_aware);
+    convention picks the scaling exponents (see the module docstring).
     """
 
     strategy: str
     s: float | tuple = 1.0
     train_extent: float | tuple | None = None
     t: float | None = None
+    convention: str = "consistent"
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.convention not in CONVENTIONS:
+            raise ValueError(f"unknown convention {self.convention!r}")
         for sv in np.atleast_1d(np.asarray(self.s, dtype=float)):
-            if sv < 1.0:
-                raise ValueError(f"scale factor must be >= 1, got {sv}")
+            if not 1.0 <= sv < math.inf:
+                raise ValueError(f"scale factor must be finite and >= 1, got {sv}")
+        if self.train_extent is not None and not np.isfinite(self.train_extent).all():
+            raise ValueError(f"training extent must be finite, got {self.train_extent}")
         if self.strategy == "time_aware":
             if self.t is None or not 0.0 <= self.t <= 1.0:
                 raise ValueError("time_aware needs t in [0,1]")
@@ -78,19 +83,17 @@ class ScaleSpec:
             raise ValueError("freq_aware needs the max training extent")
 
 
-def freq_matrix(base: float, d_head: int, axes: int, convention: str = "consistent") -> RopeFreqs:
+def freq_matrix(base: float, d_head: int, axes: int) -> RopeFreqs:
     """Build the per-axis table theta_d = base^(-(2*axes)*d/d_head)."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     if axes not in (1, 2, 3):
         raise ValueError(f"axes must be 1, 2, or 3, got {axes}")
-    if base <= 1.0:
-        raise ValueError(f"rotary base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"rotary base must be finite and exceed 1, got {base}")
     if d_head % (2 * axes) != 0:
         raise ValueError(f"d_head={d_head} not divisible by 2*axes={2*axes}")
     n = d_head // (2 * axes)
     row = base ** (-(2.0 * axes) * np.arange(n) / d_head)
-    return RopeFreqs(axes, d_head, float(base), np.tile(row, (axes, 1)), convention)
+    return RopeFreqs(axes, d_head, float(base), np.tile(row, (axes, 1)))
 
 
 def wavelength(freqs: RopeFreqs) -> np.ndarray:
@@ -131,7 +134,7 @@ def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d, axis: int = 0) -> np.ndar
     theta = base ** (-(2.0 * axes) * d / d_head)
     if spec.strategy == "extrapolate":
         return theta
-    if freqs.convention == "paper_literal":
+    if spec.convention == "paper_literal":
         # verbatim published forms; no equivalence claims in this mode
         if spec.strategy == "interpolate":
             return theta * s

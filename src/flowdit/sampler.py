@@ -102,7 +102,7 @@ class ButcherTableau:
     b: np.ndarray
     c: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         c = np.asarray(self.c, dtype=float)
@@ -153,7 +153,6 @@ def rk_sample(tableau: ButcherTableau, v, x0, ts: np.ndarray):
     evaluation that is not finite everywhere raises FloatingPointError
     naming its step and time.
     """
-    tableau.validate()
     a, b, c = tableau.a, tableau.b, tableau.c
     stages = len(b)
     x = np.asarray(x0, dtype=float)

@@ -403,13 +403,31 @@ _PROBE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-h
         (["diagnose", "--mean", "inf,0", "--anchors", "3", "--substeps", "2"], "target mean must be finite, got (inf, 0.0)"),
         (_PROBE + ["--timesteps", "nan,0.5"], "timesteps must lie in [0, 1], got nan"),
         (_PROBE + ["--timesteps", "2.0"], "timesteps must lie in [0, 1], got 2.0"),
+        (_PROBE + ["--weight-std", "nan"], "weight_std must be finite, got nan"),
+        (_PROBE + ["--gate", "nan"], "--gate must be finite, got nan"),
+        (["rope-scan", "--base", "nan"], "rotary base must be finite and exceed 1, got nan"),
+        (["rope-scan", "--scale", "nan"], "scale factor must be finite and >= 1, got nan"),
+        (["rope-scan", "--scale", "inf"], "scale factor must be finite and >= 1, got inf"),
+        (["rope-scan", "--strategy", "freq_aware", "--extent", "nan"], "training extent must be finite, got nan"),
+        (["rope-scan", "--strategy", "freq_aware", "--extent", "inf"], "training extent must be finite, got inf"),
+        (["partition", "--height", "64", "--width", "64", "--max-aspect", "nan"], "aspect bound must be >= 1, got nan"),
     ],
-    ids=["sample_std_nan", "sample_std_inf", "sample_mean_nan", "diagnose_mean_inf", "probe_t_nan", "probe_t_above_one"],
+    ids=["sample_std_nan", "sample_std_inf", "sample_mean_nan", "diagnose_mean_inf", "probe_t_nan", "probe_t_above_one",
+         "probe_weight_std_nan", "probe_gate_nan", "rope_base_nan", "rope_scale_nan", "rope_scale_inf",
+         "rope_extent_nan", "rope_extent_inf", "partition_max_aspect_nan"],
 )
 def test_non_finite_or_out_of_domain_inputs_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--out", "out.csv"]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_with_a_non_finite_learning_rate_exits_two_before_training(tmp_path, capsys, lr):
+    argv = ["train", "--steps", "2", "--batch", "8", "--train-points", "64", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv + ["--lr", lr]) == 2
+    assert "learning rate must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -461,6 +461,16 @@ def test_forward_velocity_validation():
         dit.forward_velocity(rec, x, 0.2)
 
 
+@pytest.mark.parametrize("grid", [(6, 2), (3, 4)], ids=["transposed", "reshaped"])
+def test_forward_velocity_rejects_a_kv_pool_grid_that_is_not_the_patch_grid(grid):
+    """12 tokens fit both wrong grids, whose windows pool other tokens."""
+    model = randomized(dit.init_model(small_config(), seed=0), seed=1)
+    x = np.random.default_rng(17).standard_normal((2, 4, 12, 2))  # a 2x6 patch grid
+    assert dit.forward_velocity(model, x, 0.5, kv_pool=((2, 6), (2, 2))).shape == x.shape
+    with pytest.raises(ValueError, match=r"kv_pool grid \(\d, \d\) is not the patch grid \(2, 6\)"):
+        dit.forward_velocity(model, x, 0.5, kv_pool=(grid, (2, 2)))
+
+
 @pytest.mark.parametrize(
     "config,side",
     [(flowlab.point_model_config(), 1), (small_config(n_q_heads=4, n_kv_heads=2, n_classes=3), 4)],

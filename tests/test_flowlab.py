@@ -212,8 +212,9 @@ def test_train_config_validation():
         training.TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError, match="positive"):
         training.TrainConfig(steps=0)
-    with pytest.raises(ValueError, match="learning rate"):
-        training.TrainConfig(lr=0.0)
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            training.TrainConfig(lr=lr)
 
 
 def test_point_model_treats_points_as_one_token():

@@ -1,8 +1,9 @@
-"""The untracked forward runs a large batch in parts of whole images on the
-calling thread and worker threads. Every split call must equal the one-part
-call bit for bit, and the threads must behave: errors come back in batch
-order after every part has finished, np.errstate reaches the workers, a
-forked child gets its own pool, and a tracked call never splits."""
+"""An untracked forward with one broadcast conditioning row and no capture
+runs a large batch in parts of whole images on the calling thread and worker
+threads. Every split call must equal the one-part call bit for bit, and the
+threads must behave: errors come back in batch order after every part has
+finished, np.errstate reaches the workers, a forked child gets its own pool,
+and a tracked, per-sample-conditioned or capturing call never splits."""
 
 import multiprocessing
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from flowdit import autodiff as ad
-from flowdit import dit
+from flowdit import dit, flowlab, sampler
 from test_dit import randomized, small_config
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
@@ -70,13 +71,18 @@ def assert_split_across_threads(parts_seen, n_images):
 @pytest.mark.parametrize("per_sample_t", [False, True], ids=["scalar_t", "per_sample_t"])
 @pytest.mark.parametrize("n", SIZES)
 def test_split_point_forward_is_bitwise_one_part(point_model, parts_seen, monkeypatch, n, per_sample_t):
+    """Per-sample t gives one conditioning row per image, which the parts
+    would have to slice: such a call runs as one part."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 1, 1, 2))
     t = rng.uniform(size=n) if per_sample_t else 0.37
     whole = one_part(monkeypatch, lambda: dit.forward_velocity(point_model, x, t))
     assert parts_seen == []
     split = dit.forward_velocity(point_model, x, t)
-    assert_split_across_threads(parts_seen, n)
+    if per_sample_t:
+        assert parts_seen == []
+    else:
+        assert_split_across_threads(parts_seen, n)
     assert np.array_equal(split, whole)
 
 
@@ -85,8 +91,9 @@ def test_split_point_forward_is_bitwise_one_part(point_model, parts_seen, monkey
 def test_split_image_forward_is_bitwise_one_part_with_labels_pool_and_capture(
     image_model, parts_seen, monkeypatch, n, per_sample_t
 ):
-    """4x4 images of 2x2 patches: 4 tokens each, so parts cut token GEMMs
-    and per-sample conditioning rows at different row counts."""
+    """Labels give one conditioning row per image and capture wants every
+    image's states, so this call runs as one part and equals the one-part
+    call, states included."""
     rng = np.random.default_rng(n + 1)
     x = rng.standard_normal((n, 4, 4, 2))
     t = rng.uniform(size=n) if per_sample_t else 0.61
@@ -97,11 +104,45 @@ def test_split_image_forward_is_bitwise_one_part_with_labels_pool_and_capture(
         monkeypatch, lambda: dit.forward_velocity(image_model, x, t, label=label, kv_pool=kv_pool, capture=whole_states)
     )
     split = dit.forward_velocity(image_model, x, t, label=label, kv_pool=kv_pool, capture=split_states)
-    assert_split_across_threads(parts_seen, n)
+    assert parts_seen == []
     assert np.array_equal(split, whole)
     assert len(split_states) == len(whole_states) == image_model.config.n_layers
     for got, want in zip(split_states, whole_states):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "capture"])
+def test_labels_or_capture_alone_keep_a_scalar_t_call_in_one_part(image_model, parts_seen, monkeypatch, labelled):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((4096, 4, 4, 2))
+    label, states = (rng.integers(0, 3, 4096), None) if labelled else (None, [])
+    whole_states = None if labelled else []
+    whole = one_part(monkeypatch, lambda: dit.forward_velocity(image_model, x, 0.61, label=label, capture=whole_states))
+    out = dit.forward_velocity(image_model, x, 0.61, label=label, capture=states)
+    assert parts_seen == []
+    assert np.array_equal(out, whole)
+    assert labelled or all(np.array_equal(got, want) for got, want in zip(states, whole_states, strict=True))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_split_image_forward_with_pool_is_bitwise_one_part(image_model, parts_seen, monkeypatch, n):
+    """4x4 images of 2x2 patches: 4 tokens each, so parts cut the token
+    GEMMs and the pooled attention at other row counts than the whole."""
+    x = np.random.default_rng(n + 2).standard_normal((n, 4, 4, 2))
+    kv_pool = ((2, 2), (2, 1))
+    whole = one_part(monkeypatch, lambda: dit.forward_velocity(image_model, x, 0.61, kv_pool=kv_pool))
+    split = dit.forward_velocity(image_model, x, 0.61, kv_pool=kv_pool)
+    assert_split_across_threads(parts_seen, n)
+    assert np.array_equal(split, whole)
+
+
+def test_generate_splits_every_velocity_evaluation(point_model, parts_seen):
+    """gen's parallel path: each of the sampler's evaluations runs in parts."""
+    spec = sampler.ScheduleSpec(kind="uniform", n_steps=3)
+    flowlab.generate(point_model, 4096, spec, solver="midpoint", seed=0)
+    n_parts, n_evals = 4, 3 * 2
+    assert dit._part_bounds(point_model.config, 4096, 1) == [0, 1024, 2048, 3072, 4096]
+    assert len(parts_seen) == n_parts * n_evals
 
 
 def test_part_bounds_are_aligned_and_near_equal(point_model, image_model):

@@ -109,12 +109,13 @@ def test_freq_matrix_values_and_validation():
     assert freqs.theta[0, 0] == 1.0
     with pytest.raises(ValueError, match="axes"):
         rope.freq_matrix(100.0, 16, 4)
-    with pytest.raises(ValueError, match="base"):
-        rope.freq_matrix(1.0, 8, 2)
+    for base in (1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="base"):
+            rope.freq_matrix(base, 8, 2)
     with pytest.raises(ValueError, match="divisible"):
         rope.freq_matrix(100.0, 10, 2)
     with pytest.raises(ValueError, match="convention"):
-        rope.freq_matrix(100.0, 8, 2, convention="other")
+        rope.ScaleSpec("interpolate", convention="other")
 
 
 def test_wavelength_inverts_frequency():
@@ -136,8 +137,12 @@ def test_d_target_solves_wavelength_equation():
 def test_scale_spec_validation():
     with pytest.raises(ValueError, match="strategy"):
         rope.ScaleSpec("other")
-    with pytest.raises(ValueError, match=">= 1"):
-        rope.ScaleSpec("interpolate", s=0.5)
+    for s in (0.5, np.nan, np.inf, (2.0, np.nan)):
+        with pytest.raises(ValueError, match=">= 1"):
+            rope.ScaleSpec("interpolate", s=s)
+    for extent in (np.nan, np.inf, (16.0, np.inf)):
+        with pytest.raises(ValueError, match="extent must be finite"):
+            rope.ScaleSpec("freq_aware", s=2.0, train_extent=extent)
     with pytest.raises(ValueError, match="t in"):
         rope.ScaleSpec("time_aware", s=2.0)
     with pytest.raises(ValueError, match="extent"):
@@ -148,8 +153,8 @@ FIG_SETTING = dict(base=5.0, d_head=24, axes=3)
 
 
 def _theta(strategy, s, convention="consistent", **kw):
-    freqs = rope.freq_matrix(convention=convention, **FIG_SETTING)
-    spec = rope.ScaleSpec(strategy, s=s, **kw)
+    freqs = rope.freq_matrix(**FIG_SETTING)
+    spec = rope.ScaleSpec(strategy, s=s, convention=convention, **kw)
     return rope.scaled_freqs(freqs, spec).theta
 
 
@@ -200,12 +205,13 @@ def test_paper_literal_forms_verbatim():
     n = int(d_head // (2 * axes))
     d = np.arange(n, dtype=float)
     theta = base ** (-(2.0 * axes) * d / d_head)
-    freqs = rope.freq_matrix(base, int(d_head), int(axes), convention="paper_literal")
-    got_interp = rope.scaled_theta(freqs, rope.ScaleSpec("interpolate", s=s), d)
+    freqs = rope.freq_matrix(base, int(d_head), int(axes))
+    literal = "paper_literal"
+    got_interp = rope.scaled_theta(freqs, rope.ScaleSpec("interpolate", s=s, convention=literal), d)
     assert np.allclose(got_interp, theta * s, atol=1e-15)
-    got_ntk = rope.scaled_theta(freqs, rope.ScaleSpec("ntk", s=s), d)
+    got_ntk = rope.scaled_theta(freqs, rope.ScaleSpec("ntk", s=s, convention=literal), d)
     assert np.allclose(got_ntk, (base * s) ** (-(2.0 * axes) * d / d_head), atol=1e-15)
-    got_ta = rope.scaled_theta(freqs, rope.ScaleSpec("time_aware", s=s, t=0.5), d)
+    got_ta = rope.scaled_theta(freqs, rope.ScaleSpec("time_aware", s=s, t=0.5, convention=literal), d)
     d_t = (d_head - 1.0) * 0.5 + 1.0
     bp = base * s ** (d_head / d_t)
     assert np.allclose(
