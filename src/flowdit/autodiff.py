@@ -59,12 +59,11 @@ class Var:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
+        # each later node is a parent of an earlier one, so it has a gradient
         for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+            if node._vjp is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
-                    continue
                 parent.grad = g if parent.grad is None else parent.grad + g
 
     def __getitem__(self, idx):
@@ -175,33 +174,21 @@ def matmul(a, b):
     return _node(out, (a, b), vjp)
 
 
-def _expand_reduced(g, shape, axis, keepdims):
-    g = np.asarray(g)
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(shape)), shape)
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        g = np.expand_dims(g, tuple(a % len(shape) for a in axes))
-    return np.broadcast_to(g, shape)
-
-
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     av = val(a)
-    out = av.sum(axis=axis, keepdims=keepdims)
+    out = av.sum(axis=axis)
     if not _tracked(a):
         return out
-    return _node(out, (a,), lambda g: (_expand_reduced(g, av.shape, axis, keepdims),))
+    axes = tuple(range(av.ndim)) if axis is None else axis
+    return _node(out, (a,), lambda g: (np.broadcast_to(np.expand_dims(g, axes), av.shape),))
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a):
     av = val(a)
-    out = av.mean(axis=axis, keepdims=keepdims)
+    out = av.mean()
     if not _tracked(a):
         return out
-    count = av.size / out.size
-    return _node(
-        out, (a,), lambda g: (_expand_reduced(g / count, av.shape, axis, keepdims),)
-    )
+    return _node(out, (a,), lambda g: (np.broadcast_to(g / av.size, av.shape),))
 
 
 def reshape(a, shape):
@@ -254,14 +241,15 @@ def take(a, idx):
     return _node(out, (a,), vjp)
 
 
-def softmax(a, axis=-1):
+def softmax(a):
+    """Softmax over the last axis."""
     av = val(a)
-    out = numkernel.softmax(av, axis=axis)
+    out = numkernel.softmax(av)
     if not _tracked(a):
         return out
 
     def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
     return _node(out, (a,), vjp)

@@ -227,9 +227,10 @@ def _cmd_train(args) -> None:
         optimizer=args.optimizer,
         seed=args.seed,
     )
-    losses = flowlab.train(model, data, train_config)
+    # made before training, so an unusable --out-dir costs no training steps
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    losses = flowlab.train(model, data, train_config)
     dit.save_model(out_dir / "model", model)
     _write_csv(out_dir / "losses.csv", ["step", "loss"], list(enumerate(losses)))
     print(

@@ -63,6 +63,8 @@ class ModelConfig:
             raise ValueError(f"unknown block style {self.block_style!r}")
         if self.n_layers < 1:
             raise ValueError(f"need at least one layer, got {self.n_layers}")
+        if min(self.d_model, self.n_q_heads, self.n_kv_heads, self.axes) < 1:
+            raise ValueError("d_model, n_q_heads, n_kv_heads, and axes must be positive")
         if self.d_model % self.n_q_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by {self.n_q_heads} query heads")
         if self.n_q_heads % self.n_kv_heads != 0:
@@ -269,7 +271,7 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
     if bias is not None:
         logits = ad.add(logits, bias)
-    out = ad.matmul(ad.softmax(logits, axis=-1), v)
+    out = ad.matmul(ad.softmax(logits), v)
     return ad.matmul(_merge_heads(out), params["wo"])
 
 
@@ -282,8 +284,8 @@ def _with_token_axis(u):
 def block_modulation(cond, block: dict, d: int) -> list:
     """A generative block's zero-initialised AdaLN projection of cond, split
     into the parts of `modulation_slices`, in its order, each [..., 1, width]."""
-    mod = ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"])
-    return [_with_token_axis(mod[..., part]) for part in modulation_slices(d).values()]
+    mod = _with_token_axis(ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"]))
+    return [mod[..., part] for part in modulation_slices(d).values()]
 
 
 def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):

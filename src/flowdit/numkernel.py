@@ -42,10 +42,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`.
+def softmax(x: Tensor) -> Tensor:
+    """Max-subtracted softmax over the last axis.
 
-    Outputs are nonnegative and sum to 1 along the axis. NaN inputs propagate
+    Outputs are nonnegative and sum to 1 along the last axis. NaN inputs propagate
     to NaN outputs; a slice that is entirely -inf also yields NaN (callers
     guarantee at least one finite logit per slice).
 
@@ -56,10 +56,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     input is never written.
     """
     x = np.asarray(x)
-    z = x - np.max(x, axis=axis, keepdims=True)
+    z = x - np.max(x, axis=-1, keepdims=True)
     # an integer z cannot hold its exp; numpy picks the float dtype then
     z = np.exp(z, out=z if np.issubdtype(z.dtype, np.inexact) else None)
-    z /= np.sum(z, axis=axis, keepdims=True)
+    z /= np.sum(z, axis=-1, keepdims=True)
     return z
 
 

@@ -89,8 +89,8 @@ def freq_matrix(base: float, d_head: int, axes: int) -> RopeFreqs:
         raise ValueError(f"axes must be 1, 2, or 3, got {axes}")
     if not 1.0 < base < math.inf:
         raise ValueError(f"rotary base must be finite and exceed 1, got {base}")
-    if d_head % (2 * axes) != 0:
-        raise ValueError(f"d_head={d_head} not divisible by 2*axes={2*axes}")
+    if d_head < 2 * axes or d_head % (2 * axes) != 0:
+        raise ValueError(f"d_head={d_head} must be positive and divisible by 2*axes={2*axes}")
     n = d_head // (2 * axes)
     row = base ** (-(2.0 * axes) * np.arange(n) / d_head)
     return RopeFreqs(axes, d_head, float(base), np.tile(row, (axes, 1)))

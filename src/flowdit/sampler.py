@@ -65,7 +65,9 @@ def rational_warp(t, sigma: float, form: str = "endpoint_normalized"):
     t = np.asarray(t, dtype=float)
     if form == "paper_literal":
         return t / (sigma + t * (sigma - 1.0))
-    return sigma * t / (1.0 + (sigma - 1.0) * t)
+    # sigma*t / (1 + (sigma-1)*t) rearranged so that t = 1 maps to exactly 1;
+    # sigma - 1 is inexact below sigma = 0.5
+    return sigma * t / (sigma * t + (1.0 - t))
 
 
 def sigmoid_warp(t, mu: float, alpha: float, beta: float):

@@ -204,7 +204,7 @@ def reference_mha(x, p, n_heads, freqs, coords, eps):
     q = rope.apply_rope(nk.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head)), eps), coords, freqs)
     k = rope.apply_rope(nk.rms_norm(k, p["k_gain"], eps), coords, freqs)
     logits = nk.matmul(q, np.swapaxes(k, -1, -2))
-    out = np.swapaxes(nk.matmul(nk.softmax(logits, axis=-1), v), -3, -2)
+    out = np.swapaxes(nk.matmul(nk.softmax(logits), v), -3, -2)
     s = out.shape
     return nk.matmul(out.reshape(s[:-2] + (s[-2] * s[-1],)), p["wo"])
 

@@ -405,6 +405,10 @@ _PROBE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-h
         (_PROBE + ["--timesteps", "2.0"], "timesteps must lie in [0, 1], got 2.0"),
         (_PROBE + ["--weight-std", "nan"], "weight_std must be finite, got nan"),
         (_PROBE + ["--gate", "nan"], "--gate must be finite, got nan"),
+        (_PROBE + ["--q-heads", "0"], "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
+        (_PROBE + ["--kv-heads", "0"], "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
+        (_PROBE + ["--d-model", "0"], "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
+        (["rope-scan", "--dhead", "0", "--strategy", "interpolate"], "d_head=0 must be positive and divisible by 2*axes=6"),
         (["rope-scan", "--base", "nan"], "rotary base must be finite and exceed 1, got nan"),
         (["rope-scan", "--scale", "nan"], "scale factor must be finite and >= 1, got nan"),
         (["rope-scan", "--scale", "inf"], "scale factor must be finite and >= 1, got inf"),
@@ -413,7 +417,8 @@ _PROBE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-h
         (["partition", "--height", "64", "--width", "64", "--max-aspect", "nan"], "aspect bound must be >= 1, got nan"),
     ],
     ids=["sample_std_nan", "sample_std_inf", "sample_mean_nan", "diagnose_mean_inf", "probe_t_nan", "probe_t_above_one",
-         "probe_weight_std_nan", "probe_gate_nan", "rope_base_nan", "rope_scale_nan", "rope_scale_inf",
+         "probe_weight_std_nan", "probe_gate_nan", "probe_q_heads_zero", "probe_kv_heads_zero", "probe_d_model_zero",
+         "rope_dhead_zero", "rope_base_nan", "rope_scale_nan", "rope_scale_inf",
          "rope_extent_nan", "rope_extent_inf", "partition_max_aspect_nan"],
 )
 def test_non_finite_or_out_of_domain_inputs_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, message):
@@ -429,6 +434,26 @@ def test_train_with_a_non_finite_learning_rate_exits_two_before_training(tmp_pat
     assert cli.main(argv + ["--lr", lr]) == 2
     assert "learning rate must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_with_zero_heads_exits_two_before_training(tmp_path, capsys):
+    argv = ["train", "--steps", "2", "--batch", "8", "--train-points", "64", "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv + ["--heads", "0"]) == 2
+    assert "n_q_heads, n_kv_heads, and axes must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_checks_its_out_dir_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran before --out-dir was made")
+
+    monkeypatch.setattr(cli.flowlab, "train", no_training)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    argv = ["train", "--steps", "2", "--batch", "8", "--train-points", "64", "--out-dir", str(taken)]
+    assert cli.main(argv) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
 
 
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flowdit import contextdrop as cd
 from flowdit import numkernel as nk
+from test_numkernel import pool_oracle
 
 
 def test_window_catalog_drop_fractions():
@@ -60,22 +61,6 @@ def test_ramp_window_schedule():
     assert cd.window_for_ratio(spec.ratio(1.0)) == (1, 1)
 
 
-def pooled_oracle(x, h, w, window):
-    """Mean over each window cell, computed with explicit loops."""
-    wh, ww = window
-    n_h = -(-h // wh)
-    n_w = -(-w // ww)
-    d = x.shape[-1]
-    out = np.zeros(x.shape[:-2] + (n_h * n_w, d))
-    counts = np.zeros(n_h * n_w)
-    for tok in range(h * w):
-        r, c = divmod(tok, w)
-        cell = (r // wh) * n_w + (c // ww)
-        out[..., cell, :] += x[..., tok, :]
-        counts[cell] += 1
-    return out / counts[:, None]
-
-
 def test_pool_kv_low_ratio_returns_same_objects():
     rng = np.random.default_rng(0)
     k = rng.standard_normal((2, 6, 4))
@@ -98,9 +83,9 @@ def test_pool_kv_matches_loop_oracle(h, w, ratio, window):
     v = rng.standard_normal((2, h * w, 5))
     coords = nk.grid_coords((h, w))
     pk, pv, pc = cd.pool_kv(k, v, coords, (h, w), window)
-    assert np.allclose(pk, pooled_oracle(k, h, w, window), atol=1e-12)
-    assert np.allclose(pv, pooled_oracle(v, h, w, window), atol=1e-12)
-    assert np.allclose(pc, pooled_oracle(coords, h, w, window), atol=1e-12)
+    assert np.allclose(pk, pool_oracle(k, (h, w), window), atol=1e-12)
+    assert np.allclose(pv, pool_oracle(v, (h, w), window), atol=1e-12)
+    assert np.allclose(pc, pool_oracle(coords, (h, w), window), atol=1e-12)
 
 
 def test_pool_kv_constant_rows_are_preserved():

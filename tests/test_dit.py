@@ -14,6 +14,7 @@ from flowdit import contextdrop as cd
 from flowdit import dit, flowlab
 from flowdit import numkernel as nk
 from flowdit import rope
+from test_numkernel import pool_oracle
 
 
 def small_config(**overrides):
@@ -39,6 +40,9 @@ def test_config_validation_messages():
         small_config(block_style="postnorm")
     with pytest.raises(ValueError, match="layer"):
         small_config(n_layers=0)
+    for zero in ("d_model", "n_q_heads", "n_kv_heads", "axes"):
+        with pytest.raises(ValueError, match="must be positive"):
+            small_config(**{zero: 0})
     with pytest.raises(ValueError, match="query heads"):
         small_config(d_model=18, n_q_heads=4)
     with pytest.raises(ValueError, match="kv heads"):
@@ -114,17 +118,6 @@ def rotate_complex(x, coords, freqs):
     return out
 
 
-def loop_pool(x, grid, window):
-    """Window means of a row-major token grid, gathered one window at a time."""
-    (h, w), (wh, ww) = grid, window
-    cells = [
-        [r * w + c for r in range(i, min(i + wh, h)) for c in range(j, min(j + ww, w))]
-        for i in range(0, h, wh)
-        for j in range(0, w, ww)
-    ]
-    return np.stack([x[cell].mean(axis=0) for cell in cells])
-
-
 def slow_attention(x, p, n_q, n_kv, freqs, coords, eps, kv_pool=None):
     """Per-head loop with explicit softmax; handles grouping by indexing.
 
@@ -136,7 +129,7 @@ def slow_attention(x, p, n_q, n_kv, freqs, coords, eps, kv_pool=None):
     q, k, v = x @ p["wq"], x @ p["wk"], x @ p["wv"]
     coords_k = coords
     if kv_pool is not None:
-        k, v, coords_k = (loop_pool(a, *kv_pool) for a in (k, v, coords))
+        k, v, coords_k = (pool_oracle(a, *kv_pool) for a in (k, v, coords))
     outs = []
     for i in range(n_q):
         j = i // group
@@ -297,7 +290,7 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
         logits = ad.add(logits, np.where(keep, 0.0, -np.inf)[..., None, None, None, :])
-    out = ad.matmul(ad.softmax(logits, axis=-1), v)
+    out = ad.matmul(ad.softmax(logits), v)
     return ad.matmul(dit._merge_heads(out), p["wo"])
 
 

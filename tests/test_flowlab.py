@@ -385,12 +385,12 @@ def test_training_step_tape_size_is_pinned():
     unreached = {name for name, leaf in dit.named_parameters(model) if id(leaf) not in seen}
     assert unreached == {f"blocks.{i}.attn.{n}" for i in (0, 1) for n in ("wq", "wk", "q_gain", "k_gain")}
     assert len(seen) - nodes == 30
-    assert nodes == 96
+    assert nodes == 86
     grads = training.grad(model, loss)
     assert all(not grads[name].any() for name in unreached)
 
 
-@pytest.mark.parametrize("kv_pool,size", [(None, 169), (((4, 4), (2, 2)), 173)], ids=["plain", "pooled"])
+@pytest.mark.parametrize("kv_pool,size", [(None, 159), (((4, 4), (2, 2)), 163)], ids=["plain", "pooled"])
 def test_gqa_image_tape_size_is_pinned(kv_pool, size):
     # a GQA 4/2 image velocity: each kv head is broadcast over its query
     # group, not copied by a tape node; pooling adds two matmuls per block

@@ -171,8 +171,8 @@ def test_in_place_kernels_allocate_little_beyond_their_result(name, shape, bound
     assert peak < bound * nbytes, peak / nbytes
 
 
-def _pool_oracle(x, grid, window):
-    # independent route: explicit window membership, mean per window
+def pool_oracle(x, grid, window):
+    """Window means of a row-major token grid [..., h*w, d], one window at a time."""
     h, w = grid
     wh, ww = window
     x = x.reshape(x.shape[:-2] + (h, w) + x.shape[-1:])
@@ -191,7 +191,7 @@ def test_avg_pool_tokens_matches_loop_oracle(grid, window):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, grid[0] * grid[1], 3))
     pooled, _, _ = cd.pool_kv(x, x, nk.grid_coords(grid), grid, window)
-    assert np.allclose(pooled, _pool_oracle(x, grid, window), atol=1e-14)
+    assert np.allclose(pooled, pool_oracle(x, grid, window), atol=1e-14)
 
 
 def test_avg_pool_tokens_identity_window_copies():

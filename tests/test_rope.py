@@ -114,6 +114,9 @@ def test_freq_matrix_values_and_validation():
             rope.freq_matrix(base, 8, 2)
     with pytest.raises(ValueError, match="divisible"):
         rope.freq_matrix(100.0, 10, 2)
+    for d_head in (0, -4):
+        with pytest.raises(ValueError, match="must be positive"):
+            rope.freq_matrix(100.0, d_head, 2)
     with pytest.raises(ValueError, match="convention"):
         rope.ScaleSpec("interpolate", convention="other")
 

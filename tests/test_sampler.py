@@ -93,7 +93,7 @@ def test_rational_forms_match_closed_expressions():
 
 
 def test_rational_endpoints():
-    for sigma in (0.7, 1.0, 3.0):
+    for sigma in (0.1, 0.3, 0.7, 1.0, 3.0):
         ts = sampler.schedule_points(
             sampler.ScheduleSpec(kind="rational", sigma=sigma, n_steps=7)
         )
@@ -296,7 +296,7 @@ def test_diagnostics_scale_quadratically_on_linear_field():
 @given(
     st.sampled_from(["uniform", "rational", "sigmoid"]),
     st.integers(1, 40),
-    st.floats(0.6, 5.0),
+    st.floats(0.05, 5.0),
     st.floats(0.05, 0.95),
 )
 def test_schedule_grid_properties(kind, n_steps, sigma, mu):
