@@ -6,8 +6,8 @@ success, 2 for configuration errors (bad flags, bad config file, invalid
 parameter combinations, a warp or rope-scaling value that the chosen kind or
 strategy never reads), 1 for runtime failures such as divergent training.
 
---config FILE loads a JSON object of flag defaults (keys are flag dests);
-explicit command-line flags win over the file, the file wins over built-ins.
+--config FILE reads a JSON object keyed by flag dests; each value (a string or a
+number) parses as a --flag=value token ahead of the typed flags, which still win.
 """
 
 from __future__ import annotations
@@ -24,17 +24,12 @@ from . import dit, flowlab, partitioner, rope, sampler
 _CONFIG_ERRORS = (ValueError, KeyError, TypeError, FileNotFoundError, NotADirectoryError)
 
 
-def _floats(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        return tuple(float(p) for p in value.split(",") if p != "")
-    return tuple(float(x) for x in np.atleast_1d(value))
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in value.split(",") if p != "")
 
 
-def _size(value) -> tuple[int, int]:
-    if isinstance(value, str):
-        parts = value.lower().split("x")
-    else:
-        parts = list(np.atleast_1d(value))
+def _size(value: str) -> tuple[int, int]:
+    parts = value.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"expected HxW, got {value!r}")
     return int(parts[0]), int(parts[1])
@@ -60,6 +55,8 @@ def write_pgm(path, image: np.ndarray) -> None:
 def render_density(points: np.ndarray, bins: int = 64, extent: float = 6.0) -> np.ndarray:
     """2-d histogram as a uint8 image (bright = dense), north = +y."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"density image needs [n, 2] points, got shape {pts.shape}")
     edges = np.linspace(-extent, extent, bins + 1)
     counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
     img = counts.T[::-1]
@@ -70,7 +67,7 @@ def render_density(points: np.ndarray, bins: int = 64, extent: float = 6.0) -> n
 
 
 def _reject_unread(args, flags: dict[str, str], read, chosen: str) -> None:
-    """Exit 2 on a flag (or config key) whose field the chosen kind or
+    """Exit 2 on a flag whose field the chosen kind or
     strategy never reads; flags maps each flag dest to its spec field."""
     unread = [f"--{flag}" for flag, field in flags.items() if getattr(args, flag) is not None and field not in read]
     if unread:
@@ -111,6 +108,8 @@ def _gaussian_spec(args) -> flowlab.GaussianFlowSpec:
 
 def _cmd_sample(args) -> None:
     spec = _gaussian_spec(args)
+    if args.pgm and len(spec.mean) != 2:
+        raise ValueError(f"--pgm draws 2-d points; --mean has {len(spec.mean)} coordinates")
     v = flowlab.velocity(spec)
     x0 = flowlab.source_sample(spec, args.n, seed=args.seed)
     x1 = sampler.sample_flow(v, x0, _schedule_spec(args), solver=args.solver)
@@ -132,10 +131,7 @@ def _cmd_diagnose(args) -> None:
     x0 = flowlab.source_sample(spec, args.n, seed=args.seed)
     taus, kappas = sampler.error_profiles(v, x0, args.anchors, args.substeps)
     ts = np.arange(args.anchors + 1) / args.anchors
-    rows = []
-    for i in range(args.anchors):
-        kappa = repr(float(kappas[i - 1])) if 1 <= i < args.anchors else ""
-        rows.append((i, ts[i], taus[i], kappa))
+    rows = [(i, ts[i], taus[i], repr(float(kappas[i - 1])) if i else "") for i in range(args.anchors)]
     _write_csv(args.out, ["i", "t", "tau", "kappa"], rows)
     print(
         f"diagnose: {args.anchors} anchors, peak tau {taus.max():.4g} "
@@ -150,9 +146,7 @@ _SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t"
 
 def _cmd_rope_scan(args) -> None:
     base = rope.freq_matrix(args.base, args.d_head, args.axes)
-    chosen = args.strategy
-    if isinstance(chosen, str):
-        chosen = [s.strip() for s in chosen.split(",")]
+    chosen = [s.strip() for s in args.strategy.split(",")]
     strategies = list(rope.STRATEGIES) if "all" in chosen else chosen
     fields = {
         field: default if getattr(args, flag) is None else getattr(args, flag)
@@ -218,7 +212,7 @@ def _cmd_probe(args) -> None:
 
 def _cmd_train(args) -> None:
     data = flowlab.toy_dataset(args.dataset, args.train_points, seed=args.data_seed)
-    config = flowlab.point_model_config(args.d_model, args.layers, args.heads)
+    config = flowlab.point_model_config(args.d_model, args.layers)
     model = dit.init_model(config, seed=args.seed)
     train_config = flowlab.TrainConfig(
         steps=args.steps,
@@ -269,7 +263,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def sub(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="JSON file of flag defaults")
+        p.add_argument("--config", default=None, help="JSON object of flag values, parsed ahead of the command line")
         p.set_defaults(func=func)
         by_name[name] = p
         return p
@@ -343,7 +337,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--optimizer", default="adam", choices=flowlab.training.OPTIMIZERS)
     p.add_argument("--d-model", type=int, default=32, dest="d_model")
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True, dest="out_dir")
 
@@ -361,28 +354,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, by_name
 
 
-def _apply_config(subparser: argparse.ArgumentParser, path: str) -> None:
+def _config_argv(subparser: argparse.ArgumentParser, path: str) -> list[str]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    dests = {a.dest for a in subparser._actions}
-    unknown = sorted(set(data) - dests)
+    flags = {a.dest: a.option_strings[-1] for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(data) - set(flags))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
-    subparser.set_defaults(**data)
+    for key, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{path}: config key {key!r} must be a string or a number, got {json.dumps(value)}")
+    return [f"{flags[key]}={value}" for key, value in data.items()]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
-    command = next((a for a in argv if not a.startswith("-")), None)
+    command = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
     try:
-        if command in by_name:
+        if command is not None and argv[command] in by_name:
             pre = argparse.ArgumentParser(add_help=False)
             pre.add_argument("--config", default=None)
             known, _ = pre.parse_known_args(argv)
             if known.config:
-                _apply_config(by_name[command], known.config)
+                argv[command + 1:command + 1] = _config_argv(by_name[argv[command]], known.config)
         args = parser.parse_args(argv)
         args.func(args)
         return 0

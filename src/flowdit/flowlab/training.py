@@ -13,6 +13,7 @@ into the caller's dict.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
 
 
-def point_model_config(d_model: int = 32, n_layers: int = 2, n_heads: int = 4) -> dit.ModelConfig:
+def point_model_config(d_model: int = 32, n_layers: int = 2) -> dit.ModelConfig:
     """Model that treats a 2-d point as a 1x1 two-channel image (one token)."""
+    n_heads = math.gcd(4, d_model // 4)  # unread by one-token attention; keeps d_head a multiple of 2*axes = 4
     return dit.ModelConfig(
         d_model=d_model,
         n_layers=n_layers,

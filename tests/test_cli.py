@@ -113,6 +113,55 @@ def test_config_file_must_exist(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["schedule"], {"steps": 4.5}, "argument --steps: invalid int value: '4.5'"),
+        (["sample", "--n", "8"], {"steps": 4.5}, "argument --steps: invalid int value: '4.5'"),
+        (["sample", "--n", "8", "--steps", "2"], {"solver": "rk5"}, "argument --solver: invalid choice: 'rk5'"),
+    ],
+    ids=["schedule_float_steps", "sample_float_steps", "sample_solver_choice"],
+)
+def test_config_values_pass_the_flag_checks(tmp_path, capsys, monkeypatch, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", "cfg.json", "--out", "out.csv"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_value_satisfies_a_required_flag(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "s.csv", "steps": 3}))
+    assert cli.main(["schedule", "--config", "cfg.json"]) == 0
+    _, rows = read_csv(tmp_path / "s.csv")
+    assert len(rows) == 4
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", True), ("out", None), ("mean", [2, 2]), ("seed", {"a": 1})],
+    ids=["bool", "null", "list", "object"],
+)
+def test_config_values_that_are_not_strings_or_numbers_exit_two(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    assert cli.main(["sample", "--n", "8", "--steps", "2", "--config", "cfg.json", "--out", "out.csv"]) == 2
+    assert f"config key '{key}' must be a string or a number" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_negative_config_value_parses_like_the_flag(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"mean": "-2,2"}))
+    args = ["sample", "--n", "64", "--steps", "4"]
+    assert cli.main(args + ["--config", "cfg.json", "--out", "a.csv"]) == 0
+    assert cli.main(args + ["--mean=-2,2", "--out", "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_sample_is_byte_reproducible(tmp_path):
     args = ["sample", "--n", "256", "--steps", "8", "--seed", "3"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -130,6 +179,20 @@ def test_sample_pgm_layout(tmp_path):
     blob = pgm.read_bytes()
     assert blob.startswith(b"P5\n64 64\n255\n")
     assert len(blob) == len(b"P5\n64 64\n255\n") + 64 * 64
+
+
+@pytest.mark.parametrize("mean", ["2", "1,2,3"])
+def test_sample_pgm_needs_a_two_d_mean(tmp_path, capsys, monkeypatch, mean):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample", "--mean", mean, "--n", "8", "--steps", "2", "--out", "a.csv", "--pgm", "a.pgm"]) == 2
+    assert f"--pgm draws 2-d points; --mean has {len(mean.split(','))} coordinates" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3)])
+def test_render_density_needs_two_d_points(shape):
+    with pytest.raises(ValueError, match=r"needs \[n, 2\] points"):
+        cli.render_density(np.zeros(shape))
 
 
 def test_write_pgm_validation(tmp_path):
@@ -207,7 +270,7 @@ def test_rope_scan_single_strategy(tmp_path):
 def test_flags_the_chosen_kind_or_strategy_ignores_exit_two(tmp_path, capsys, monkeypatch, argv, config, flag):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "gen":
-        dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0))
+        dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1), seed=0))
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", "cfg.json"]
@@ -252,7 +315,7 @@ def test_train_then_gen_round_trip(tmp_path, capsys):
     run = tmp_path / "run"
     rc = cli.main([
         "train", "--steps", "5", "--batch", "8", "--train-points", "64",
-        "--d-model", "16", "--layers", "1", "--heads", "2", "--out-dir", str(run),
+        "--d-model", "16", "--layers", "1", "--out-dir", str(run),
     ])
     assert rc == 0
     assert (run / "model" / "manifest.json").exists()
@@ -312,7 +375,7 @@ def test_gen_missing_checkpoint_returns_two(tmp_path):
 
 
 def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
-    model = dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(flowlab.point_model_config(16, 1), seed=0)
     dit.save_model(tmp_path / "ckpt", model)
     nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.full_like(model.params["w_embed"], np.inf))
     rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
@@ -336,7 +399,7 @@ def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, c
 
 
 def test_gen_rejects_truncated_tensor_header(tmp_path, capsys):
-    model = dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(flowlab.point_model_config(16, 1), seed=0)
     dit.save_model(tmp_path / "ckpt", model)
     path = tmp_path / "ckpt" / "blocks.0.attn.wk.nkt"
     path.write_bytes(path.read_bytes()[:5])
@@ -364,7 +427,7 @@ def test_gen_rejects_truncated_tensor_header(tmp_path, capsys):
 )
 def test_sample_counts_below_one_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, config, count):
     monkeypatch.chdir(tmp_path)
-    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1, 2), seed=0))
+    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1), seed=0))
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", "cfg.json"]
@@ -436,10 +499,24 @@ def test_train_with_a_non_finite_learning_rate_exits_two_before_training(tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_with_zero_heads_exits_two_before_training(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "d_model,message",
+    [("0", "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
+     ("6", "head dim 6 not divisible by 2*axes=4")],
+    ids=["zero", "not_a_multiple_of_four"],
+)
+def test_train_with_an_unusable_d_model_exits_two_before_training(tmp_path, capsys, d_model, message):
     argv = ["train", "--steps", "2", "--batch", "8", "--train-points", "64", "--out-dir", str(tmp_path / "run")]
-    assert cli.main(argv + ["--heads", "0"]) == 2
-    assert "n_q_heads, n_kv_heads, and axes must be positive" in capsys.readouterr().err
+    assert cli.main(argv + ["--d-model", d_model]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_has_no_heads_flag(tmp_path):
+    # one-token attention never reads the head count, so there is nothing to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--heads", "2", "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -218,7 +218,7 @@ def test_train_config_validation():
 
 
 def test_point_model_treats_points_as_one_token():
-    config = training.point_model_config(16, 1, 2)
+    config = training.point_model_config(16, 1)
     assert config.token_dim == 2
     model = dit.init_model(config, seed=0)
     pts = np.random.default_rng(12).standard_normal((5, 2))
@@ -226,7 +226,7 @@ def test_point_model_treats_points_as_one_token():
 
 
 def test_cfm_loss_fresh_model_equals_target_norm():
-    config = training.point_model_config(16, 1, 2)
+    config = training.point_model_config(16, 1)
     model = dit.init_model(config, seed=0)
     rng = np.random.default_rng(13)
     x1 = rng.standard_normal((32, 2))
@@ -239,7 +239,7 @@ def test_cfm_loss_fresh_model_equals_target_norm():
 
 
 def test_wrap_parameters_is_a_deep_var_copy():
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     keep = model.params["w_embed"].copy()
     wrapped = training.wrap_parameters(model)
     assert all(isinstance(leaf, ad.Var) for _, leaf in dit.named_parameters(wrapped))
@@ -249,7 +249,7 @@ def test_wrap_parameters_is_a_deep_var_copy():
 
 
 def test_grad_requires_taped_loss_and_wrapped_model():
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     wrapped = training.wrap_parameters(model)
     rng = np.random.default_rng(14)
     x1 = rng.standard_normal((8, 2))
@@ -266,7 +266,7 @@ def test_grad_requires_taped_loss_and_wrapped_model():
 
 
 def test_grad_spot_checked_against_finite_differences():
-    config = training.point_model_config(16, 1, 2)
+    config = training.point_model_config(16, 1)
     model = dit.init_model(config, seed=0, weight_std=0.2)
     # zero-initialised leaves block gradient flow; give them signal
     rng = np.random.default_rng(15)
@@ -288,7 +288,7 @@ def test_grad_spot_checked_against_finite_differences():
 
 
 def test_finite_difference_grad_restores_on_error():
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     keep = model.params["w_embed"].copy()
 
     def explode(_):
@@ -300,7 +300,7 @@ def test_finite_difference_grad_restores_on_error():
 
 
 def test_train_rejects_bad_data():
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     with pytest.raises(ValueError, match="training points"):
         training.train(model, np.zeros((4, 3)), training.TrainConfig(steps=1, batch_size=2))
 
@@ -310,7 +310,7 @@ def test_train_reduces_loss_and_is_reproducible():
     config = training.TrainConfig(steps=30, batch_size=32, seed=0)
 
     def run():
-        model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+        model = dit.init_model(training.point_model_config(16, 1), seed=0)
         losses = training.train(model, data, config)
         return model, losses
 
@@ -330,7 +330,7 @@ def test_train_reduces_loss_and_is_reproducible():
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_train_raises_on_divergence():
     data = datasets.toy_dataset("eight_gaussians", 128, seed=0)
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     config = training.TrainConfig(steps=50, batch_size=16, lr=1e8, optimizer="sgd")
     with pytest.raises(training.DivergenceError, match="loss became"):
         training.train(model, data, config)
@@ -338,7 +338,7 @@ def test_train_raises_on_divergence():
 
 def test_train_raises_on_non_finite_gradient(monkeypatch):
     data = datasets.toy_dataset("eight_gaussians", 128, seed=0)
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     keep = model.params["w_out"].copy()
     real_grad = training.grad
     calls = []
@@ -403,7 +403,7 @@ def test_gqa_image_tape_size_is_pinned(kv_pool, size):
 
 
 def test_generate_fresh_model_returns_its_noise():
-    model = dit.init_model(training.point_model_config(16, 1, 2), seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
     out = training.generate(model, 64, sampler.ScheduleSpec(n_steps=4), seed=21)
     assert np.array_equal(out, np.random.default_rng(21).standard_normal((64, 2)))
     again = training.generate(model, 64, sampler.ScheduleSpec(n_steps=4), seed=21)
