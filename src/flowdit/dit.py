@@ -5,8 +5,10 @@ the post-branch RMS norm pins every residual contribution to unit scale
 before its gate, and all shift/scale/gate modulation comes from a
 zero-initialised projection of the conditioning vector, so a fresh block
 is exactly the identity map. Attention is grouped-query with per-head
-QK RMS normalisation and multi-axis rotary phases on the patch grid;
-there are no long skip connections between distant layers.
+QK RMS normalisation and rotary phases on each token's (row, col) grid
+position; there are no long skip connections between distant layers.
+Next-DiT fixes the design values, so no config sets them: ROPE_AXES = 2,
+ROPE_BASE = 10000 (RoFormer's), MLP_RATIO = 4 and RMS-norm EPS = 1e-6.
 
 Two modes share the trunk: `generative` predicts per-patch velocities
 through a zero-initialised output head (a fresh model outputs exactly 0);
@@ -37,6 +39,9 @@ from . import rope
 
 MODES = ("generative", "recognition")
 BLOCK_STYLES = ("sandwich", "prenorm")
+ROPE_AXES, ROPE_BASE, MLP_RATIO, EPS = 2, 10000.0, 4, 1e-6
+# checkpoints name the fixed values under the config keys older flowdit versions read
+FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": EPS}
 
 
 @dataclass(frozen=True)
@@ -47,14 +52,10 @@ class ModelConfig:
     n_kv_heads: int = 4
     patch: int = 2
     in_channels: int = 2
-    axes: int = 2
-    rope_base: float = 10000.0
-    mlp_ratio: int = 4
     time_dim: int = 64
     n_classes: int = 0
     mode: str = "generative"
     block_style: str = "sandwich"
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -63,22 +64,18 @@ class ModelConfig:
             raise ValueError(f"unknown block style {self.block_style!r}")
         if self.n_layers < 1:
             raise ValueError(f"need at least one layer, got {self.n_layers}")
-        if min(self.d_model, self.n_q_heads, self.n_kv_heads, self.axes) < 1:
-            raise ValueError("d_model, n_q_heads, n_kv_heads, and axes must be positive")
+        if min(self.d_model, self.n_q_heads, self.n_kv_heads, self.patch, self.in_channels) < 1:
+            raise ValueError("d_model, n_q_heads, n_kv_heads, patch, and in_channels must be positive")
         if self.d_model % self.n_q_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by {self.n_q_heads} query heads")
         if self.n_q_heads % self.n_kv_heads != 0:
             raise ValueError(f"{self.n_q_heads} query heads not divisible by {self.n_kv_heads} kv heads")
-        if self.d_head % (2 * self.axes) != 0:
-            raise ValueError(f"head dim {self.d_head} not divisible by 2*axes={2 * self.axes}")
+        if self.d_head % (2 * ROPE_AXES) != 0:
+            raise ValueError(f"head dim {self.d_head} not divisible by {2 * ROPE_AXES} ({ROPE_AXES} rotary axes)")
         if self.time_dim % 2 != 0 or self.time_dim < 2:
             raise ValueError(f"time_dim must be a positive even number, got {self.time_dim}")
         if self.mode == "recognition" and self.n_classes < 1:
             raise ValueError("recognition mode needs n_classes >= 1")
-        if min(self.patch, self.in_channels, self.mlp_ratio) < 1:
-            raise ValueError("patch, in_channels, and mlp_ratio must be positive")
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
     @property
     def d_head(self) -> int:
@@ -137,8 +134,10 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
     zeroed modulation and output head."""
     if not np.isfinite(weight_std):
         raise ValueError(f"weight_std must be finite, got {weight_std}")
+    if weight_std < 0:
+        raise ValueError(f"weight_std must be nonnegative, got {weight_std}")
     rng = np.random.default_rng(seed)
-    d, hidden = config.d_model, config.mlp_ratio * config.d_model
+    d, hidden = config.d_model, MLP_RATIO * config.d_model
     generative = config.mode == "generative"
 
     def normal(*shape):
@@ -195,12 +194,12 @@ def prefixed(params: dict, prefix: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _cached_freqs(base: float, d_head: int, axes: int) -> rope.RopeFreqs:
-    return rope.freq_matrix(base, d_head, axes)
+def _cached_freqs(d_head: int) -> rope.RopeFreqs:
+    return rope.freq_matrix(ROPE_BASE, d_head, ROPE_AXES)
 
 
 def model_freqs(config: ModelConfig) -> rope.RopeFreqs:
-    return _cached_freqs(config.rope_base, config.d_head, config.axes)
+    return _cached_freqs(config.d_head)
 
 
 def _split_heads(x, d_head: int, group: int = 1):
@@ -219,7 +218,7 @@ def _merge_heads(x):
     return ad.reshape(x, (*lead, n, h * group * dh))
 
 
-def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_pool=None, eps: float = 1e-6):
+def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_pool=None):
     """Grouped-query attention with QK RMS norm and rotary phases.
 
     params holds wq [d_model, h_q*d_head], wk and wv [d_model, h_kv*d_head],
@@ -266,8 +265,8 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     q = _split_heads(q, d_head, group)
     k = _split_heads(k, d_head)
     v = _split_heads(v, d_head)
-    q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)), eps)
-    k = ad.rms_norm(k, params["k_gain"], eps)
+    q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)), EPS)
+    k = ad.rms_norm(k, params["k_gain"], EPS)
     logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
     if bias is not None:
         logits = ad.add(logits, bias)
@@ -303,20 +302,20 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     else:
         gate_a, gate_m = block["gates"][0:1], block["gates"][1:2]
 
-    h = ad.rms_norm(x, block["pre_attn_gain"], config.eps)
+    h = ad.rms_norm(x, block["pre_attn_gain"], EPS)
     if mod is not None:
         h = ad.add(ad.mul(h, ad.add(scale_a, 1.0)), shift_a)
-    h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool, eps=config.eps)
+    h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool)
     if sandwich:
-        h = ad.rms_norm(h, block["post_attn_gain"], config.eps)
+        h = ad.rms_norm(h, block["post_attn_gain"], EPS)
     x = ad.add(x, ad.mul(ad.tanh(gate_a), h))
 
-    h = ad.rms_norm(x, block["pre_mlp_gain"], config.eps)
+    h = ad.rms_norm(x, block["pre_mlp_gain"], EPS)
     if mod is not None:
         h = ad.add(ad.mul(h, ad.add(scale_m, 1.0)), shift_m)
     h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
     if sandwich:
-        h = ad.rms_norm(h, block["post_mlp_gain"], config.eps)
+        h = ad.rms_norm(h, block["post_mlp_gain"], EPS)
     return ad.add(x, ad.mul(ad.tanh(gate_m), h))
 
 
@@ -483,7 +482,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
 
     def head_input(tokens):
         h = _trunk(model, tokens, mods, coords, kv_pool=kv_pool, capture=capture)
-        return ad.mul(ad.rms_norm(h, np.asarray(1.0), config.eps), scale)
+        return ad.mul(ad.rms_norm(h, np.asarray(1.0), EPS), scale)
 
     # the tape is single-threaded, and parts share mods and scale, which must be one broadcast row
     untracked = not any(isinstance(v, ad.Var) for v in (x_t, *p.values()))
@@ -502,7 +501,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
 def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     """Class logits from a masked mean of the final token states.
 
-    tokens [B, n, token_dim], coords [n, axes], mask [B, n] with True for a
+    tokens [B, n, token_dim], coords [n, 2], mask [B, n] with True for a
     real token; the result is [B, n_classes].
     With all gates at zero initialisation the trunk is the identity, so
     logits equal head(mean of embedded tokens) exactly.
@@ -581,7 +580,7 @@ def save_model(dirpath, model: ModelParams) -> None:
             nk.save_tensor(staged / f"{name}.nkt", np.asarray(ad.val(leaf), dtype=np.float64))
         manifest = {
             "format": CHECKPOINT_FORMAT,
-            "config": dataclasses.asdict(model.config),
+            "config": {**dataclasses.asdict(model.config), **FIXED_MANIFEST_CONFIG},
             "tensors": list(model.params),
         }
         (staged / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -600,7 +599,11 @@ def load_model(dirpath) -> ModelParams:
     manifest = json.loads((dirpath / "manifest.json").read_text())
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{dirpath}: unknown checkpoint format {manifest.get('format')!r}")
-    config = ModelConfig(**manifest["config"])
+    config = dict(manifest["config"])
+    for key, fixed in FIXED_MANIFEST_CONFIG.items():
+        if (value := config.pop(key, fixed)) != fixed:
+            raise ValueError(f"{dirpath}: config {key} is {value!r}; flowdit fixes it at {fixed!r}")
+    config = ModelConfig(**config)
     model = init_model(config, seed=0)
     if set(model.params) != set(manifest["tensors"]):
         raise ValueError(f"{dirpath}: tensor manifest does not match the architecture")

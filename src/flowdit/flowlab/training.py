@@ -48,7 +48,9 @@ class TrainConfig:
 
 def point_model_config(d_model: int = 32, n_layers: int = 2) -> dit.ModelConfig:
     """Model that treats a 2-d point as a 1x1 two-channel image (one token)."""
-    n_heads = math.gcd(4, d_model // 4)  # unread by one-token attention; keeps d_head a multiple of 2*axes = 4
+    if d_model < 1 or d_model % 4:
+        raise ValueError(f"d_model must be a positive multiple of 4, got {d_model}")
+    n_heads = math.gcd(4, d_model // 4)  # unread by one-token attention; keeps d_head a multiple of 4 (two rotary axes)
     return dit.ModelConfig(
         d_model=d_model,
         n_layers=n_layers,
@@ -56,7 +58,6 @@ def point_model_config(d_model: int = 32, n_layers: int = 2) -> dit.ModelConfig:
         n_kv_heads=n_heads,
         patch=1,
         in_channels=2,
-        axes=2,
     )
 
 

@@ -383,6 +383,22 @@ def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert "w_embed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value", [("axes", 3), ("rope_base", float("nan")), ("mlp_ratio", 2), ("eps", 1e-5)],
+    ids=["axes", "rope_base", "mlp_ratio", "eps"],
+)
+def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1), seed=0))
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    manifest["config"][key] = value
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["gen", "--model", "ckpt", "--n", "8", "--steps", "2", "--out", "g.csv", "--pgm", "g.pgm"]) == 2
+    assert f"config {key} is {value!r}; flowdit fixes it at" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward pass overflows on the way
 def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, capsys):
     # every entry is finite, so load_model accepts the copy, yet the samples
@@ -467,10 +483,11 @@ _PROBE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-h
         (_PROBE + ["--timesteps", "nan,0.5"], "timesteps must lie in [0, 1], got nan"),
         (_PROBE + ["--timesteps", "2.0"], "timesteps must lie in [0, 1], got 2.0"),
         (_PROBE + ["--weight-std", "nan"], "weight_std must be finite, got nan"),
+        (_PROBE + ["--weight-std", "-0.02"], "weight_std must be nonnegative, got -0.02"),
         (_PROBE + ["--gate", "nan"], "--gate must be finite, got nan"),
-        (_PROBE + ["--q-heads", "0"], "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
-        (_PROBE + ["--kv-heads", "0"], "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
-        (_PROBE + ["--d-model", "0"], "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
+        (_PROBE + ["--q-heads", "0"], "d_model, n_q_heads, n_kv_heads, patch, and in_channels must be positive"),
+        (_PROBE + ["--kv-heads", "0"], "d_model, n_q_heads, n_kv_heads, patch, and in_channels must be positive"),
+        (_PROBE + ["--d-model", "0"], "d_model, n_q_heads, n_kv_heads, patch, and in_channels must be positive"),
         (["rope-scan", "--dhead", "0", "--strategy", "interpolate"], "d_head=0 must be positive and divisible by 2*axes=6"),
         (["rope-scan", "--base", "nan"], "rotary base must be finite and exceed 1, got nan"),
         (["rope-scan", "--scale", "nan"], "scale factor must be finite and >= 1, got nan"),
@@ -480,7 +497,8 @@ _PROBE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-h
         (["partition", "--height", "64", "--width", "64", "--max-aspect", "nan"], "aspect bound must be >= 1, got nan"),
     ],
     ids=["sample_std_nan", "sample_std_inf", "sample_mean_nan", "diagnose_mean_inf", "probe_t_nan", "probe_t_above_one",
-         "probe_weight_std_nan", "probe_gate_nan", "probe_q_heads_zero", "probe_kv_heads_zero", "probe_d_model_zero",
+         "probe_weight_std_nan", "probe_weight_std_negative", "probe_gate_nan", "probe_q_heads_zero",
+         "probe_kv_heads_zero", "probe_d_model_zero",
          "rope_dhead_zero", "rope_base_nan", "rope_scale_nan", "rope_scale_inf",
          "rope_extent_nan", "rope_extent_inf", "partition_max_aspect_nan"],
 )
@@ -501,8 +519,8 @@ def test_train_with_a_non_finite_learning_rate_exits_two_before_training(tmp_pat
 
 @pytest.mark.parametrize(
     "d_model,message",
-    [("0", "d_model, n_q_heads, n_kv_heads, and axes must be positive"),
-     ("6", "head dim 6 not divisible by 2*axes=4")],
+    [("0", "d_model must be a positive multiple of 4, got 0"),
+     ("6", "d_model must be a positive multiple of 4, got 6")],
     ids=["zero", "not_a_multiple_of_four"],
 )
 def test_train_with_an_unusable_d_model_exits_two_before_training(tmp_path, capsys, d_model, message):

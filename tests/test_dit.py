@@ -4,6 +4,7 @@ and checkpoint round-trips."""
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from test_numkernel import pool_oracle
 
 def small_config(**overrides):
     kw = dict(d_model=16, n_layers=2, n_q_heads=2, n_kv_heads=2, patch=2,
-              in_channels=2, axes=2, time_dim=8)
+              in_channels=2, time_dim=8)
     kw.update(overrides)
     return dit.ModelConfig(**kw)
 
@@ -40,23 +41,30 @@ def test_config_validation_messages():
         small_config(block_style="postnorm")
     with pytest.raises(ValueError, match="layer"):
         small_config(n_layers=0)
-    for zero in ("d_model", "n_q_heads", "n_kv_heads", "axes"):
+    for zero in ("d_model", "n_q_heads", "n_kv_heads"):
         with pytest.raises(ValueError, match="must be positive"):
             small_config(**{zero: 0})
     with pytest.raises(ValueError, match="query heads"):
         small_config(d_model=18, n_q_heads=4)
     with pytest.raises(ValueError, match="kv heads"):
         small_config(n_q_heads=2, n_kv_heads=3)
-    with pytest.raises(ValueError, match="2\\*axes"):
-        small_config(axes=3)
+    with pytest.raises(ValueError, match="head dim 6 not divisible by 4"):
+        small_config(d_model=12, n_q_heads=2)
     with pytest.raises(ValueError, match="time_dim"):
         small_config(time_dim=7)
     with pytest.raises(ValueError, match="n_classes"):
         small_config(mode="recognition", n_classes=0)
     with pytest.raises(ValueError, match="positive"):
         small_config(patch=0)
-    with pytest.raises(ValueError, match="eps must be nonnegative"):
-        small_config(eps=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("axes", 2), ("rope_base", 10000.0), ("mlp_ratio", 4), ("eps", -1.0)],
+    ids=["axes", "rope_base", "mlp_ratio", "eps"],
+)
+def test_fixed_architecture_values_are_not_config_fields(field, value):
+    with pytest.raises(TypeError, match=field):
+        dit.ModelConfig(**{field: value})
 
 
 def test_config_derived_sizes():
@@ -276,7 +284,7 @@ def test_attention_is_translation_invariant(n_q, n_kv, extra):
         assert np.max(np.abs(moved - base)) <= 1e-12, shift
 
 
-def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
+def general_attention(x, p, freqs, coords, mask=None, kv_pool=None):
     """gqa_attention's general expression, with no one-token shortcut."""
     d_head = ad.val(p["q_gain"]).shape[-1]
     group = ad.val(p["wq"]).shape[-1] // ad.val(p["wk"]).shape[-1]
@@ -285,7 +293,7 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None, eps=1e-6):
     if kv_pool is not None:
         k, v, coords_k = cd.pool_kv(k, v, coords, *kv_pool)
     q, k, v = dit._split_heads(q, d_head, group), dit._split_heads(k, d_head), dit._split_heads(v, d_head)
-    q, k = ad.rms_norm(q, p["q_gain"], eps), ad.rms_norm(k, p["k_gain"], eps)
+    q, k = ad.rms_norm(q, p["q_gain"], dit.EPS), ad.rms_norm(k, p["k_gain"], dit.EPS)
     logits = ad.mul(rope.rope_attention_logits(q, k, coords, coords_k, freqs), 1.0 / np.sqrt(d_head))
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
@@ -641,13 +649,42 @@ def test_checkpoint_rejects_manifest_mismatch(tmp_path):
         dit.load_model(tmp_path / "ckpt")
 
 
-def test_checkpoint_rejects_negative_eps(tmp_path):
-    # a manifest comes from outside the program; its config gets the same checks
+def test_saved_manifest_config_keeps_the_fixed_values(tmp_path):
+    # older flowdit versions read axes, rope_base, mlp_ratio and eps as config fields
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
+    want = json.loads((committed / "manifest.json").read_text())["config"]
+    fixed = {"axes": 2, "rope_base": 10000.0, "mlp_ratio": 4, "eps": 1e-6}
+    assert {key: want[key] for key in fixed} == fixed
+    assert dit.load_model(committed).config == flowlab.point_model_config()
+    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(), seed=0))
+    assert json.loads((tmp_path / "ckpt" / "manifest.json").read_text())["config"] == want
+
+
+def test_checkpoint_without_the_fixed_values_loads(tmp_path):
+    model = randomized(dit.init_model(small_config(), seed=0), seed=2)
+    dit.save_model(tmp_path / "ckpt", model)
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    for key in ("axes", "rope_base", "mlp_ratio", "eps"):
+        del manifest["config"][key]
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    loaded = dit.load_model(tmp_path / "ckpt")
+    assert loaded.config == model.config
+    for (name, a), (_, b) in zip(dit.named_parameters(model), dit.named_parameters(loaded)):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("axes", 3), ("rope_base", float("nan")), ("mlp_ratio", 2), ("eps", 1e-5), ("eps", -1e-3)],
+    ids=["axes", "rope_base", "mlp_ratio", "eps", "eps_negative"],
+)
+def test_checkpoint_rejects_other_fixed_values(tmp_path, key, value):
+    # a manifest comes from outside the program; it may name a fixed value only at that value
     dit.save_model(tmp_path / "ckpt", dit.init_model(small_config(), seed=0))
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    manifest["config"]["eps"] = -1e-3
+    manifest["config"][key] = value
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="eps must be nonnegative"):
+    with pytest.raises(ValueError, match=re.escape(f"config {key} is {value!r}; flowdit fixes it at")):
         dit.load_model(tmp_path / "ckpt")
 
 

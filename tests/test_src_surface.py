@@ -7,13 +7,19 @@ an `__init__`) does not count as a mention: it publishes a name without
 calling it, and counting it let test-only code hide behind the package API."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from flowdit import dit
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flowdit"
 
 # the reproduced paper's API, kept on purpose although only tests call it
 PAPER_API = {"cfg_velocity", "scaled_fourier_features", "pad_batch", "recognition_forward"}
+# ModelConfig fields that only tests set: they shrink time_dim to 8 or 16, and
+# n_classes and mode select the paper API above
+CONFIG_FIELDS_SET_IN_TESTS = {"time_dim", "n_classes", "mode"}
 
 
 def public_definitions(tree):
@@ -51,3 +57,20 @@ def test_every_public_src_function_has_a_non_test_caller():
     assert [where for where, name in unmentioned.items() if name not in PAPER_API] == []
     # each kept paper name is still defined and still found, so the scan is not vacuous
     assert sorted(unmentioned.values()) == sorted(PAPER_API)
+
+
+def test_every_model_config_field_is_set_outside_the_tests():
+    # a field that no src/ or perfbench/ ModelConfig(...) call sets is a fixed value, not a setting
+    paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    keywords = {
+        keyword.arg
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "ModelConfig" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for keyword in node.keywords
+    }
+    fields = {field.name for field in dataclasses.fields(dit.ModelConfig)}
+    assert sorted(fields - keywords - CONFIG_FIELDS_SET_IN_TESTS) == []
+    # each exception is still a field that nothing outside the tests sets, so the set does not go stale
+    assert CONFIG_FIELDS_SET_IN_TESTS <= fields - keywords
