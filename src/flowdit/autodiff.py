@@ -255,17 +255,17 @@ def softmax(a):
     return _node(out, (a,), vjp)
 
 
-def rms_norm(a, gain, eps: float = 1e-6):
+def rms_norm(a, gain):
     """Differentiable twin of numkernel.rms_norm (same expression order), one tape node.
 
-    With n = a * inv and inv = (mean(a^2) + eps)^-1/2, the cotangent of
+    With n = a * inv and inv = (mean(a^2) + EPS)^-1/2, the cotangent of
     a is inv * (u - n * mean(u * n)) for u = g * gain, and that of gain is
     sum(g * n) over the broadcast axes (Zhang & Sennrich 2019).
     """
     av, gv = val(a), val(gain)
     if not _tracked(a, gain):
-        return numkernel.rms_norm(av, gv, eps)
-    inv = numkernel._rms_inverse(av, eps)
+        return numkernel.rms_norm(av, gv)
+    inv = numkernel._rms_inverse(av)
     n = av * inv
     out = n * gv
 

@@ -22,6 +22,8 @@ import numpy as np
 from . import dit, flowlab, partitioner, rope, sampler
 
 _CONFIG_ERRORS = (ValueError, KeyError, TypeError, FileNotFoundError, NotADirectoryError)
+# density images: a bins x bins histogram of [-extent, extent]^2
+_DENSITY_BINS, _DENSITY_EXTENT = 64, 6.0
 
 
 def _floats(value: str) -> tuple[float, ...]:
@@ -52,12 +54,12 @@ def write_pgm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(header + img.tobytes())
 
 
-def render_density(points: np.ndarray, bins: int = 64, extent: float = 6.0) -> np.ndarray:
+def render_density(points: np.ndarray) -> np.ndarray:
     """2-d histogram as a uint8 image (bright = dense), north = +y."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"density image needs [n, 2] points, got shape {pts.shape}")
-    edges = np.linspace(-extent, extent, bins + 1)
+    edges = np.linspace(-_DENSITY_EXTENT, _DENSITY_EXTENT, _DENSITY_BINS + 1)
     counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
     img = counts.T[::-1]
     top = img.max()

@@ -63,5 +63,5 @@ def pool_kv(k, v, coords, grid: tuple[int, int], window: tuple[int, int]):
         raise ValueError(f"got {n} tokens for grid {grid}")
     if tuple(window) == (1, 1):
         return k, v, coords
-    pool = nk.pool_matrix(grid, window, dtype=ad.val(k).dtype)
+    pool = nk.pool_matrix(grid, window)
     return ad.matmul(pool, k), ad.matmul(pool, v), nk.matmul(pool, np.asarray(coords, dtype=float))

@@ -8,7 +8,8 @@ is exactly the identity map. Attention is grouped-query with per-head
 QK RMS normalisation and rotary phases on each token's (row, col) grid
 position; there are no long skip connections between distant layers.
 Next-DiT fixes the design values, so no config sets them: ROPE_AXES = 2,
-ROPE_BASE = 10000 (RoFormer's), MLP_RATIO = 4 and RMS-norm EPS = 1e-6.
+ROPE_BASE = 10000 (RoFormer's) and MLP_RATIO = 4 here, and the RMS-norm
+epsilon numkernel.EPS = 1e-6 beside the kernel that adds it.
 
 Two modes share the trunk: `generative` predicts per-patch velocities
 through a zero-initialised output head (a fresh model outputs exactly 0);
@@ -39,9 +40,9 @@ from . import rope
 
 MODES = ("generative", "recognition")
 BLOCK_STYLES = ("sandwich", "prenorm")
-ROPE_AXES, ROPE_BASE, MLP_RATIO, EPS = 2, 10000.0, 4, 1e-6
+ROPE_AXES, ROPE_BASE, MLP_RATIO = 2, 10000.0, 4
 # checkpoints name the fixed values under the config keys older flowdit versions read
-FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": EPS}
+FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": nk.EPS}
 
 
 @dataclass(frozen=True)
@@ -265,8 +266,8 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     q = _split_heads(q, d_head, group)
     k = _split_heads(k, d_head)
     v = _split_heads(v, d_head)
-    q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)), EPS)
-    k = ad.rms_norm(k, params["k_gain"], EPS)
+    q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)))
+    k = ad.rms_norm(k, params["k_gain"])
     logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
     if bias is not None:
         logits = ad.add(logits, bias)
@@ -302,20 +303,20 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     else:
         gate_a, gate_m = block["gates"][0:1], block["gates"][1:2]
 
-    h = ad.rms_norm(x, block["pre_attn_gain"], EPS)
+    h = ad.rms_norm(x, block["pre_attn_gain"])
     if mod is not None:
         h = ad.add(ad.mul(h, ad.add(scale_a, 1.0)), shift_a)
     h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool)
     if sandwich:
-        h = ad.rms_norm(h, block["post_attn_gain"], EPS)
+        h = ad.rms_norm(h, block["post_attn_gain"])
     x = ad.add(x, ad.mul(ad.tanh(gate_a), h))
 
-    h = ad.rms_norm(x, block["pre_mlp_gain"], EPS)
+    h = ad.rms_norm(x, block["pre_mlp_gain"])
     if mod is not None:
         h = ad.add(ad.mul(h, ad.add(scale_m, 1.0)), shift_m)
     h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
     if sandwich:
-        h = ad.rms_norm(h, block["post_mlp_gain"], EPS)
+        h = ad.rms_norm(h, block["post_mlp_gain"])
     return ad.add(x, ad.mul(ad.tanh(gate_m), h))
 
 
@@ -482,7 +483,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
 
     def head_input(tokens):
         h = _trunk(model, tokens, mods, coords, kv_pool=kv_pool, capture=capture)
-        return ad.mul(ad.rms_norm(h, np.asarray(1.0), EPS), scale)
+        return ad.mul(ad.rms_norm(h, np.asarray(1.0)), scale)
 
     # the tape is single-threaded, and parts share mods and scale, which must be one broadcast row
     untracked = not any(isinstance(v, ad.Var) for v in (x_t, *p.values()))
@@ -527,7 +528,8 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
     """Hidden-state RMS per layer on standard-normal inputs.
 
     Returns rows (layer, t, rms_mean, rms_max): per-token RMS of each
-    block's output, averaged / maximised over tokens and samples.
+    block's output, averaged / maximised over tokens and samples. An RMS
+    that is not finite raises FloatingPointError naming its layer and t.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -545,6 +547,8 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
         forward_velocity(model, x, float(t), capture=states)
         for layer, h in enumerate(states):
             rms = np.sqrt(np.mean(h * h, axis=-1))
+            if not np.isfinite(rms).all():
+                raise FloatingPointError(f"non-finite block output RMS at layer {layer}, t={float(t)!r}")
             rows.append((layer, float(t), float(rms.mean()), float(rms.max())))
     return rows
 

@@ -1,14 +1,14 @@
 """Minimal deterministic dense-tensor kernels shared by every other module.
 
 Plain numpy ndarrays are the tensor carrier: contiguous row-major buffers of
-f64 scalars; f32 is a container dtype only (the tensor files read and write
-it, but models, checkpoints and training are f64). Kernels are pure and
-deterministic for identical inputs and dtype, over leading batch axes that
-matmul broadcasts as numpy does (GQA shares a kv head over a group axis).
+f64 scalars, the only dtype that models, checkpoints and training use.
+Kernels are pure and deterministic for identical inputs, over leading batch
+axes that matmul broadcasts as numpy does (GQA shares a kv head over a group
+axis). EPS is the RMS-norm epsilon; Next-DiT fixes it, so no caller sets it.
 
-Tensors serialize to a small binary container for test fixtures and model
-checkpoints: magic "NKT1", u8 dtype tag (1 = f32, 2 = f64), u32 rank, one u64
-per dim, then the raw little-endian row-major buffer.
+Tensors serialize to a small binary container for model checkpoints: magic
+"NKT1", u8 dtype tag (2 = f64, the only one), u32 rank, one u64 per dim,
+then the raw little-endian row-major buffer.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import numpy as np
 
 Tensor = np.ndarray
 
+EPS = 1e-6
 _MAGIC = b"NKT1"
-_DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
-_TAG_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+_F64_TAG = 2
+_F64 = np.dtype("<f8")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -63,15 +64,13 @@ def softmax(x: Tensor) -> Tensor:
     return z
 
 
-def _rms_inverse(x: Tensor, eps: float) -> Tensor:
-    """(mean(x^2, last axis) + eps)^-1/2; the taped rms_norm shares it."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return (np.mean(x * x, axis=-1, keepdims=True) + eps) ** -0.5
+def _rms_inverse(x: Tensor) -> Tensor:
+    """(mean(x^2, last axis) + EPS)^-1/2; the taped rms_norm shares it."""
+    return (np.mean(x * x, axis=-1, keepdims=True) + EPS) ** -0.5
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """y = x / sqrt(mean(x^2, last axis) + eps) * gain.
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """y = x / sqrt(mean(x^2, last axis) + EPS) * gain.
 
     Allocates only the array it returns: the gain multiplies in place into
     x * inv, bitwise equal to the fresh-array product, unless the gain
@@ -81,7 +80,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """
     x = np.asarray(x)
     gain = np.asarray(gain)
-    y = x * _rms_inverse(x, eps)
+    y = x * _rms_inverse(x)
     if np.broadcast(y, gain).shape != y.shape or np.result_type(y, gain) != y.dtype:
         return y * gain
     y *= gain
@@ -119,31 +118,30 @@ def grid_coords(grid: tuple[int, int]) -> Tensor:
     return np.stack([rows, cols], axis=-1).reshape(h * w, 2).astype(np.float64)
 
 
-def pool_matrix(grid: tuple[int, int], window: tuple[int, int], dtype=np.float64) -> Tensor:
+def pool_matrix(grid: tuple[int, int], window: tuple[int, int]) -> Tensor:
     """Row-stochastic matrix M with M @ tokens = window means."""
     assign, n_out, counts = pool_assignments(grid, window)
-    m = np.zeros((n_out, len(assign)), dtype=dtype)
+    m = np.zeros((n_out, len(assign)))
     m[assign, np.arange(len(assign))] = 1.0 / counts[assign]
     return m
 
 
 def save_tensor(path, x: Tensor) -> None:
-    """Write one tensor to the NKT1 container."""
+    """Write one f64 tensor to the NKT1 container."""
     x = np.asarray(x)
     if x.ndim:  # ascontiguousarray would silently promote rank 0 to rank 1
         x = np.ascontiguousarray(x)
-    tag = _DTYPE_TAGS.get(x.dtype)
-    if tag is None:
-        raise ValueError(f"unsupported dtype {x.dtype}; only f32 and f64 serialize")
+    if x.dtype != np.float64:
+        raise ValueError(f"unsupported dtype {x.dtype}; only f64 serializes")
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<BI", tag, x.ndim))
+        f.write(struct.pack("<BI", _F64_TAG, x.ndim))
         f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
-        f.write(x.astype(x.dtype.newbyteorder("<"), copy=False).tobytes())
+        f.write(x.astype(_F64, copy=False).tobytes())
 
 
 def load_tensor(path) -> Tensor:
-    """Read one tensor from the NKT1 container."""
+    """Read one f64 tensor from the NKT1 container."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _MAGIC:
@@ -151,19 +149,17 @@ def load_tensor(path) -> Tensor:
     if len(raw) < 9:
         raise ValueError(f"{path}: truncated header")
     tag, rank = struct.unpack_from("<BI", raw, 4)
-    if tag not in _TAG_DTYPES:
-        raise ValueError(f"{path}: unknown dtype tag {tag}")
+    if tag != _F64_TAG:
+        raise ValueError(f"{path}: dtype tag {tag} is not {_F64_TAG} (f64), the only dtype NKT1 holds")
     start = 9 + 8 * rank
     if len(raw) < start:
         raise ValueError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{rank}Q", raw, 9)
-    dtype = _TAG_DTYPES[tag]
     # exact integers: a numpy product wraps silently past int64
-    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+    if math.prod(d for d in dims if d) * _F64.itemsize > np.iinfo(np.intp).max:
         raise ValueError(f"{path}: shape {dims} is too large")
     count = math.prod(dims)
-    expected = start + count * dtype.itemsize
+    expected = start + count * _F64.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
-    return data.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+    return np.frombuffer(raw, dtype=_F64, count=count, offset=start).reshape(dims).astype(np.float64)

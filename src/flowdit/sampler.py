@@ -227,7 +227,8 @@ def error_profiles(v, x0, n_anchor: int = 50, substeps: int = 100) -> tuple[np.n
 
     For a Gaussian target N(m, s^2 I) the tau profile peaks at
     t* = 1/(1+s^2), so contracting targets (s < 1) peak at the data end,
-    not the noise end.
+    not the noise end. A tau or kappa that is not finite raises
+    FloatingPointError naming its anchor.
     """
     if n_anchor < 3:
         raise ValueError(f"need at least 3 anchor intervals, got {n_anchor}")
@@ -239,4 +240,9 @@ def error_profiles(v, x0, n_anchor: int = 50, substeps: int = 100) -> tuple[np.n
     kappas = np.array([
         _batch_mean_norm(nodes[i] - 0.5 * (nodes[i + 1] + nodes[i - 1])) for i in range(1, n_anchor)
     ])
+    for i in range(n_anchor):
+        if not np.isfinite(taus[i]):
+            raise FloatingPointError(f"non-finite tau at anchor {i}, t={float(ts[i])!r}")
+        if i and not np.isfinite(kappas[i - 1]):
+            raise FloatingPointError(f"non-finite kappa at anchor {i}, t={float(ts[i])!r}")
     return taus, kappas

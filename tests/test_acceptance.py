@@ -188,7 +188,7 @@ def test_criterion_06_oracle_transport_moments():
     assert time.perf_counter() - start < 30.0
 
 
-def reference_mha(x, p, n_heads, freqs, coords, eps):
+def reference_mha(x, p, n_heads, freqs, coords):
     """Plain multi-head attention, no grouping logic anywhere. The logit
     scale 1/sqrt(d_head) rides on the query gain, as in gqa_attention; at
     d_head 8 scaling the scores instead differs at rounding level."""
@@ -201,8 +201,8 @@ def reference_mha(x, p, n_heads, freqs, coords, eps):
     q = split(nk.matmul(x, p["wq"]))
     k = split(nk.matmul(x, p["wk"]))
     v = split(nk.matmul(x, p["wv"]))
-    q = rope.apply_rope(nk.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head)), eps), coords, freqs)
-    k = rope.apply_rope(nk.rms_norm(k, p["k_gain"], eps), coords, freqs)
+    q = rope.apply_rope(nk.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head))), coords, freqs)
+    k = rope.apply_rope(nk.rms_norm(k, p["k_gain"]), coords, freqs)
     logits = nk.matmul(q, np.swapaxes(k, -1, -2))
     out = np.swapaxes(nk.matmul(nk.softmax(logits), v), -3, -2)
     s = out.shape
@@ -232,7 +232,7 @@ def test_criterion_07_block_identity_gqa_probe_masking():
     )
     xt = rng.standard_normal((2, 8, 32))
     got = dit.gqa_attention(xt, p, freqs, coords)
-    assert np.array_equal(got, reference_mha(xt, p, 4, freqs, coords, 1e-6))
+    assert np.array_equal(got, reference_mha(xt, p, 4, freqs, coords))
 
     def probe_peak(style):
         cfg = dit.ModelConfig(d_model=64, n_layers=24, n_q_heads=4, n_kv_heads=4,

@@ -6,6 +6,7 @@ import os
 import shlex
 import shutil
 import string
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -204,10 +205,11 @@ def test_write_pgm_validation(tmp_path):
 
 def test_render_density_orientation():
     # a cluster north-east of the origin lights up the top-right corner
+    # (4, 4) falls in bin (4 + 6) / (12 / 64) = 53.3 of [-6, 6]^2 on each axis
     pts = np.full((100, 2), 4.0)
-    img = cli.render_density(pts, bins=8, extent=6.0)
-    assert img.shape == (8, 8)
-    assert img[1, 6] >= 254 and img[6, 1] == 0  # uint8 cast truncates 254.999..
+    img = cli.render_density(pts)
+    assert img.shape == (64, 64)
+    assert img[63 - 53, 53] >= 254 and img[53, 63 - 53] == 0  # uint8 cast truncates 254.999..
 
 
 def test_diagnose_csv_schema(tmp_path):
@@ -222,6 +224,17 @@ def test_diagnose_csv_schema(tmp_path):
     assert rows[0][3] == ""  # curvature needs a left and right interval
     assert all(r[3] != "" for r in rows[1:])
     assert float(rows[3][1]) == 0.3
+
+
+def test_diagnose_exits_one_and_writes_nothing_on_a_non_finite_profile(tmp_path, capsys):
+    # the states stay finite near 1.7e308, but their differences overflow to inf at anchor 2
+    out = tmp_path / "diag.csv"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["diagnose", "--mean", "1.7e308,1", "--std", "0.5", "--n", "8", "--anchors", "4",
+                       "--substeps", "2", "--out", str(out)])
+    assert rc == 1
+    assert "non-finite tau at anchor 2, t=0.5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rope_scan_all_strategies(tmp_path):
@@ -311,6 +324,24 @@ def test_probe_csv_schema(tmp_path):
     assert all(float(r[3]) >= float(r[2]) > 0.0 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--layers", "24", "--style", "prenorm", "--gate", "5", "--weight-std", "1e80"],
+         "non-finite block output RMS at layer 0, t=0.0"),
+        (["--layers", "2", "--weight-std", "1e200"], "non-finite block output RMS at layer 0, t=0.0"),
+    ],
+    ids=["rms_overflows", "output_nan"],
+)
+def test_probe_exits_one_and_writes_nothing_on_a_non_finite_block_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "probe.csv"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["probe", *argv, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_then_gen_round_trip(tmp_path, capsys):
     run = tmp_path / "run"
     rc = cli.main([
@@ -381,6 +412,20 @@ def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
     rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
     assert rc == 2
     assert "w_embed" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_checkpoint_with_an_f32_tensor(tmp_path, capsys, monkeypatch):
+    # the tag-1 (f32) layout that older flowdit versions could write, by hand
+    monkeypatch.chdir(tmp_path)
+    model = dit.init_model(flowlab.point_model_config(16, 1), seed=0)
+    dit.save_model(tmp_path / "ckpt", model)
+    w = model.params["w_embed"].astype("<f4")
+    header = b"NKT1" + struct.pack(f"<BI{w.ndim}Q", 1, w.ndim, *w.shape)
+    (tmp_path / "ckpt" / "w_embed.nkt").write_bytes(header + w.tobytes())
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["gen", "--model", "ckpt", "--n", "8", "--steps", "2", "--out", "g.csv", "--pgm", "g.pgm"]) == 2
+    assert "w_embed.nkt: dtype tag 1 is not 2 (f64)" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(

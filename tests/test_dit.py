@@ -293,7 +293,7 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None):
     if kv_pool is not None:
         k, v, coords_k = cd.pool_kv(k, v, coords, *kv_pool)
     q, k, v = dit._split_heads(q, d_head, group), dit._split_heads(k, d_head), dit._split_heads(v, d_head)
-    q, k = ad.rms_norm(q, p["q_gain"], dit.EPS), ad.rms_norm(k, p["k_gain"], dit.EPS)
+    q, k = ad.rms_norm(q, p["q_gain"]), ad.rms_norm(k, p["k_gain"])
     logits = ad.mul(rope.rope_attention_logits(q, k, coords, coords_k, freqs), 1.0 / np.sqrt(d_head))
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
@@ -658,6 +658,14 @@ def test_saved_manifest_config_keeps_the_fixed_values(tmp_path):
     assert dit.load_model(committed).config == flowlab.point_model_config()
     dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(), seed=0))
     assert json.loads((tmp_path / "ckpt" / "manifest.json").read_text())["config"] == want
+
+
+def test_committed_checkpoint_loads_as_f64():
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
+    model = dit.load_model(committed)
+    for name, value in dit.named_parameters(model):
+        assert (committed / f"{name}.nkt").read_bytes()[4] == 2, name  # the f64 tag
+        assert value.dtype == np.float64, name
 
 
 def test_checkpoint_without_the_fixed_values_loads(tmp_path):
