@@ -8,8 +8,9 @@ is exactly the identity map. Attention is grouped-query with per-head
 QK RMS normalisation and rotary phases on each token's (row, col) grid
 position; there are no long skip connections between distant layers.
 Next-DiT fixes the design values, so no config sets them: ROPE_AXES = 2,
-ROPE_BASE = 10000 (RoFormer's) and MLP_RATIO = 4 here, and the RMS-norm
-epsilon numkernel.EPS = 1e-6 beside the kernel that adds it.
+ROPE_BASE = 10000 (RoFormer's), MLP_RATIO = 4 and the timestep embedder's
+sinusoidal width TIME_DIM = 64 here, and the RMS-norm epsilon
+numkernel.EPS = 1e-6 beside the kernel that adds it.
 
 Two modes share the trunk: `generative` predicts per-patch velocities
 through a zero-initialised output head (a fresh model outputs exactly 0);
@@ -40,9 +41,12 @@ from . import rope
 
 MODES = ("generative", "recognition")
 BLOCK_STYLES = ("sandwich", "prenorm")
-ROPE_AXES, ROPE_BASE, MLP_RATIO = 2, 10000.0, 4
+ROPE_AXES, ROPE_BASE, MLP_RATIO, TIME_DIM = 2, 10000.0, 4, 64
 # checkpoints name the fixed values under the config keys older flowdit versions read
-FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": nk.EPS}
+FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": nk.EPS,
+                         "time_dim": TIME_DIM}
+# the timestep embedder's sinusoid frequencies, TIME_DIM // 2 of them
+_TIME_FREQS = np.exp(-math.log(10000.0) * np.arange(TIME_DIM // 2) / (TIME_DIM // 2))
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,6 @@ class ModelConfig:
     n_kv_heads: int = 4
     patch: int = 2
     in_channels: int = 2
-    time_dim: int = 64
     n_classes: int = 0
     mode: str = "generative"
     block_style: str = "sandwich"
@@ -73,8 +76,6 @@ class ModelConfig:
             raise ValueError(f"{self.n_q_heads} query heads not divisible by {self.n_kv_heads} kv heads")
         if self.d_head % (2 * ROPE_AXES) != 0:
             raise ValueError(f"head dim {self.d_head} not divisible by {2 * ROPE_AXES} ({ROPE_AXES} rotary axes)")
-        if self.time_dim % 2 != 0 or self.time_dim < 2:
-            raise ValueError(f"time_dim must be a positive even number, got {self.time_dim}")
         if self.mode == "recognition" and self.n_classes < 1:
             raise ValueError("recognition mode needs n_classes >= 1")
 
@@ -165,7 +166,7 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
             blocks[b + "gates"] = np.zeros(2)
     params = {"w_embed": normal(config.token_dim, d), "b_embed": np.zeros(d), **blocks}
     if generative:
-        params["time_w1"] = normal(config.time_dim, d)
+        params["time_w1"] = normal(TIME_DIM, d)
         params["time_b1"] = np.zeros(d)
         params["time_w2"] = normal(d, d)
         params["time_b2"] = np.zeros(d)
@@ -195,12 +196,8 @@ def prefixed(params: dict, prefix: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _cached_freqs(d_head: int) -> rope.RopeFreqs:
-    return rope.freq_matrix(ROPE_BASE, d_head, ROPE_AXES)
-
-
 def model_freqs(config: ModelConfig) -> rope.RopeFreqs:
-    return _cached_freqs(config.d_head)
+    return rope.freq_matrix(ROPE_BASE, config.d_head, ROPE_AXES)
 
 
 def _split_heads(x, d_head: int, group: int = 1):
@@ -322,9 +319,7 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
 
 def time_embedding(model: ModelParams, t_batch) -> np.ndarray:
     """Sinusoidal features of 1000*t pushed through a two-layer SiLU MLP."""
-    half = model.config.time_dim // 2
-    freqs_t = np.exp(-math.log(10000.0) * np.arange(half) / half)
-    args = 1000.0 * np.asarray(t_batch, dtype=float)[..., None] * freqs_t
+    args = 1000.0 * np.asarray(t_batch, dtype=float)[..., None] * _TIME_FREQS
     feats = np.concatenate([np.cos(args), np.sin(args)], axis=-1)
     p = model.params
     h = ad.silu(ad.add(ad.matmul(feats, p["time_w1"]), p["time_b1"]))

@@ -174,10 +174,24 @@ def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d, axis: int = 0) -> np.ndar
 
 
 def scaled_freqs(freqs: RopeFreqs, spec: ScaleSpec) -> RopeFreqs:
-    """Apply one extrapolation strategy, independently per axis."""
+    """Apply one extrapolation strategy, independently per axis.
+
+    An axis whose theta or wavelength 2*pi/theta is not finite, as when an
+    extreme base or scale factor over- or underflows the arithmetic, raises
+    FloatingPointError naming the strategy and axis.
+    """
     d = np.arange(freqs.dims_per_axis, dtype=float)
-    theta = np.stack([scaled_theta(freqs, spec, d, axis=a) for a in range(freqs.axes)])
-    return replace(freqs, theta=theta)
+    rows = []
+    for axis in range(freqs.axes):
+        message = f"non-finite {spec.strategy} frequency table at axis {axis}"
+        try:
+            theta = scaled_theta(freqs, spec, d, axis=axis)
+        except OverflowError as err:  # Python float ** raises where numpy returns inf
+            raise FloatingPointError(message) from err
+        if not (np.isfinite(theta).all() and np.isfinite(TWO_PI / theta).all()):
+            raise FloatingPointError(message)
+        rows.append(theta)
+    return replace(freqs, theta=np.stack(rows))
 
 
 def rope_angles(coords, freqs: RopeFreqs) -> np.ndarray:

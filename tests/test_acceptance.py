@@ -212,7 +212,7 @@ def reference_mha(x, p, n_heads, freqs, coords):
 def test_criterion_07_block_identity_gqa_probe_masking():
     start = time.perf_counter()
     config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=4,
-                             patch=2, in_channels=2, time_dim=16)
+                             patch=2, in_channels=2)
     model = dit.init_model(config, seed=0)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 8, config.d_model))
@@ -249,7 +249,7 @@ def test_criterion_07_block_identity_gqa_probe_masking():
 
     rec = dit.init_model(
         dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=4,
-                        mode="recognition", n_classes=4, time_dim=16),
+                        mode="recognition", n_classes=4),
         seed=0,
     )
     for i in range(2):
@@ -274,7 +274,7 @@ def test_criterion_08_context_drop_identities_and_length_law():
     assert pk is k and pv is v and pc is coords
 
     config = dit.ModelConfig(d_model=16, n_layers=1, n_q_heads=2, n_kv_heads=2,
-                             patch=1, in_channels=2, time_dim=8)
+                             patch=1, in_channels=2)
     freqs = dit.model_freqs(config)
     p = dict(
         wq=rng.standard_normal((16, 16)), wk=rng.standard_normal((16, 16)),
@@ -342,7 +342,7 @@ def test_criterion_09_partitioner_brute_force_equivalence():
 def test_criterion_10_gradients_match_finite_differences():
     start = time.perf_counter()
     config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2,
-                             patch=2, in_channels=2, time_dim=16)
+                             patch=2, in_channels=2)
     model = dit.init_model(config, seed=0, weight_std=0.2)
     rng = np.random.default_rng(1)
     for name, arr in dit.named_parameters(model):

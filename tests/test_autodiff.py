@@ -210,12 +210,12 @@ def _run_model_paths():
     x1, noise = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
     training.grad(point, training.cfm_loss(point, x1, rng.uniform(0.0, 1.0, 8), noise))
 
-    config = dit.ModelConfig(d_model=32, n_layers=1, n_q_heads=4, n_kv_heads=2, time_dim=16)
+    config = dit.ModelConfig(d_model=32, n_layers=1, n_q_heads=4, n_kv_heads=2)
     image = training.wrap_parameters(dit.init_model(config, seed=0))
     v = dit.forward_velocity(image, rng.standard_normal((2, 8, 8, 2)), 0.4, kv_pool=((4, 4), (2, 2)))
     training.grad(image, ad.mean(ad.mul(v, v)))
 
-    config = dit.ModelConfig(d_model=32, n_layers=1, mode="recognition", n_classes=3, time_dim=16)
+    config = dit.ModelConfig(d_model=32, n_layers=1, mode="recognition", n_classes=3)
     recognizer = training.wrap_parameters(dit.init_model(config, seed=0))
     tokens = rng.standard_normal((2, 5, config.token_dim))
     coords = np.stack([np.arange(5.0), np.zeros(5)], axis=-1)

@@ -264,6 +264,28 @@ def test_rope_scan_single_strategy(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        # theta = 1/s is finite (down to 3e-309), but its wavelength overflows
+        (["--strategy", "interpolate", "--scale", "1e308"], "non-finite interpolate frequency table at axis 0"),
+        # the scaled base overflows to inf, so theta is 0 beyond d = 0
+        (["--base", "1e308", "--dhead", "24", "--axes", "3", "--strategy", "ntk", "--scale", "2"],
+         "non-finite ntk frequency table at axis 0"),
+        # Python's float ** raises OverflowError on s ** (d_head / (d_head - 2 * axes))
+        (["--strategy", "ntk", "--scale", "1e250"], "non-finite ntk frequency table at axis 0"),
+    ],
+    ids=["interpolate_wavelength", "ntk_base", "ntk_power"],
+)
+def test_rope_scan_exits_one_and_writes_nothing_on_a_non_finite_table(tmp_path, capsys, argv, message):
+    out = tmp_path / "scan.csv"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["rope-scan", *argv, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,config,flag",
     [
         (["schedule", "--kind", "uniform", "--form", "paper_literal"], None, "--form"),
@@ -393,7 +415,7 @@ def test_gen_drop_flag_is_rejected(tmp_path):
 
 
 def test_gen_rejects_image_checkpoints(tmp_path, capsys):
-    model = dit.init_model(dit.ModelConfig(d_model=16, n_q_heads=2, n_kv_heads=2, time_dim=8), seed=0)
+    model = dit.init_model(dit.ModelConfig(d_model=16, n_q_heads=2, n_kv_heads=2), seed=0)
     dit.save_model(tmp_path / "img", model)
     rc = cli.main(["gen", "--model", str(tmp_path / "img"), "--n", "8", "--steps", "2"])
     assert rc == 2
@@ -429,8 +451,8 @@ def test_gen_refuses_a_checkpoint_with_an_f32_tensor(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize(
-    "key,value", [("axes", 3), ("rope_base", float("nan")), ("mlp_ratio", 2), ("eps", 1e-5)],
-    ids=["axes", "rope_base", "mlp_ratio", "eps"],
+    "key,value", [("axes", 3), ("rope_base", float("nan")), ("mlp_ratio", 2), ("eps", 1e-5), ("time_dim", 16)],
+    ids=["axes", "rope_base", "mlp_ratio", "eps", "time_dim"],
 )
 def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, monkeypatch, key, value):
     monkeypatch.chdir(tmp_path)

@@ -20,7 +20,7 @@ from test_numkernel import pool_oracle
 
 def small_config(**overrides):
     kw = dict(d_model=16, n_layers=2, n_q_heads=2, n_kv_heads=2, patch=2,
-              in_channels=2, time_dim=8)
+              in_channels=2)
     kw.update(overrides)
     return dit.ModelConfig(**kw)
 
@@ -50,8 +50,6 @@ def test_config_validation_messages():
         small_config(n_q_heads=2, n_kv_heads=3)
     with pytest.raises(ValueError, match="head dim 6 not divisible by 4"):
         small_config(d_model=12, n_q_heads=2)
-    with pytest.raises(ValueError, match="time_dim"):
-        small_config(time_dim=7)
     with pytest.raises(ValueError, match="n_classes"):
         small_config(mode="recognition", n_classes=0)
     with pytest.raises(ValueError, match="positive"):
@@ -59,8 +57,8 @@ def test_config_validation_messages():
 
 
 @pytest.mark.parametrize(
-    "field,value", [("axes", 2), ("rope_base", 10000.0), ("mlp_ratio", 4), ("eps", -1.0)],
-    ids=["axes", "rope_base", "mlp_ratio", "eps"],
+    "field,value", [("axes", 2), ("rope_base", 10000.0), ("mlp_ratio", 4), ("eps", -1.0), ("time_dim", 16)],
+    ids=["axes", "rope_base", "mlp_ratio", "eps", "time_dim"],
 )
 def test_fixed_architecture_values_are_not_config_fields(field, value):
     with pytest.raises(TypeError, match=field):
@@ -596,13 +594,12 @@ def test_parameter_names_match_the_committed_checkpoint_manifest():
     "config,size,digest",
     [
         (
-            dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2, time_dim=16, n_classes=3),
-            34732,
-            "1029ea9ec9775c094af06f7ed7ba80cdc0dd03d5755160c0a6e42fe717d04150",
+            dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2, n_classes=3),
+            36268,
+            "5ccea2cc4079d0dcb4e461bc4268058a0941e6e86e41cf83b5ae30efea7eac94",
         ),
         (
-            dit.ModelConfig(d_model=16, n_layers=2, n_q_heads=2, n_kv_heads=1, time_dim=8,
-                            mode="recognition", n_classes=5),
+            dit.ModelConfig(d_model=16, n_layers=2, n_q_heads=2, n_kv_heads=1, mode="recognition", n_classes=5),
             6297,
             "72af37b42832e7b354e698352151ce506f4da4845a085da09bc3f102ae4bf70d",
         ),
@@ -650,10 +647,10 @@ def test_checkpoint_rejects_manifest_mismatch(tmp_path):
 
 
 def test_saved_manifest_config_keeps_the_fixed_values(tmp_path):
-    # older flowdit versions read axes, rope_base, mlp_ratio and eps as config fields
+    # older flowdit versions read axes, rope_base, mlp_ratio, eps and time_dim as config fields
     committed = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
     want = json.loads((committed / "manifest.json").read_text())["config"]
-    fixed = {"axes": 2, "rope_base": 10000.0, "mlp_ratio": 4, "eps": 1e-6}
+    fixed = {"axes": 2, "rope_base": 10000.0, "mlp_ratio": 4, "eps": 1e-6, "time_dim": 64}
     assert {key: want[key] for key in fixed} == fixed
     assert dit.load_model(committed).config == flowlab.point_model_config()
     dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(), seed=0))
@@ -672,7 +669,7 @@ def test_checkpoint_without_the_fixed_values_loads(tmp_path):
     model = randomized(dit.init_model(small_config(), seed=0), seed=2)
     dit.save_model(tmp_path / "ckpt", model)
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    for key in ("axes", "rope_base", "mlp_ratio", "eps"):
+    for key in dit.FIXED_MANIFEST_CONFIG:
         del manifest["config"][key]
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
     loaded = dit.load_model(tmp_path / "ckpt")
@@ -683,8 +680,8 @@ def test_checkpoint_without_the_fixed_values_loads(tmp_path):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("axes", 3), ("rope_base", float("nan")), ("mlp_ratio", 2), ("eps", 1e-5), ("eps", -1e-3)],
-    ids=["axes", "rope_base", "mlp_ratio", "eps", "eps_negative"],
+    [("axes", 3), ("rope_base", float("nan")), ("mlp_ratio", 2), ("eps", 1e-5), ("eps", -1e-3), ("time_dim", 16)],
+    ids=["axes", "rope_base", "mlp_ratio", "eps", "eps_negative", "time_dim"],
 )
 def test_checkpoint_rejects_other_fixed_values(tmp_path, key, value):
     # a manifest comes from outside the program; it may name a fixed value only at that value

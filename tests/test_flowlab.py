@@ -394,7 +394,7 @@ def test_training_step_tape_size_is_pinned():
 def test_gqa_image_tape_size_is_pinned(kv_pool, size):
     # a GQA 4/2 image velocity: each kv head is broadcast over its query
     # group, not copied by a tape node; pooling adds two matmuls per block
-    config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2, time_dim=16)
+    config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2)
     model = training.wrap_parameters(dit.init_model(config, seed=0))
     v = dit.forward_velocity(model, np.random.default_rng(17).standard_normal((2, 8, 8, 2)), 0.4, kv_pool=kv_pool)
     nodes, seen = tape_of(ad.mean(ad.mul(v, v)))

@@ -21,9 +21,10 @@ SRC = ROOT / "src" / "flowdit"
 
 # the reproduced paper's API, kept on purpose although only tests call it
 PAPER_API = {"cfg_velocity", "scaled_fourier_features", "pad_batch", "recognition_forward"}
-# ModelConfig fields that only tests set: they shrink time_dim to 8 or 16, and
-# n_classes and mode select the paper API above
-CONFIG_FIELDS_SET_IN_TESTS = {"time_dim", "n_classes", "mode"}
+# ModelConfig fields that only tests set, kept because they select the paper API:
+# mode picks recognition (recognition_forward), n_classes the class labels
+# (forward_velocity's label=)
+PAPER_API_CONFIG_FIELDS = {"n_classes", "mode"}
 # (function, parameter) defaults that no src/ or perfbench/ call passes, kept on purpose
 UNPASSED_DEFAULTS = {
     ("forward_velocity", "label"): "paper API: class-conditional generation",
@@ -96,9 +97,9 @@ def test_every_model_config_field_is_set_outside_the_tests():
         for keyword in node.keywords
     }
     fields = {field.name for field in dataclasses.fields(dit.ModelConfig)}
-    assert sorted(fields - keywords - CONFIG_FIELDS_SET_IN_TESTS) == []
+    assert sorted(fields - keywords - PAPER_API_CONFIG_FIELDS) == []
     # each exception is still a field that nothing outside the tests sets, so the set does not go stale
-    assert CONFIG_FIELDS_SET_IN_TESTS <= fields - keywords
+    assert PAPER_API_CONFIG_FIELDS <= fields - keywords
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
