@@ -13,6 +13,7 @@ number) parses as a --flag=value token ahead of the typed flags, which still win
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -127,6 +128,20 @@ def _cmd_sample(args) -> None:
     )
 
 
+def _checks_its_own_values(cmd):
+    """Run cmd under np.errstate(all="ignore"): it raises FloatingPointError on
+    the first non-finite value it makes, so numpy's overflow and invalid
+    warnings would only print ahead of flowdit's own error."""
+
+    @functools.wraps(cmd)
+    def run(args) -> None:
+        with np.errstate(all="ignore"):
+            cmd(args)
+
+    return run
+
+
+@_checks_its_own_values
 def _cmd_diagnose(args) -> None:
     spec = _gaussian_spec(args)
     v = flowlab.velocity(spec)
@@ -146,6 +161,7 @@ _SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t"
                 "convention": ("convention", "consistent")}
 
 
+@_checks_its_own_values
 def _cmd_rope_scan(args) -> None:
     base = rope.freq_matrix(args.base, args.d_head, args.axes)
     chosen = [s.strip() for s in args.strategy.split(",")]
@@ -181,6 +197,7 @@ def _cmd_partition(args) -> None:
     )
 
 
+@_checks_its_own_values
 def _cmd_probe(args) -> None:
     config = dit.ModelConfig(
         d_model=args.d_model,

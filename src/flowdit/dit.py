@@ -232,7 +232,12 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     The scores are rope.rope_attention_logits of the normalised queries and
     keys, scaled by 1/sqrt(d_head) through the query gain (a [d_head] scale,
     not a scores-sized one; exact when d_head is a power of 4); masked keys
-    get a constant -inf bias.
+    get a constant -inf bias. Untracked, one core follows RoPE: the logits
+    GEMM (numkernel.matmul) allocates the one scores-sized array, the bias
+    and numkernel.softmax(logits, out=logits) run in place on it, and the
+    AV GEMM allocates the output. Taped, the bias add and softmax are tape
+    nodes; both paths run the same ops in the same order, so they agree
+    bit for bit.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -266,9 +271,15 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)))
     k = ad.rms_norm(k, params["k_gain"])
     logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
-    if bias is not None:
-        logits = ad.add(logits, bias)
-    out = ad.matmul(ad.softmax(logits), v)
+    if isinstance(logits, ad.Var):
+        if bias is not None:
+            logits = ad.add(logits, bias)
+        weights = ad.softmax(logits)
+    else:  # the logits are a fresh array this call owns
+        if bias is not None:
+            logits += bias
+        weights = nk.softmax(logits, out=logits)
+    out = ad.matmul(weights, v)
     return ad.matmul(_merge_heads(out), params["wo"])
 
 

@@ -43,21 +43,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
-def softmax(x: Tensor) -> Tensor:
+def softmax(x: Tensor, out: Tensor | None = None) -> Tensor:
     """Max-subtracted softmax over the last axis.
 
     Outputs are nonnegative and sum to 1 along the last axis. NaN inputs propagate
     to NaN outputs; a slice that is entirely -inf also yields NaN (callers
     guarantee at least one finite logit per slice).
 
-    Allocates only the array it returns: exp and the normalisation run in
-    place on the max-subtracted copy, the same expressions in the same
-    order as fresh arrays would, so results are bitwise unchanged (and the
-    taped softmax, which calls this, stays equal to the untracked one). The
-    input is never written.
+    The max subtraction writes `out`, and exp and the normalisation then
+    run in place on it: the same expressions in the same order as fresh
+    arrays would, so results are bitwise unchanged. With out None (the
+    taped softmax) the max-subtracted copy is the one array allocated and
+    x is never written; `out=x` (the untracked attention core, on logits
+    it owns) normalises a float x in place and allocates no scores-sized
+    array at all.
     """
     x = np.asarray(x)
-    z = x - np.max(x, axis=-1, keepdims=True)
+    z = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     # an integer z cannot hold its exp; numpy picks the float dtype then
     z = np.exp(z, out=z if np.issubdtype(z.dtype, np.inexact) else None)
     z /= np.sum(z, axis=-1, keepdims=True)

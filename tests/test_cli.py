@@ -229,11 +229,12 @@ def test_diagnose_csv_schema(tmp_path):
 def test_diagnose_exits_one_and_writes_nothing_on_a_non_finite_profile(tmp_path, capsys):
     # the states stay finite near 1.7e308, but their differences overflow to inf at anchor 2
     out = tmp_path / "diag.csv"
-    with np.errstate(all="ignore"):
-        rc = cli.main(["diagnose", "--mean", "1.7e308,1", "--std", "0.5", "--n", "8", "--anchors", "4",
-                       "--substeps", "2", "--out", str(out)])
+    rc = cli.main(["diagnose", "--mean", "1.7e308,1", "--std", "0.5", "--n", "8", "--anchors", "4",
+                   "--substeps", "2", "--out", str(out)])
     assert rc == 1
-    assert "non-finite tau at anchor 2, t=0.5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite tau at anchor 2, t=0.5" in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -278,10 +279,11 @@ def test_rope_scan_single_strategy(tmp_path):
 )
 def test_rope_scan_exits_one_and_writes_nothing_on_a_non_finite_table(tmp_path, capsys, argv, message):
     out = tmp_path / "scan.csv"
-    with np.errstate(all="ignore"):
-        rc = cli.main(["rope-scan", *argv, "--out", str(out)])
+    rc = cli.main(["rope-scan", *argv, "--out", str(out)])
     assert rc == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -357,10 +359,11 @@ def test_probe_csv_schema(tmp_path):
 )
 def test_probe_exits_one_and_writes_nothing_on_a_non_finite_block_output(tmp_path, capsys, argv, message):
     out = tmp_path / "probe.csv"
-    with np.errstate(all="ignore"):
-        rc = cli.main(["probe", *argv, "--out", str(out)])
+    rc = cli.main(["probe", *argv, "--out", str(out)])
     assert rc == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 

@@ -324,6 +324,45 @@ def test_one_token_attention_is_the_general_expression_bitwise(n_q, n_kv, extra)
         assert np.array_equal(fast, general)
 
 
+@pytest.mark.parametrize("n_q,n_kv", [(4, 4), (4, 2)])
+@pytest.mark.parametrize(
+    "extra",
+    [{}, {"mask": [[True] * 16, [True] * 11 + [False] * 5]}, {"kv_pool": ((4, 4), (2, 2))}],
+    ids=["full", "mask", "kv_pool"],
+)
+def test_multi_token_untracked_attention_is_the_taped_value_bitwise(n_q, n_kv, extra):
+    # the untracked core normalises the logits in place; the tape runs the
+    # same ops as nodes, so both must give the same bits
+    d = 32
+    p = make_attn(d, n_q, n_kv, seed=5 * n_q + n_kv)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords((4, 4))
+    x = np.random.default_rng(19).standard_normal((2, 16, d))
+    got = dit.gqa_attention(x, p, freqs, coords, **extra)
+    taped = dit.gqa_attention(ad.Var(x), {name: ad.Var(a) for name, a in p.items()}, freqs, coords, **extra)
+    assert isinstance(taped, ad.Var)
+    assert got.tobytes() == taped.value.tobytes()
+
+
+def test_untracked_full_attention_does_not_page_fault():
+    # one scores-sized array per call, reused by the allocator, touches no
+    # fresh pages; each extra scores-sized temporary costs 977 of them here
+    resource = pytest.importorskip("resource")
+    d, n_q, n_kv = 64, 4, 2
+    p = make_attn(d, n_q, n_kv, seed=21)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords((10, 25))
+    x = np.random.default_rng(22).standard_normal((2, 250, d))
+    scores_pages = 2 * n_q * 250 * 250 * 8 / 4096  # [2, n_kv, group, 250, 250] f64
+    for _ in range(3):
+        dit.gqa_attention(x, p, freqs, coords)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        dit.gqa_attention(x, p, freqs, coords)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
+    assert faults < scores_pages / 4, faults
+
+
 def test_one_token_attention_keeps_its_checks():
     p = make_attn(16, 2, 2, seed=14)
     freqs = rope.freq_matrix(100.0, 8, 2)

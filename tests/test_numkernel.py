@@ -167,6 +167,27 @@ def test_in_place_kernels_allocate_little_beyond_their_result(name, shape, bound
     assert peak < bound * nbytes, peak / nbytes
 
 
+def test_softmax_into_its_input_is_bitwise_and_allocates_no_scores_array():
+    # the untracked attention core normalises the logits it owns this way
+    rng = np.random.default_rng(14)
+    row = rng.standard_normal((2, 8))
+    row[0, [1, 4, 5]] = -np.inf
+    for x in (rng.standard_normal((3, 5, 8)) * 4.0, row):
+        want = nk.softmax(x)
+        got = nk.softmax(x, out=x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
+    # the max and sum rows are the only temporaries: 1/250 of the scores
+    x = rng.standard_normal((2, 2, 2, 250, 250))
+    tracemalloc.start()
+    try:
+        nk.softmax(x, out=x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * x.nbytes, peak / x.nbytes
+
+
 def pool_oracle(x, grid, window):
     """Window means of a row-major token grid [..., h*w, d], one window at a time."""
     h, w = grid
