@@ -380,34 +380,48 @@ def _trunk(model: ModelParams, tokens, mods, coords, mask=None, kv_pool=None, ca
     return h
 
 
-# An untracked forward over more tokens than this runs in parts spread over
-# the usable CPUs. On 2 CPUs (numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread)
-# a 4096-point evaluation of the point checkpoint took 15.8 ms in 1024-token
-# parts against 29.4 ms in one (median p50 of 10 perfbench gen_point runs),
-# at +5.4% peak RSS; 2048-token halves were 3% faster still but reached
-# +9.7% peak RSS, too close to the benchmark's 10% bound.
+# An untracked forward with one conditioning row runs in parts of whole
+# images spread over the usable CPUs, and each part equals the same images
+# of the one-part call bit for bit. Two rules keep it so, measured on 2 CPUs
+# (Intel Xeon with AVX-512, numpy 2.4.6, OpenBLAS 0.3.31, one BLAS thread):
+# - No part holds a single GEMM row: numpy hands a 1-row operand to GEMV.
+#   Cutting the point checkpoint's 4096-token forward after row 1 or 4095
+#   moved bits (up to 6.7e-16); cuts after rows 2, 3, 5, 7, 8, 15, 16, 33,
+#   37, 63, 834, 1000, 1365, 4090 and 4094 gave the same bytes. Images of
+#   one token split only past _PART_TOKENS, so their parts hold hundreds.
+# - Every GEMM a part runs is a multiple of _PART_WIDTH columns wide. Plain
+#   GEMMs of 4096 rows and widths 8, 16, 24, 32, 40, 48, 64, 72, 96, 128
+#   and 256 gave the same bytes at every cut tried; widths 2, 12, 130, 250
+#   and 258 did not, since narrower column tails take other bits on
+#   OpenBLAS's small-matrix path (M*N*K <= 1e6) than on its blocked one. So
+#   the conditioning GEMMs (4d+2 wide) and the output projection run on the
+#   whole batch.
+# A batch gets about one part per _PART_TOKENS tokens. A 4096-point
+# evaluation of the point checkpoint took 15.8 ms in 1024-token parts
+# against 29.4 ms in one (median p50 of 10 perfbench gen_point runs), at
+# +5.4% peak RSS; 2048-token halves were 3% faster still but reached +9.7%
+# peak RSS, too close to the benchmark's 10% bound. Images of
+# _PART_IMAGE_TOKENS tokens or more also get at least one part per usable
+# CPU. Against the one-part call, alternated call by call over 6 rounds on
+# two images of perfbench's gen_image model, two parts changed a call by
+# +8% / +25% at 128 tokens (no kv pooling / a (2, 2) window), -8% / +8% at
+# 160, -20% / -6% at 192 and -30% / -15% at 256. Two parts of 512 points
+# were 29% slower than one.
 _PART_TOKENS = 1024
-# What keeps a part's token rows bitwise equal to the same rows of the whole
-# batch, measured on that OpenBLAS (Haswell build, AVX-512 Xeon): parts start
-# on a multiple of 64 GEMM rows and hold at least 64 (834/833/833-row parts
-# and 1-row parts moved bits), and every GEMM a part runs is a multiple of 8
-# columns wide. Narrower column tails take other bits on OpenBLAS's small-
-# matrix path (M*N*K <= 1e6) than on its blocked one, so the conditioning
-# GEMMs (4d+2 wide) and the output projection run on the whole batch.
-_PART_ROWS = 64
+_PART_IMAGE_TOKENS = 192
 _PART_WIDTH = 8
 
 
 def _part_bounds(config: ModelConfig, batch: int, tokens: int) -> list[int]:
     """Image indices cutting a batch of images of `tokens` tokens into
-    near-equal parts of about _PART_TOKENS tokens on the row rules above;
-    [0, batch] is one part."""
+    near-equal parts on the rules above; [0, batch] is one part."""
     if config.d_model % _PART_WIDTH or config.d_kv % _PART_WIDTH:
         return [0, batch]
-    unit = _PART_ROWS // math.gcd(_PART_ROWS, tokens)  # images per aligned cut
     n_parts = -(-batch * tokens // _PART_TOKENS)
-    cuts = {round(batch * i / n_parts / unit) * unit for i in range(1, n_parts)}
-    return [0, *sorted(c for c in cuts if 0 < c <= batch - unit), batch]
+    if tokens >= _PART_IMAGE_TOKENS:
+        n_parts = max(n_parts, 1 + _pool(os.getpid())[1])
+    n_parts = min(n_parts, batch)
+    return [batch * i // n_parts for i in range(n_parts + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -448,13 +462,15 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     grid, pools attention context in every block. capture, if a list,
     receives each block's output token array (values only, no tape).
 
-    Inference splits large batches across the usable CPUs, bitwise: an
-    untracked call (neither x_t nor any parameter a tape Var) with one
-    conditioning row (scalar t, no labels) and no capture runs a batch of
-    more than 1024 tokens (_PART_TOKENS) through its blocks in parts of
-    whole images on the calling thread and worker threads, and the result
-    equals the one-part call bit for bit. Every other call runs as one part
-    on the calling thread.
+    Inference splits batches across the usable CPUs, bitwise: an untracked
+    call (neither x_t nor any parameter a tape Var) with one conditioning
+    row (scalar t, no labels) and no capture runs its blocks in parts of
+    whole images on the calling thread and worker threads, about one part
+    per 1024 tokens (_PART_TOKENS) and, for images of at least 192 tokens
+    (_PART_IMAGE_TOKENS), at least one per usable CPU. No part is a single
+    GEMM row and every part GEMM is a multiple of 8 columns wide, so the
+    result equals the one-part call bit for bit. Every other call runs as
+    one part on the calling thread.
     """
     config, p = model.config, model.params
     if config.mode != "generative":

@@ -1,12 +1,24 @@
 """An untracked forward with one broadcast conditioning row and no capture
-runs a large batch in parts of whole images on the calling thread and worker
+runs its batch in parts of whole images on the calling thread and worker
 threads. Every split call must equal the one-part call bit for bit, and the
 threads must behave: errors come back in batch order after every part has
 finished, np.errstate reaches the workers, a forked child gets its own pool,
-and a tracked, per-sample-conditioned or capturing call never splits."""
+and a tracked, per-sample-conditioned or capturing call never splits.
 
+Two measured rules make the split bitwise (numpy 2.4.6, OpenBLAS 0.3.31,
+one BLAS thread, an AVX-512 Intel Xeon): no part holds a single GEMM row,
+which numpy would hand to GEMV, and every GEMM a part runs is a multiple of
+8 columns wide. Cutting the point checkpoint's 4096-token forward after rows
+2, 3, 5, 7, 8, 15, 16, 33, 37, 63, 834, 1000, 1365, 4090 or 4094 gave the
+one-part bytes; after row 1 or 4095 it did not. Plain 4096-row GEMMs of
+widths 8, 16, 24, 32, 40, 48, 64, 72, 96, 128 and 256 kept their bytes at
+every cut tried, and widths 2, 12, 130, 250 and 258 did not. Another BLAS
+build or CPU may need other rules, which these tests would catch."""
+
+import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -20,7 +32,8 @@ from flowdit import autodiff as ad
 from flowdit import dit, flowlab, sampler
 from test_dit import randomized, small_config
 
-CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint"
+ROOT = Path(__file__).resolve().parents[1]
+CHECKPOINT = ROOT / "perfbench" / "checkpoint"
 TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
 SIZES = [1025, 2049, 2500, 4096, 8191]
 
@@ -33,6 +46,12 @@ def point_model():
 @pytest.fixture(scope="module")
 def image_model():
     return randomized(dit.init_model(small_config(n_classes=3), seed=3), seed=4)
+
+
+@pytest.fixture(scope="module")
+def gqa_model():
+    """gen_image's attention shape: 4 query heads over 2 kv heads, d_model 64."""
+    return randomized(dit.init_model(small_config(d_model=64, n_q_heads=4, n_kv_heads=2), seed=5), seed=6)
 
 
 @pytest.fixture
@@ -54,8 +73,13 @@ def parts_seen(monkeypatch):
 
 def one_part(monkeypatch, call):
     with monkeypatch.context() as m:
-        m.setattr(dit, "_PART_TOKENS", 1 << 62)
+        m.setattr(dit, "_part_bounds", lambda config, batch, tokens: [0, batch])
         return call()
+
+
+def usable_cpus(monkeypatch, n):
+    """The part policy sees n usable CPUs: the caller and n - 1 pool workers."""
+    monkeypatch.setattr(dit, "_pool", lambda pid: (None, n - 1))
 
 
 def assert_split_across_threads(parts_seen, n_images):
@@ -136,6 +160,36 @@ def test_split_image_forward_with_pool_is_bitwise_one_part(image_model, parts_se
     assert np.array_equal(split, whole)
 
 
+@pytest.mark.parametrize("window", [None, (1, 1), (2, 2), (4, 4)], ids=["full", "1x1", "2x2", "4x4"])
+@pytest.mark.parametrize("grid", [(10, 25), (16, 16)], ids=["10x25", "16x16"])
+@pytest.mark.parametrize("batch", [2, 3])
+def test_split_gqa_image_forward_is_bitwise_one_part(gqa_model, one_worker, parts_seen, monkeypatch, batch, grid, window):
+    """gen_image's shapes: 250- and 256-token images on two CPUs (one pool
+    worker, whatever this host has) run as two parts, the first image on
+    the caller and the rest on the worker."""
+    x = np.random.default_rng(batch).standard_normal((batch, 2 * grid[0], 2 * grid[1], 2))
+    kv_pool = None if window is None else (grid, window)
+    whole = one_part(monkeypatch, lambda: dit.forward_velocity(gqa_model, x, 0.61, kv_pool=kv_pool))
+    assert parts_seen == []
+    split = dit.forward_velocity(gqa_model, x, 0.61, kv_pool=kv_pool)
+    (first, caller), (rest, worker) = sorted(parts_seen)
+    assert (first, rest) == ((0, 1), (1, batch))
+    assert caller == threading.get_ident() != worker
+    assert np.array_equal(split, whole)
+
+
+@pytest.mark.parametrize(
+    "bounds", [[0, 2, 4096], [0, 3, 37, 4096], [0, 834, 1667, 2500, 4096], [0, 1000, 1365, 4094, 4096]]
+)
+def test_point_forward_cut_off_64_row_multiples_is_bitwise_one_part(point_model, one_worker, parts_seen, monkeypatch, bounds):
+    x = np.random.default_rng(11).standard_normal((4096, 1, 1, 2))
+    whole = one_part(monkeypatch, lambda: dit.forward_velocity(point_model, x, 0.37))
+    monkeypatch.setattr(dit, "_part_bounds", lambda config, batch, tokens: bounds)
+    split = dit.forward_velocity(point_model, x, 0.37)
+    assert sorted(span for span, _ in parts_seen) == list(zip(bounds, bounds[1:]))
+    assert np.array_equal(split, whole)
+
+
 def test_generate_splits_every_velocity_evaluation(point_model, parts_seen):
     """gen's parallel path: each of the sampler's evaluations runs in parts."""
     spec = sampler.ScheduleSpec(kind="uniform", n_steps=3)
@@ -145,20 +199,42 @@ def test_generate_splits_every_velocity_evaluation(point_model, parts_seen):
     assert len(parts_seen) == n_parts * n_evals
 
 
-def test_part_bounds_are_aligned_and_near_equal(point_model, image_model):
-    points, images = point_model.config, image_model.config
-    assert dit._part_bounds(points, 1024, 1) == [0, 1024]
-    assert dit._part_bounds(points, 1025, 1) == [0, 512, 1025]
-    assert dit._part_bounds(points, 2049, 1) == [0, 704, 1344, 2049]
-    assert dit._part_bounds(points, 4096, 1) == [0, 1024, 2048, 3072, 4096]
-    assert dit._part_bounds(images, 1025, 4) == [0, 208, 416, 608, 816, 1025]  # 16 images per 64 rows
-    assert dit._part_bounds(images, 2, 256) == [0, 2]  # gen_image's batches stay one part
-    assert dit._part_bounds(images, 5, 256) == [0, 2, 5]
-    for n in range(1025, 9000, 97):
-        bounds = dit._part_bounds(points, n, 1)
-        sizes = np.diff(bounds)
-        assert all(b % 64 == 0 for b in bounds[:-1]) and sizes.min() >= 64
-        assert sizes.max() <= 1024 + 64
+def test_part_bounds_follow_the_policy(point_model, image_model, gqa_model, monkeypatch):
+    """Policy, not correctness: about one part of whole images per 1024
+    tokens, and for images of 192 tokens or more at least one per usable CPU."""
+    points, images = point_model.config, gqa_model.config
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        assert dit._part_bounds(points, 4096, 1) == [0, 1024, 2048, 3072, 4096]  # gen_point's cut
+        assert all(dit._part_bounds(points, n, 1) == [0, n] for n in range(1, 1025))
+        assert dit._part_bounds(points, 1025, 1) == [0, 512, 1025]
+        assert dit._part_bounds(points, 2049, 1) == [0, 683, 1366, 2049]
+        assert dit._part_bounds(image_model.config, 1025, 4) == [0, 205, 410, 615, 820, 1025]
+        assert dit._part_bounds(images, 2, 128) == [0, 2]  # too small to be worth a thread
+        assert dit._part_bounds(images, 1, 256) == [0, 1]
+        assert dit._part_bounds(images, 5, 256) == [0, 2, 5]
+    usable_cpus(monkeypatch, 1)
+    assert dit._part_bounds(images, 2, 250) == [0, 2]
+    usable_cpus(monkeypatch, 2)
+    assert dit._part_bounds(images, 2, 250) == [0, 1, 2]  # gen_image's batches
+    assert dit._part_bounds(images, 3, 192) == [0, 1, 3]
+    usable_cpus(monkeypatch, 4)
+    assert dit._part_bounds(images, 2, 250) == [0, 1, 2]
+    assert dit._part_bounds(images, 6, 250) == [0, 1, 3, 4, 6]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_no_part_is_a_single_gemm_row(point_model, gqa_model, monkeypatch, cpus):
+    """A 1-row part goes to GEMV and moves bits; parts are near-equal runs of whole images."""
+    usable_cpus(monkeypatch, cpus)
+    for config in (point_model.config, gqa_model.config):
+        for tokens in (1, 2, 4, 100, 191, 192, 250, 256, 1024, 1500):
+            for batch in [*range(1, 70), *range(70, 9000, 97)]:
+                bounds = dit._part_bounds(config, batch, tokens)
+                sizes = np.diff(bounds)
+                assert bounds[0] == 0 and bounds[-1] == batch and sizes.min() >= 1
+                assert sizes.max() - sizes.min() <= 1
+                assert len(sizes) == 1 or sizes.min() * tokens >= 2
 
 
 def test_models_with_gemm_widths_off_the_multiple_of_8_never_split():
@@ -166,6 +242,7 @@ def test_models_with_gemm_widths_off_the_multiple_of_8_never_split():
     OpenBLAS's small-matrix path in a part than on the blocked path in the whole."""
     config = small_config(d_model=12, n_q_heads=3, n_kv_heads=3)
     assert dit._part_bounds(config, 8192, 1) == [0, 8192]
+    assert dit._part_bounds(config, 4, 256) == [0, 4]
 
 
 def test_tracked_call_never_splits(point_model, parts_seen):
@@ -283,3 +360,45 @@ def test_forked_child_makes_its_own_pool(point_model, parts_seen):
         child.join()
     assert not hung
     assert child.exitcode == 0
+
+
+# argv[1] is perfbench/ and argv[2] the CPUs to run on, as JSON; the
+# affinity is set before numpy or flowdit loads
+_CHECK_GENERATIONS = r"""
+import hashlib
+import json
+import os
+import sys
+import threading
+
+os.sched_setaffinity(0, json.loads(sys.argv[2]))
+sys.path.insert(0, sys.argv[1])
+import workloads
+
+w = workloads.GenImage()
+state = {"model": w.model()}
+out = {}
+for drop in (True, False):
+    x1 = w.generate(state, w.check_noise(), w.check_grid, workloads.Outcome(), drop=drop)
+    out[f"drop={drop}"] = hashlib.sha256(x1.tobytes()).hexdigest()
+out["workers"] = sum(t.name.startswith("flowdit-part") for t in threading.enumerate())
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or not TWO_CPUS, reason="needs two usable CPUs to compare")
+def test_gen_image_check_outputs_do_not_depend_on_the_usable_cpus():
+    """gen_image's dropped and full check generations give the same bytes on
+    one CPU, where every call runs as one part, and on all usable CPUs."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    cpus = sorted(os.sched_getaffinity(0))
+    runs = []
+    for allowed in (cpus[:1], cpus):
+        proc = subprocess.run([sys.executable, "-c", _CHECK_GENERATIONS, str(ROOT / "perfbench"), json.dumps(allowed)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    one, every = runs
+    assert one.pop("workers") == 0 and every.pop("workers") >= 1
+    assert one == every
