@@ -6,6 +6,12 @@ success, 2 for configuration errors (bad flags, bad config file, invalid
 parameter combinations, a warp or rope-scaling value that the chosen kind or
 strategy never reads), 1 for runtime failures such as divergent training.
 
+Every command reports a non-finite value as its own error: the sampler, the
+diagnostics, the rope tables, the probe, training and the energy distance
+each raise on the first one they make. So `main` runs every command under
+np.errstate(all="ignore"), and numpy's overflow, invalid and divide warnings
+never print, in a shell or under a warnings-as-errors filter.
+
 --config FILE reads a JSON object keyed by flag dests; each value (a string or a
 number) parses as a --flag=value token ahead of the typed flags, which still win.
 """
@@ -13,7 +19,6 @@ number) parses as a --flag=value token ahead of the typed flags, which still win
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -128,20 +133,6 @@ def _cmd_sample(args) -> None:
     )
 
 
-def _checks_its_own_values(cmd):
-    """Run cmd under np.errstate(all="ignore"): it raises FloatingPointError on
-    the first non-finite value it makes, so numpy's overflow and invalid
-    warnings would only print ahead of flowdit's own error."""
-
-    @functools.wraps(cmd)
-    def run(args) -> None:
-        with np.errstate(all="ignore"):
-            cmd(args)
-
-    return run
-
-
-@_checks_its_own_values
 def _cmd_diagnose(args) -> None:
     spec = _gaussian_spec(args)
     v = flowlab.velocity(spec)
@@ -161,7 +152,6 @@ _SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t"
                 "convention": ("convention", "consistent")}
 
 
-@_checks_its_own_values
 def _cmd_rope_scan(args) -> None:
     base = rope.freq_matrix(args.base, args.d_head, args.axes)
     chosen = [s.strip() for s in args.strategy.split(",")]
@@ -197,7 +187,6 @@ def _cmd_partition(args) -> None:
     )
 
 
-@_checks_its_own_values
 def _cmd_probe(args) -> None:
     config = dit.ModelConfig(
         d_model=args.d_model,
@@ -399,7 +388,8 @@ def main(argv=None) -> int:
             if known.config:
                 argv[command + 1:command + 1] = _config_argv(by_name[argv[command]], known.config)
         args = parser.parse_args(argv)
-        args.func(args)
+        with np.errstate(all="ignore"):
+            args.func(args)
         return 0
     except _CONFIG_ERRORS as err:
         print(f"flowdit: configuration error: {err}", file=sys.stderr)

@@ -475,8 +475,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     config, p = model.config, model.params
     if config.mode != "generative":
         raise ValueError("forward_velocity needs a generative-mode model")
-    if ad.val(x_t).ndim != 4:
-        raise ValueError(f"x_t must be [B,H,W,C], got shape {ad.val(x_t).shape}")
+    tokens, coords, grid = patchify(x_t, config.patch)
     batch = ad.val(x_t).shape[0]
     if np.ndim(t) == 0:  # one conditioning row, broadcast over the batch
         t_arr = np.full(1, float(t))
@@ -484,8 +483,6 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
         t_arr = np.asarray(t, dtype=float)
         if t_arr.shape != (batch,):
             raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
-
-    tokens, coords, grid = patchify(x_t, config.patch)
     if kv_pool is not None and tuple(kv_pool[0]) != grid:
         raise ValueError(f"kv_pool grid {tuple(kv_pool[0])} is not the patch grid {grid}")
     cond = time_embedding(model, t_arr)

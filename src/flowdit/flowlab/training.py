@@ -26,7 +26,7 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denomin
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss or a parameter gradient stops being finite."""
+    """Raised when the training loss, a parameter gradient or an updated parameter stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,19 @@ def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.n
         grads = grad(wrapped, loss)
         for name, leaf in leaves:
             g = grads[name]
-            if not np.isfinite(g).all():
-                raise DivergenceError(f"gradient of {name} became non-finite at step {step}")
             if config.optimizer == "sgd":
-                leaf.value = leaf.value - config.lr * g
-                continue
-            m_state[name] = _BETA1 * m_state[name] + (1.0 - _BETA1) * g
-            v_state[name] = _BETA2 * v_state[name] + (1.0 - _BETA2) * g * g
-            m_hat = m_state[name] / (1.0 - _BETA1 ** (step + 1))
-            v_hat = v_state[name] / (1.0 - _BETA2 ** (step + 1))
-            leaf.value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+                value = leaf.value - config.lr * g
+            else:
+                m_state[name] = _BETA1 * m_state[name] + (1.0 - _BETA1) * g
+                v_state[name] = _BETA2 * v_state[name] + (1.0 - _BETA2) * g * g
+                m_hat = m_state[name] / (1.0 - _BETA1 ** (step + 1))
+                v_hat = v_state[name] / (1.0 - _BETA2 ** (step + 1))
+                value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            # a non-finite gradient always makes a non-finite value, under either optimizer
+            if not np.isfinite(value).all():
+                cause = f"gradient of {name}" if not np.isfinite(g).all() else name
+                raise DivergenceError(f"{cause} became non-finite at step {step}")
+            leaf.value = value
     model.params.update((name, np.array(leaf.value)) for name, leaf in leaves)
     return losses
 

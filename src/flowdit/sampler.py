@@ -182,8 +182,12 @@ def rk_sample(tableau: ButcherTableau, v, x0, ts: np.ndarray):
 
 
 def sample_flow(v, x0, spec: ScheduleSpec, solver: str = "midpoint"):
-    """Integrate from noise (t=0) to data (t=1) on the warped grid."""
+    """Integrate from noise (t=0) to data (t=1) on the warped grid, which must
+    start at exactly 0.0 and end at exactly 1.0: the paper-literal rational
+    and sigmoid grids do not, so they are for `schedule_points` alone."""
     ts = schedule_points(spec)
+    if ts[0] != 0.0 or ts[-1] != 1.0:
+        raise ValueError(f"sampling grid runs from t={float(ts[0])!r} to t={float(ts[-1])!r}, not 0.0 to 1.0: {spec}")
     if solver not in TABLEAUS:
         raise ValueError(f"unknown solver {solver!r}")
     return rk_sample(TABLEAUS[solver], v, x0, ts)

@@ -18,6 +18,7 @@ from flowdit import cli, dit, flowlab
 from flowdit import numkernel as nk
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -469,19 +470,100 @@ def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, mo
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward pass overflows on the way
-def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, capsys):
-    # every entry is finite, so load_model accepts the copy, yet the samples
-    # reach 1.7e308 and their squared distances overflow
-    ckpt = tmp_path / "ckpt"
-    shutil.copytree(Path(__file__).resolve().parents[1] / "perfbench" / "checkpoint", ckpt)
+def copy_overflowing_checkpoint(ckpt):
+    """perfbench's point checkpoint with every b_out entry at 1.7e308: each entry
+    is finite, so load_model accepts the copy, yet the samples reach 1.7e308."""
+    shutil.copytree(ROOT / "perfbench" / "checkpoint", ckpt)
     nk.save_tensor(ckpt / "b_out.nkt", np.full_like(nk.load_tensor(ckpt / "b_out.nkt"), 1.7e308))
+
+
+def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, capsys):
+    # the forward pass and the samples' squared distances overflow on the way
+    ckpt = tmp_path / "ckpt"
+    copy_overflowing_checkpoint(ckpt)
     out, pgm = tmp_path / "g.csv", tmp_path / "g.pgm"
     rc = cli.main(["gen", "--model", str(ckpt), "--n", "8", "--steps", "4", "--held-out", "eight_gaussians",
                    "--out", str(out), "--pgm", str(pgm)])
     assert rc == 1
-    assert "energy distance is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "energy distance is not finite" in err
+    assert "RuntimeWarning" not in err
     assert not out.exists() and not pgm.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "gen"])
+@pytest.mark.parametrize(
+    "warp,ends",
+    [
+        (["--kind", "rational", "--sigma", "2"], "t=0.0 to t=0.3333333333333333"),
+        (["--kind", "rational", "--sigma", "0.7"], "t=0.0 to t=2.5000000000000004"),
+        (["--kind", "sigmoid"], "t=0.026596993576865863 to t=0.9996646498695335"),
+    ],
+    ids=["rational_sigma2", "rational_sigma0.7", "sigmoid"],
+)
+def test_paper_literal_grids_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, command, warp, ends):
+    # a grid that does not run from 0 to 1 is integrated wrongly, so sampling refuses it
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--form", "paper_literal", *warp, "--steps", "8", "--n", "8", "--out", "x.csv", "--pgm", "x.pgm"]
+    if command == "gen":
+        argv += ["--model", str(ROOT / "perfbench" / "checkpoint")]
+    assert cli.main(argv) == 2
+    assert f"sampling grid runs from {ends}, not 0.0 to 1.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # schedule still writes the literal grid
+    assert cli.main(["schedule", "--form", "paper_literal", *warp, "--steps", "8", "--out", "s.csv"]) == 0
+    _, rows = read_csv(tmp_path / "s.csv")
+    assert f"t={rows[0][1]} to t={rows[-1][1]}" == ends
+
+
+# numerically failing runs: argv, exit code and the one stderr line
+NON_FINITE_RUNS = {
+    "schedule": (
+        ["schedule", "--kind", "sigmoid", "--alpha", "5000", "--out", "s.csv"], 2,
+        "flowdit: configuration error: schedule is not strictly increasing: ScheduleSpec(kind='sigmoid', "
+        "n_steps=50, form='endpoint_normalized', sigma=1.0, mu=0.6, alpha=5000.0, beta=20.0)",
+    ),
+    "sample": (
+        ["sample", "--mean", "1e308,1e308", "--std", "1e300", "--out", "x.csv"], 1,
+        "flowdit: error: non-finite velocity at step 0, t=0.0",
+    ),
+    "train": (
+        ["train", "--optimizer", "sgd", "--lr", "1e308", "--steps", "1", "--out-dir", "run"], 1,
+        "flowdit: error: w_out became non-finite at step 0",
+    ),
+    "gen": (
+        ["gen", "--model", "ckpt", "--n", "8", "--steps", "4", "--held-out", "eight_gaussians",
+         "--out", "g.csv", "--pgm", "g.pgm"], 1,
+        "flowdit: error: energy distance is not finite (nan)",
+    ),
+}
+
+
+def shell_env(**extra) -> dict:
+    """The environment of a `python -m flowdit.cli` child that imports this checkout's src/."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+@pytest.mark.parametrize("how", ["in_process", "shell"])
+@pytest.mark.parametrize("case", list(NON_FINITE_RUNS))
+def test_a_non_finite_run_prints_one_flowdit_line_in_process_and_in_a_shell(tmp_path, capsys, monkeypatch, case, how):
+    # in process, pytest turns any numpy warning into an error; in a shell, it would print
+    monkeypatch.chdir(tmp_path)
+    argv, code, line = NON_FINITE_RUNS[case]
+    if case == "gen":
+        copy_overflowing_checkpoint(tmp_path / "ckpt")
+    before = sorted(tmp_path.rglob("*"))
+    if how == "in_process":
+        rc, err = cli.main(argv), capsys.readouterr().err
+    else:
+        child = subprocess.run([sys.executable, "-m", "flowdit.cli", *argv], env=shell_env(),
+                               capture_output=True, text=True)
+        rc, err = child.returncode, child.stderr
+    assert (rc, err) == (code, line + "\n")
+    # train makes --out-dir before its first step, but writes no model/ into it
+    made = [p.relative_to(tmp_path) for p in sorted(tmp_path.rglob("*")) if p not in before]
+    assert made == ([Path("run")] if case == "train" else [])
 
 
 def test_gen_rejects_truncated_tensor_header(tmp_path, capsys):
@@ -622,12 +704,10 @@ def test_train_checks_its_out_dir_before_training(tmp_path, capsys, monkeypatch)
 
 
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for threads in ("1", "2"):
         run = tmp_path / f"blas{threads}"
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        env = shell_env(OPENBLAS_NUM_THREADS=threads)
         for argv in (
             ["train", "--steps", "40", "--batch", "256", "--train-points", "4096", "--out-dir", str(run)],
             ["gen", "--model", str(run), "--n", "512", "--steps", "4", "--out", str(run / "gen.csv")],
@@ -643,7 +723,7 @@ def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):
 
 def test_readme_commands_parse():
     parser, _ = cli.build_parser()
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     commands = []
     for block in readme.split("```")[1::2]:
         loop_vars = {}  # a `for VAR in A B ...; do` line binds $VAR to A

@@ -357,6 +357,37 @@ def test_train_raises_on_non_finite_gradient(monkeypatch):
     assert np.array_equal(model.params["w_out"], keep)
 
 
+# Adam's m_hat / sqrt(v_hat) of an infinite gradient is inf / inf
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("optimizer,bad", [("sgd", np.inf), ("sgd", np.nan), ("adam", -np.inf)])
+def test_train_names_the_non_finite_gradient_under_either_optimizer(monkeypatch, optimizer, bad):
+    data = datasets.toy_dataset("eight_gaussians", 128, seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
+    real_grad = training.grad
+
+    def poisoned(wrapped, loss):
+        grads = real_grad(wrapped, loss)
+        grads["b_out"][1] = bad
+        return grads
+
+    monkeypatch.setattr(training, "grad", poisoned)
+    config = training.TrainConfig(steps=3, batch_size=16, optimizer=optimizer)
+    with pytest.raises(training.DivergenceError, match=r"^gradient of b_out became non-finite at step 0$"):
+        training.train(model, data, config)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_train_raises_on_a_non_finite_parameter_from_finite_gradients():
+    # the gradients of step 0 are finite, but lr * gradient overflows for w_out
+    data = datasets.toy_dataset("eight_gaussians", 128, seed=0)
+    model = dit.init_model(training.point_model_config(16, 1), seed=0)
+    keep = dict(model.params)
+    config = training.TrainConfig(steps=3, batch_size=16, lr=1e308, optimizer="sgd")
+    with pytest.raises(training.DivergenceError, match=r"^w_out became non-finite at step 0$"):
+        training.train(model, data, config)
+    assert all(model.params[name] is keep[name] for name in keep)
+
+
 def tape_of(root):
     """(op node count, ids of every Var reached) of the tape behind root."""
     nodes, seen, stack = 0, set(), [root]

@@ -212,6 +212,26 @@ def test_sample_flow_names_the_step_and_time_of_a_non_finite_velocity():
     assert len(times) == 3
 
 
+@pytest.mark.parametrize(
+    "warp,ends",
+    [
+        ({"kind": "rational", "sigma": 2.0}, r"t=0\.0 to t=0\.3333333333333333,"),
+        ({"kind": "rational", "sigma": 0.7}, r"t=0\.0 to t=2\.5000000000000004,"),
+        ({"kind": "sigmoid"}, r"t=0\.026596993576865863 to t=0\.9996646498695335,"),
+    ],
+    ids=["rational_sigma2", "rational_sigma0.7", "sigmoid"],
+)
+def test_sample_flow_refuses_a_grid_that_does_not_run_from_0_to_1(warp, ends):
+    # the paper-literal forms stop short of t = 1, run past it or start after t = 0
+    spec = sampler.ScheduleSpec(n_steps=8, form="paper_literal", **warp)
+    counter = CountingField(decay)
+    with pytest.raises(ValueError, match=f"sampling grid runs from {ends} not 0.0 to 1.0"):
+        sampler.sample_flow(counter, np.ones(2), spec, "rk4")
+    assert counter.calls == 0
+    # schedule_points still gives the literal grid
+    assert sampler.schedule_points(spec).shape == (9,)
+
+
 def test_sample_flow_rejects_unknown_solver():
     with pytest.raises(ValueError, match="solver"):
         sampler.sample_flow(decay, np.ones(1), sampler.ScheduleSpec(), "heun")

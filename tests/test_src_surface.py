@@ -132,3 +132,31 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert [where for where, key in unpassed.items() if key not in UNPASSED_DEFAULTS] == []
     # each exception is still a defaulted parameter that no call outside the tests passes
     assert sorted(unpassed.values()) == sorted(UNPASSED_DEFAULTS)
+
+
+# numpy's floating-point state: entering it anywhere but around the CLI's commands
+# would make two policies, one for the command that sets it and one for the rest
+FP_STATE = {"errstate", "seterr", "seterrcall"}
+
+
+def fp_state_mentions(node, function):
+    """(name, innermost enclosing function) of every FP_STATE name under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    if name in FP_STATE:
+        yield name, function
+    for child in ast.iter_child_nodes(node):
+        yield from fp_state_mentions(child, function)
+
+
+def test_numpy_floating_point_state_is_entered_only_around_the_cli_commands():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+    mentions = [
+        (str(path.relative_to(SRC)), *mention) for path, tree in trees.items() for mention in fp_state_mentions(tree, None)
+    ]
+    assert mentions == [("cli.py", "errstate", "main")]
+    main = next(node for node in ast.walk(trees[SRC / "cli.py"]) if getattr(node, "name", None) == "main")
+    (block,) = [node for node in ast.walk(main) if isinstance(node, ast.With)]
+    assert [ast.unparse(item.context_expr) for item in block.items] == ["np.errstate(all='ignore')"]
+    assert [ast.unparse(statement) for statement in block.body] == ["args.func(args)"]
