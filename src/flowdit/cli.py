@@ -74,38 +74,52 @@ def render_density(points: np.ndarray) -> np.ndarray:
     return img.astype(np.uint8)
 
 
+def _write_samples(args, x1: np.ndarray) -> None:
+    if args.out:
+        _write_csv(args.out, [f"x{i}" for i in range(x1.shape[1])], x1.tolist())
+    if args.pgm:
+        write_pgm(args.pgm, render_density(x1))
+
+
 def _reject_unread(args, flags: dict[str, str], read, chosen: str) -> None:
-    """Exit 2 on a flag whose field the chosen kind or
-    strategy never reads; flags maps each flag dest to its spec field."""
+    """Exit 2 on a flag that the chosen kind or strategy never reads; flags maps each dest to the name read."""
     unread = [f"--{flag}" for flag, field in flags.items() if getattr(args, flag) is not None and field not in read]
     if unread:
         raise ValueError(f"{', '.join(unread)}: no effect with {chosen}")
 
 
-# warp flags default to None, so a flag the kind ignores is caught; unset, ScheduleSpec's defaults apply
-_WARP_FLAGS = ("form", "sigma", "mu", "alpha", "beta")
+# warp flags default to None, so a flag the kind ignores is caught; unset, ScheduleSpec's defaults apply.
+# schedule's --form, an argument of schedule_points and not a spec field, is caught the same way
+_WARP_FLAGS = ("sigma", "mu", "alpha", "beta")
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", default="uniform", choices=sampler.SCHEDULE_KINDS, help="timestep warp")
     p.add_argument("--steps", type=int, default=50, help="number of solver intervals")
-    p.add_argument("--form", default=None, choices=sampler.SCHEDULE_FORMS,
-                   help="rational and sigmoid warps (default endpoint_normalized)")
     p.add_argument("--sigma", type=float, default=None, help="rational warp strength (default 1)")
     p.add_argument("--mu", type=float, default=None, help="sigmoid crossover (default 0.6)")
     p.add_argument("--alpha", type=float, default=None, help="sigmoid left sharpness (default 6)")
     p.add_argument("--beta", type=float, default=None, help="sigmoid right sharpness (default 20)")
 
 
-def _schedule_spec(args) -> sampler.ScheduleSpec:
+def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
+    _add_schedule_flags(p)
+    p.add_argument("--n", type=int, default=4096)
+    p.add_argument("--solver", default="midpoint", choices=sorted(sampler.TABLEAUS))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="samples CSV")
+    p.add_argument("--pgm", default=None, help="density image (PGM)")
+
+
+def _schedule_spec(args, *more: str) -> sampler.ScheduleSpec:
     warp = {f: getattr(args, f) for f in _WARP_FLAGS if getattr(args, f) is not None}
     spec = sampler.ScheduleSpec(kind=args.kind, n_steps=args.steps, **warp)
-    _reject_unread(args, {f: f for f in _WARP_FLAGS}, sampler.SCHEDULE_FIELDS[spec.kind], f"--kind {spec.kind}")
+    _reject_unread(args, {f: f for f in _WARP_FLAGS + more}, sampler.SCHEDULE_FIELDS[spec.kind], f"--kind {spec.kind}")
     return spec
 
 
 def _cmd_schedule(args) -> None:
-    ts = sampler.schedule_points(_schedule_spec(args))
+    ts = sampler.schedule_points(_schedule_spec(args, "form"), args.form or "endpoint_normalized")
     _write_csv(args.out, ["i", "t"], list(enumerate(ts)))
     print(f"schedule: wrote {len(ts)} {args.kind} grid points to {args.out}")
 
@@ -121,10 +135,7 @@ def _cmd_sample(args) -> None:
     v = flowlab.velocity(spec)
     x0 = flowlab.source_sample(spec, args.n, seed=args.seed)
     x1 = sampler.sample_flow(v, x0, _schedule_spec(args), solver=args.solver)
-    if args.out:
-        _write_csv(args.out, [f"x{i}" for i in range(x1.shape[1])], x1.tolist())
-    if args.pgm:
-        write_pgm(args.pgm, render_density(x1))
+    _write_samples(args, x1)
     mean_err = float(np.abs(x1.mean(axis=0) - spec.mean_vec).max())
     std_err = float(np.abs(x1.std(axis=0) - spec.std).max())
     print(
@@ -255,10 +266,7 @@ def _cmd_gen(args) -> None:
         # criterion 11's convention: as many held-out points as samples, seed 1234
         held_out = flowlab.toy_dataset(args.held_out, args.n, seed=1234)
         score = flowlab.energy_distance(x1, held_out)
-    if args.out:
-        _write_csv(args.out, ["x0", "x1"], x1.tolist())
-    if args.pgm:
-        write_pgm(args.pgm, render_density(x1))
+    _write_samples(args, x1)
     print(f"gen: {args.n} samples via {args.solver} x{args.steps} from {args.model}")
     if args.held_out:
         print(f"gen: energy distance to held-out {args.held_out}: {score:.4f}")
@@ -278,17 +286,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub("schedule", _cmd_schedule, "emit a timestep schedule as CSV")
     _add_schedule_flags(p)
+    p.add_argument("--form", default=None, choices=sampler.SCHEDULE_FORMS,
+                   help="rational and sigmoid warps (default endpoint_normalized)")
     p.add_argument("--out", required=True)
 
     p = sub("sample", _cmd_sample, "integrate a closed-form Gaussian flow")
-    _add_schedule_flags(p)
     p.add_argument("--mean", default="2,2", help="target mean, comma separated")
     p.add_argument("--std", type=float, default=0.5, help="target std")
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--solver", default="midpoint", choices=sorted(sampler.TABLEAUS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="samples CSV")
-    p.add_argument("--pgm", default=None, help="density image (PGM)")
+    _add_sampling_flags(p)
 
     p = sub("diagnose", _cmd_diagnose, "truncation-error and curvature profiles")
     p.add_argument("--mean", default="2,2")
@@ -349,13 +354,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out-dir", required=True, dest="out_dir")
 
     p = sub("gen", _cmd_gen, "sample from a trained point-flow checkpoint")
-    _add_schedule_flags(p)
     p.add_argument("--model", required=True, help="checkpoint directory")
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--solver", default="midpoint", choices=sorted(sampler.TABLEAUS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--pgm", default=None)
+    _add_sampling_flags(p)
     p.add_argument("--held-out", default=None, dest="held_out", choices=flowlab.DATASETS,
                    help="print the energy distance to held-out points of this toy")
 

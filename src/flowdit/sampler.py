@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the ScheduleSpec fields each warp kind reads; it ignores the others
+# what each warp kind reads, ignoring the rest: ScheduleSpec fields, and form, a schedule_points argument
 SCHEDULE_FIELDS = {"uniform": (), "rational": ("form", "sigma"), "sigmoid": ("form", "mu", "alpha", "beta")}
 SCHEDULE_KINDS = tuple(SCHEDULE_FIELDS)
 SCHEDULE_FORMS = ("paper_literal", "endpoint_normalized")
@@ -34,7 +34,6 @@ class ScheduleSpec:
 
     kind: str = "uniform"
     n_steps: int = 50
-    form: str = "endpoint_normalized"
     sigma: float = 1.0
     mu: float = 0.6
     alpha: float = 6.0
@@ -43,21 +42,15 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.form not in SCHEDULE_FORMS:
-            raise ValueError(f"unknown schedule form {self.form!r}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
-        if self.kind == "rational":
-            if self.form == "paper_literal" and self.sigma <= 0.5:
-                # t/(sigma + t*(sigma-1)) has a pole in [0,1] at sigma <= 1/2
-                raise ValueError(f"rational warp needs sigma > 0.5, got {self.sigma}")
-            if self.sigma <= 0.0:
-                raise ValueError(f"rational warp needs sigma > 0, got {self.sigma}")
+        if self.kind == "rational" and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"rational warp needs a finite sigma > 0, got {self.sigma}")
         if self.kind == "sigmoid":
             if not 0.0 < self.mu < 1.0:
                 raise ValueError(f"mu must lie inside (0,1), got {self.mu}")
-            if self.alpha <= 0.0 or self.beta <= 0.0:
-                raise ValueError("sigmoid sharpness alpha, beta must be positive")
+            if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+                raise ValueError(f"sigmoid alpha, beta must be finite and > 0, got {self.alpha}, {self.beta}")
 
 
 def rational_warp(t, sigma: float, form: str = "endpoint_normalized"):
@@ -78,16 +71,27 @@ def sigmoid_warp(t, mu: float, alpha: float, beta: float):
     return np.where(t < mu, left, right)
 
 
-def schedule_points(spec: ScheduleSpec) -> np.ndarray:
-    """The N+1 grid nodes t_0 < ... < t_N produced by the warp."""
+def schedule_points(spec: ScheduleSpec, form: str = "endpoint_normalized") -> np.ndarray:
+    """The N+1 grid nodes t_0 < ... < t_N produced by the warp.
+
+    The endpoint-normalized grid, the one `sample_flow` integrates, runs from
+    exactly 0.0 to exactly 1.0. form="paper_literal" gives the published
+    rational and sigmoid warps verbatim: the rational grid ends at 1/(2 sigma - 1)
+    and needs sigma > 0.5, the sigmoid grid starts after 0 and ends before 1.
+    """
+    if form not in SCHEDULE_FORMS:
+        raise ValueError(f"unknown schedule form {form!r}")
+    if form == "paper_literal" and spec.kind == "rational" and spec.sigma <= 0.5:
+        # t/(sigma + t*(sigma-1)) has a pole in [0,1] at sigma <= 1/2
+        raise ValueError(f"rational warp needs sigma > 0.5, got {spec.sigma}")
     t = np.arange(spec.n_steps + 1, dtype=float) / spec.n_steps
     if spec.kind == "uniform":
         out = t
     elif spec.kind == "rational":
-        out = rational_warp(t, spec.sigma, spec.form)
+        out = rational_warp(t, spec.sigma, form)
     else:
         out = sigmoid_warp(t, spec.mu, spec.alpha, spec.beta)
-        if spec.form == "endpoint_normalized":
+        if form == "endpoint_normalized":
             lo = sigmoid_warp(0.0, spec.mu, spec.alpha, spec.beta)
             hi = sigmoid_warp(1.0, spec.mu, spec.alpha, spec.beta)
             out = (out - lo) / (hi - lo)
@@ -182,15 +186,10 @@ def rk_sample(tableau: ButcherTableau, v, x0, ts: np.ndarray):
 
 
 def sample_flow(v, x0, spec: ScheduleSpec, solver: str = "midpoint"):
-    """Integrate from noise (t=0) to data (t=1) on the warped grid, which must
-    start at exactly 0.0 and end at exactly 1.0: the paper-literal rational
-    and sigmoid grids do not, so they are for `schedule_points` alone."""
-    ts = schedule_points(spec)
-    if ts[0] != 0.0 or ts[-1] != 1.0:
-        raise ValueError(f"sampling grid runs from t={float(ts[0])!r} to t={float(ts[-1])!r}, not 0.0 to 1.0: {spec}")
+    """Integrate from noise (t=0) to data (t=1) on the warp's endpoint-normalized grid."""
     if solver not in TABLEAUS:
         raise ValueError(f"unknown solver {solver!r}")
-    return rk_sample(TABLEAUS[solver], v, x0, ts)
+    return rk_sample(TABLEAUS[solver], v, x0, schedule_points(spec))
 
 
 def cfg_velocity(v_cond, v_uncond, guidance: float):

@@ -78,6 +78,20 @@ def test_invalid_parameter_returns_two(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_non_finite_warp_values_exit_two_naming_them(tmp_path, capsys):
+    # not as a grid that fails to increase
+    out = tmp_path / "x.csv"
+    for warp, message in [
+        (["--kind", "rational", "--sigma", "nan"], "rational warp needs a finite sigma > 0, got nan"),
+        (["--kind", "rational", "--sigma", "inf"], "rational warp needs a finite sigma > 0, got inf"),
+        (["--kind", "sigmoid", "--alpha", "nan"], "sigmoid alpha, beta must be finite and > 0, got nan, 20.0"),
+        (["--kind", "sigmoid", "--beta", "inf"], "sigmoid alpha, beta must be finite and > 0, got 6.0, inf"),
+    ]:
+        assert cli.main(["schedule", *warp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"flowdit: configuration error: {message}\n"
+        assert not out.exists()
+
+
 def test_runtime_failure_returns_one(tmp_path, capsys):
     # --out pointing at a directory fails at write time, not config time
     rc = cli.main(["schedule", "--steps", "3", "--out", str(tmp_path)])
@@ -502,13 +516,15 @@ def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, c
     ids=["rational_sigma2", "rational_sigma0.7", "sigmoid"],
 )
 def test_paper_literal_grids_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, command, warp, ends):
-    # a grid that does not run from 0 to 1 is integrated wrongly, so sampling refuses it
+    # a grid that does not run from 0 to 1 is integrated wrongly, so sampling takes no --form
     monkeypatch.chdir(tmp_path)
     argv = [command, "--form", "paper_literal", *warp, "--steps", "8", "--n", "8", "--out", "x.csv", "--pgm", "x.pgm"]
     if command == "gen":
         argv += ["--model", str(ROOT / "perfbench" / "checkpoint")]
-    assert cli.main(argv) == 2
-    assert f"sampling grid runs from {ends}, not 0.0 to 1.0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --form paper_literal" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     # schedule still writes the literal grid
     assert cli.main(["schedule", "--form", "paper_literal", *warp, "--steps", "8", "--out", "s.csv"]) == 0
@@ -521,7 +537,7 @@ NON_FINITE_RUNS = {
     "schedule": (
         ["schedule", "--kind", "sigmoid", "--alpha", "5000", "--out", "s.csv"], 2,
         "flowdit: configuration error: schedule is not strictly increasing: ScheduleSpec(kind='sigmoid', "
-        "n_steps=50, form='endpoint_normalized', sigma=1.0, mu=0.6, alpha=5000.0, beta=20.0)",
+        "n_steps=50, sigma=1.0, mu=0.6, alpha=5000.0, beta=20.0)",
     ),
     "sample": (
         ["sample", "--mean", "1e308,1e308", "--std", "1e300", "--out", "x.csv"], 1,

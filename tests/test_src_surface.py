@@ -8,13 +8,19 @@ calling it, and counting it let test-only code hide behind the package API.
 
 In the same way, every defaulted parameter of a public function is passed by
 some call outside the tests: one that no call passes is a fixed value, not a
-setting, and belongs in a module constant."""
+setting, and belongs in a module constant.
+
+The maps of the settings each warp kind and each rope strategy reads name
+every setting there is, and nothing else."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
-from flowdit import dit
+import pytest
+
+from flowdit import dit, rope, sampler
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flowdit"
@@ -160,3 +166,25 @@ def test_numpy_floating_point_state_is_entered_only_around_the_cli_commands():
     (block,) = [node for node in ast.walk(main) if isinstance(node, ast.With)]
     assert [ast.unparse(item.context_expr) for item in block.items] == ["np.errstate(all='ignore')"]
     assert [ast.unparse(statement) for statement in block.body] == ["args.func(args)"]
+
+
+# the names that pick a warp or scaling, or size its grid, rather than shape it
+PICKERS = {"kind", "n_steps", "strategy"}
+
+
+@pytest.mark.parametrize(
+    "reads,settable",
+    [
+        (sampler.SCHEDULE_FIELDS, {field.name for field in dataclasses.fields(sampler.ScheduleSpec)}
+         | set(inspect.signature(sampler.schedule_points).parameters) - {"spec"}),
+        (rope.STRATEGY_FIELDS, {field.name for field in dataclasses.fields(rope.ScaleSpec)}),
+    ],
+    ids=["schedule", "rope_scale"],
+)
+def test_each_unread_flag_map_names_every_setting_and_nothing_else(reads, settable):
+    # cli._reject_unread trusts these maps: a name that is no spec field or schedule_points
+    # parameter (after a rename, say) would let every flag through, and a setting that no
+    # kind or strategy reads would be refused with all of them
+    read = {name for names in reads.values() for name in names}
+    assert sorted(read - settable) == []
+    assert sorted(settable - PICKERS - read) == []
