@@ -12,6 +12,14 @@ and the nonlinearities tanh and silu. A difference is add of a negated
 constant, and an axis swap is transpose. Indexing is the only operator a
 Var supports; anything else, numpy ufuncs included, raises rather than
 differentiating silently.
+
+Two compositions serve the sandwich block: modulate(n, scale, shift) is
+add(mul(n, scale), shift) and gated_residual(x, gate, n) is
+add(x, mul(gate, n)). Taped, they build exactly those nodes. Untracked,
+they write the result into n, so n must be an array the caller has just
+made and nothing else holds; an n whose shape or dtype cannot hold the
+result (numkernel.holds) is left alone and a fresh array returned.
+IEEE products and sums commute, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -134,15 +142,42 @@ def silu(a):
     av = val(a)
     # sig = 1 / (1 + exp(-a)) built in one buffer by the same operations in
     # the same order, so both paths stay bitwise equal to that expression;
-    # a is never written, and only sig (the VJP keeps it) and out are new
+    # a is never written; taped, sig (the VJP keeps it) and out are new,
+    # and untracked, sig is the one new array and becomes out
     sig = np.negative(av)
     sig = np.exp(sig, out=sig if np.issubdtype(sig.dtype, np.inexact) else None)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
+    if not _tracked(a):  # nothing keeps sig: the output overwrites it
+        return np.multiply(av, sig, out=sig if numkernel.holds(sig, av) else None)
     out = av * sig
-    if not _tracked(a):
-        return out
     return _node(out, (a,), lambda g: (g * sig * (1.0 + av * (1.0 - sig)),))
+
+
+def modulate(n, scale, shift):
+    """n * scale + shift: add(mul(n, scale), shift) taped, written into n untracked.
+
+    n must be an array the caller owns (see the module docstring); scale
+    and shift are never written.
+    """
+    if _tracked(n, scale, shift) or not numkernel.holds(n, scale, shift):
+        return add(mul(n, scale), shift)
+    n *= scale
+    n += shift
+    return n
+
+
+def gated_residual(x, gate, n):
+    """x + gate * n: add(x, mul(gate, n)) taped, written into n untracked.
+
+    n must be an array the caller owns (see the module docstring); x and
+    gate are never written.
+    """
+    if _tracked(x, gate, n) or not numkernel.holds(n, gate, x):
+        return add(x, mul(gate, n))
+    n *= gate
+    n += x
+    return n
 
 
 def matmul(a, b):
@@ -292,9 +327,13 @@ def rotate_pairs(x, cos, sin):
         raise TypeError("rotate_pairs() angles must be constants")
     xv = val(x)
     xe, xo = xv[..., 0::2], xv[..., 1::2]
-    ye = xe * cos - xo * sin
-    yo = xe * sin + xo * cos
-    out = np.stack([ye, yo], axis=-1).reshape(xv.shape)
+    # both halves are written into the interleaved output, which holds
+    # what np.stack([ye, yo], axis=-1) would, by the same expressions
+    pairs = np.empty(np.broadcast_shapes(xe.shape, np.shape(cos), np.shape(sin)) + (2,),
+                     np.result_type(xv, cos, sin))
+    np.subtract(xe * cos, xo * sin, out=pairs[..., 0])
+    np.add(xe * sin, xo * cos, out=pairs[..., 1])
+    out = pairs.reshape(xv.shape)
     if not _tracked(x):
         return out
 

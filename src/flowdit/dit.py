@@ -291,9 +291,13 @@ def _with_token_axis(u):
 
 def block_modulation(cond, block: dict, d: int) -> list:
     """A generative block's zero-initialised AdaLN projection of cond, split
-    into the parts of `modulation_slices`, in its order, each [..., 1, width]."""
+    into the parts of `modulation_slices`, in its order, each [..., 1, width],
+    as sandwich_block applies them: each shift as it is, each scale as
+    1 + scale and each gate as tanh(gate). A call with one conditioning row
+    builds them once for every part of the batch."""
     mod = _with_token_axis(ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"]))
-    return [mod[..., part] for part in modulation_slices(d).values()]
+    shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = (mod[..., part] for part in modulation_slices(d).values())
+    return [shift_a, ad.add(scale_a, 1.0), ad.tanh(gate_a), shift_m, ad.add(scale_m, 1.0), ad.tanh(gate_m)]
 
 
 def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
@@ -301,31 +305,35 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
 
     block holds one block's entries without their `blocks.<i>.` prefix.
     Generative blocks modulate with mod = block_modulation(cond, block, d),
-    the shift/scale/gate parts; recognition blocks (mod None) use bare
-    scalar gates. block_style `prenorm` drops the post-branch norm, leaving
-    branch scale unpinned.
+    the shifts, 1 + scales and tanh gates; recognition blocks (mod None)
+    use tanh of bare scalar gates. block_style `prenorm` drops the
+    post-branch norm, leaving branch scale unpinned.
+
+    Each norm, projection and activation makes a fresh array, so
+    ad.modulate and ad.gated_residual write into it when untracked: one
+    block serves both paths, and neither writes x, mod or a parameter.
     """
     sandwich = config.block_style == "sandwich"
     if mod is not None:
         shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = mod
     else:
-        gate_a, gate_m = block["gates"][0:1], block["gates"][1:2]
+        gate_a, gate_m = ad.tanh(block["gates"][0:1]), ad.tanh(block["gates"][1:2])
 
     h = ad.rms_norm(x, block["pre_attn_gain"])
     if mod is not None:
-        h = ad.add(ad.mul(h, ad.add(scale_a, 1.0)), shift_a)
+        h = ad.modulate(h, scale_a, shift_a)
     h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool)
     if sandwich:
         h = ad.rms_norm(h, block["post_attn_gain"])
-    x = ad.add(x, ad.mul(ad.tanh(gate_a), h))
+    x = ad.gated_residual(x, gate_a, h)
 
     h = ad.rms_norm(x, block["pre_mlp_gain"])
     if mod is not None:
-        h = ad.add(ad.mul(h, ad.add(scale_m, 1.0)), shift_m)
+        h = ad.modulate(h, scale_m, shift_m)
     h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
     if sandwich:
         h = ad.rms_norm(h, block["post_mlp_gain"])
-    return ad.add(x, ad.mul(ad.tanh(gate_m), h))
+    return ad.gated_residual(x, gate_m, h)
 
 
 def time_embedding(model: ModelParams, t_batch) -> np.ndarray:
@@ -365,16 +373,21 @@ def unpatchify(tokens, grid: tuple[int, int], patch: int, channels: int):
     return ad.reshape(t, (batch, rows * patch, cols * patch, channels))
 
 
-def _trunk(model: ModelParams, tokens, mods, coords, mask=None, kv_pool=None, capture=None):
-    """Token embedding and the block loop under both heads; mods holds each
-    block's block_modulation (None for recognition blocks), and capture is as
-    in forward_velocity."""
+def _blocks(model: ModelParams) -> list[dict]:
+    """Each block's entries without their `blocks.<i>.` prefix, in block order."""
+    return [prefixed(model.params, f"blocks.{i}.") for i in range(model.config.n_layers)]
+
+
+def _trunk(model: ModelParams, blocks, tokens, mods, coords, mask=None, kv_pool=None, capture=None):
+    """Token embedding and the block loop under both heads; blocks is
+    _blocks(model), mods holds each block's block_modulation (None for
+    recognition blocks), and capture is as in forward_velocity."""
     p, config = model.params, model.config
     h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
     freqs = model_freqs(config)
-    for i in range(config.n_layers):
+    for i, block in enumerate(blocks):
         mod = None if mods is None else mods[i]
-        h = sandwich_block(h, mod, prefixed(p, f"blocks.{i}."), config, freqs, coords, mask=mask, kv_pool=kv_pool)
+        h = sandwich_block(h, mod, block, config, freqs, coords, mask=mask, kv_pool=kv_pool)
         if capture is not None:
             capture.append(np.array(ad.val(h)))
     return h
@@ -496,13 +509,14 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
         cond = ad.add(cond, p["label_embed"][idx])
     elif label is not None:
         raise ValueError("model has no label table")
-    mods = [block_modulation(cond, prefixed(p, f"blocks.{i}."), config.d_model) for i in range(config.n_layers)]
+    blocks = _blocks(model)
+    mods = [block_modulation(cond, block, config.d_model) for block in blocks]
     scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
     scale = ad.add(_with_token_axis(scale), 1.0)
 
     def head_input(tokens):
-        h = _trunk(model, tokens, mods, coords, kv_pool=kv_pool, capture=capture)
-        return ad.mul(ad.rms_norm(h, np.asarray(1.0)), scale)
+        h = _trunk(model, blocks, tokens, mods, coords, kv_pool=kv_pool, capture=capture)
+        return ad.rms_norm(h, scale)  # the final norm takes the scale as its gain
 
     # the tape is single-threaded, and parts share mods and scale, which must be one broadcast row
     untracked = not any(isinstance(v, ad.Var) for v in (x_t, *p.values()))
@@ -536,7 +550,7 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
         raise ValueError("a sample has no valid tokens")
 
     p = model.params
-    h = _trunk(model, tokens, None, coords, mask=mask_arr)
+    h = _trunk(model, _blocks(model), tokens, None, coords, mask=mask_arr)
     weights = mask_arr / mask_arr.sum(axis=-1, keepdims=True)
     pooled = ad.sum_(ad.mul(h, weights[..., None]), axis=-2)
     h1 = ad.silu(ad.add(ad.matmul(pooled, p["head_w1"]), p["head_b1"]))

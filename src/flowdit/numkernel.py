@@ -66,9 +66,25 @@ def softmax(x: Tensor, out: Tensor | None = None) -> Tensor:
     return z
 
 
+def holds(out, *operands) -> bool:
+    """Whether an elementwise op of out with operands can write into out:
+    out is a writeable array whose shape and dtype are the result's, so
+    broadcasting against no operand grows it and no operand widens it."""
+    return (
+        isinstance(out, np.ndarray)
+        and out.flags.writeable
+        and np.broadcast(out, *operands).shape == out.shape
+        and np.result_type(out, *operands) == out.dtype
+    )
+
+
 def _rms_inverse(x: Tensor) -> Tensor:
-    """(mean(x^2, last axis) + EPS)^-1/2; the taped rms_norm shares it."""
-    return (np.mean(x * x, axis=-1, keepdims=True) + EPS) ** -0.5
+    """(mean(x^2, last axis) + EPS)^-1/2; the taped rms_norm shares it.
+
+    The sum over the count is what np.mean computes, bit for bit, without
+    its Python wrapper.
+    """
+    return (np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1] + EPS) ** -0.5
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -83,7 +99,7 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     x = np.asarray(x)
     gain = np.asarray(gain)
     y = x * _rms_inverse(x)
-    if np.broadcast(y, gain).shape != y.shape or np.result_type(y, gain) != y.dtype:
+    if not holds(y, gain):
         return y * gain
     y *= gain
     return y

@@ -204,30 +204,39 @@ def rope_angles(coords, freqs: RopeFreqs) -> np.ndarray:
     return np.concatenate(chunks, axis=-1)
 
 
-def apply_rope(x, coords, freqs: RopeFreqs):
+def rope_tables(coords, freqs: RopeFreqs) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of rope_angles(coords, freqs), each [n, d_head/2]."""
+    ang = rope_angles(coords, freqs)
+    return np.cos(ang), np.sin(ang)
+
+
+def apply_rope(x, coords, freqs: RopeFreqs, *, tables=None):
     """Rotate the complex channel pairs of x by coord-proportional angles.
 
     x has shape [..., n, d_head]; coords [n, axes]. Accepts autodiff Vars
     transparently (angles are constants). A pure rotation, so per-token L2
-    norms are preserved.
+    norms are preserved. tables, if given, is rope_tables(coords, freqs),
+    built once for several arrays on the same coordinates.
     """
     shape = ad.val(x).shape
     if shape[-1] != freqs.d_head:
         raise ValueError(f"x last axis {shape[-1]} != d_head {freqs.d_head}")
-    ang = rope_angles(coords, freqs)
-    if ang.shape[0] != shape[-2]:
-        raise ValueError(f"{ang.shape[0]} coords for {shape[-2]} tokens")
-    return ad.rotate_pairs(x, np.cos(ang), np.sin(ang))
+    cos, sin = rope_tables(coords, freqs) if tables is None else tables
+    if cos.shape[0] != shape[-2]:
+        raise ValueError(f"{cos.shape[0]} coords for {shape[-2]} tokens")
+    return ad.rotate_pairs(x, cos, sin)
 
 
 def rope_attention_logits(q, k, coords_q, coords_k, freqs: RopeFreqs):
     """Unscaled logits Re[sum_pairs q k* e^{i Theta (delta coord)}].
 
     Computed as rotate-then-dot; equals the relative complex form exactly in
-    exact arithmetic, so logits depend only on coordinate differences.
+    exact arithmetic, so logits depend only on coordinate differences. Keys
+    on the queries' own coordinates (the same array) reuse their tables.
     """
-    qr = apply_rope(q, coords_q, freqs)
-    kr = apply_rope(k, coords_k, freqs)
+    tables = rope_tables(coords_q, freqs)
+    qr = apply_rope(q, coords_q, freqs, tables=tables)
+    kr = apply_rope(k, coords_k, freqs, tables=tables if coords_k is coords_q else None)
     # non-negative axes: transpose's VJP inverts them with argsort
     lead = ad.val(kr).ndim - 2
     return ad.matmul(qr, ad.transpose(kr, (*range(lead), lead + 1, lead)))

@@ -3,6 +3,7 @@ plus the dispatch contract: untracked inputs bypass the tape entirely and
 produce bit-identical plain arrays."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,3 +289,78 @@ def test_unbroadcast_restores_shapes():
     assert b.grad.shape == (4, 1)
     assert np.allclose(a.grad, 4.0)
     assert np.allclose(b.grad, 3.0)
+
+
+SIDE_SHAPES = [(1, 1, 6), (4, 1, 1), (4, 1, 6)]
+
+
+def _compositions(rng, side_shape):
+    """(name, op, expression, x, side, n): op(x, side, n) writes into n
+    untracked, and expression is the add(mul(...)) it stands for."""
+    x, side, n = rng.standard_normal((4, 5, 6)), rng.standard_normal(side_shape), rng.standard_normal((4, 5, 6))
+    return [
+        ("modulate", lambda a, s, m: ad.modulate(m, s, a), lambda a, s, m: ad.add(ad.mul(m, s), a), x, side, n),
+        ("gated_residual", ad.gated_residual, lambda a, s, m: ad.add(a, ad.mul(s, m)), x, side, n),
+    ]
+
+
+@pytest.mark.parametrize("side_shape", SIDE_SHAPES, ids=["1x1xd", "Bx1x1", "Bx1xd"])
+def test_untracked_compositions_write_n_with_the_taped_value_bitwise(side_shape):
+    for name, op, _, x, side, n in _compositions(np.random.default_rng(31), side_shape):
+        x0, side0, n0 = x.copy(), side.copy(), n.copy()
+        taped = op(ad.Var(x0), ad.Var(side0), ad.Var(n0.copy())).value
+        out = op(x, side, n)
+        assert out is n, name
+        assert out.tobytes() == taped.tobytes(), name
+        assert x.tobytes() == x0.tobytes() and side.tobytes() == side0.tobytes(), name
+
+
+@pytest.mark.parametrize("side_shape", SIDE_SHAPES, ids=["1x1xd", "Bx1x1", "Bx1xd"])
+def test_taped_compositions_are_their_add_mul_expressions(side_shape):
+    """Same nodes, operands and order: equal values and bitwise-equal
+    gradients for every argument, and no argument written."""
+    for name, op, expression, x, side, n in _compositions(np.random.default_rng(32), side_shape):
+        before = [a.tobytes() for a in (x, side, n)]
+        weights = np.random.default_rng(33).standard_normal(n.shape)
+        results = []
+        for build in (op, expression):
+            leaves = [ad.Var(a) for a in (x, side, n)]
+            out = build(*leaves)
+            assert len(out._parents) == 2 and len(out._parents[0 if name == "modulate" else 1]._parents) == 2, name
+            ad.sum_(ad.mul(out, weights)).backward()
+            results.append([out.value.tobytes()] + [leaf.grad.tobytes() for leaf in leaves])
+        assert results[0] == results[1], name
+        assert [a.tobytes() for a in (x, side, n)] == before, name
+
+
+@pytest.mark.parametrize(
+    "n_shape,n_dtype,writeable",
+    [((1, 5, 6), float, True), ((4, 5, 6), np.int64, True), ((4, 5, 6), float, False)],
+    ids=["broadcasts", "widens", "read_only"],
+)
+def test_an_n_that_cannot_hold_the_result_stays_unchanged(n_shape, n_dtype, writeable):
+    rng = np.random.default_rng(34)
+    x, side = rng.standard_normal((4, 5, 6)), rng.standard_normal((4, 1, 6))
+    for name, op, expression, *_ in _compositions(rng, (4, 1, 6)):
+        n = (10 * rng.standard_normal(n_shape)).astype(n_dtype)
+        n.flags.writeable = writeable
+        n0 = n.copy()
+        out = op(x, side, n)
+        assert out is not n, name
+        assert out.tobytes() == expression(x, side, n).tobytes(), name
+        assert n.tobytes() == n0.tobytes(), name
+
+
+def test_untracked_silu_makes_one_array():
+    x = RNG.standard_normal((64, 32))
+    x0 = x.copy()
+    ad.silu(x)
+    tracemalloc.start()
+    try:
+        out = ad.silu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == ad.silu(ad.Var(x)).value.tobytes()
+    assert x.tobytes() == x0.tobytes()
+    assert x.nbytes <= peak < 2 * x.nbytes, peak

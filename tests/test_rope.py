@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowdit import autodiff as ad
+from flowdit import dit
+from flowdit import numkernel as nk
 from flowdit import rope
 
 TWO_PI = 2.0 * math.pi
@@ -299,3 +302,42 @@ def test_interpolation_floors_frequency_aware_property(seed, s):
     fa = _theta("freq_aware", s, train_extent=16.0)
     interp = _theta("interpolate", s)
     assert np.all(fa >= interp - 1e-15)
+
+
+def test_keys_on_the_queries_coordinates_reuse_their_tables_bitwise():
+    freqs = rope.freq_matrix(100.0, 16, 2)
+    coords = nk.grid_coords((3, 4))
+    rng = np.random.default_rng(41)
+    q, k = rng.standard_normal((2, 2, 3, 12, 16)), rng.standard_normal((2, 2, 1, 12, 16))
+    ang = rope.rope_angles(coords, freqs)
+    qr = ad.rotate_pairs(q, np.cos(ang), np.sin(ang))
+    kr = ad.rotate_pairs(k, np.cos(ang), np.sin(ang))
+    expected = ad.matmul(qr, np.swapaxes(kr, -1, -2))
+    assert rope.rope_attention_logits(q, k, coords, coords, freqs).tobytes() == expected.tobytes()
+    assert rope.rope_attention_logits(q, k, coords, coords.copy(), freqs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kv_pool,tokens", [(None, [16]), (((4, 4), (2, 2)), [16, 4])], ids=["unpooled", "pooled"])
+def test_attention_builds_rope_angles_once_unless_keys_are_pooled(monkeypatch, kv_pool, tokens):
+    """The tokens of each rope_angles call: the queries', then the pooled keys' if any."""
+    calls = []
+    angles = rope.rope_angles
+
+    def counted(coords, freqs):
+        calls.append(len(coords))
+        return angles(coords, freqs)
+
+    monkeypatch.setattr(rope, "rope_angles", counted)
+    d, n_q, n_kv = 32, 4, 2
+    rng = np.random.default_rng(42)
+    p = {
+        "wq": rng.standard_normal((d, d)),
+        "wk": rng.standard_normal((d, d * n_kv // n_q)),
+        "wv": rng.standard_normal((d, d * n_kv // n_q)),
+        "wo": rng.standard_normal((d, d)),
+        "q_gain": np.ones(d // n_q),
+        "k_gain": np.ones(d // n_q),
+    }
+    coords = nk.grid_coords((4, 4))
+    dit.gqa_attention(rng.standard_normal((2, 16, d)), p, rope.freq_matrix(100.0, d // n_q, 2), coords, kv_pool=kv_pool)
+    assert calls == tokens
