@@ -7,8 +7,9 @@ by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
 The op set is the thirteen ops the model runs: add, mul, matmul, sum_,
-mean, reshape, transpose, take, softmax, rms_norm, rotate_pairs (RoPE),
-and the nonlinearities tanh and silu. A difference is add of a negated
+mean, reshape, transpose, take, rms_norm, rotate_pairs (RoPE), attend
+(attention's softmax(logits) @ v, normalised after the AV GEMM), and the
+nonlinearities tanh and silu. A difference is add of a negated
 constant, and an axis swap is transpose. Indexing is the only operator a
 Var supports; anything else, numpy ufuncs included, raises rather than
 differentiating silently.
@@ -143,9 +144,11 @@ def silu(a):
     # sig = 1 / (1 + exp(-a)) built in one buffer by the same operations in
     # the same order, so both paths stay bitwise equal to that expression;
     # a is never written; taped, sig (the VJP keeps it) and out are new,
-    # and untracked, sig is the one new array and becomes out
-    sig = np.negative(av)
-    sig = np.exp(sig, out=sig if np.issubdtype(sig.dtype, np.inexact) else None)
+    # and untracked, sig is the one new array and becomes out; sig is an
+    # array of the float result dtype even for a 0-d or integer a, where a
+    # bare np.negative would give a numpy scalar or an integer array
+    sig = np.negative(av, out=np.empty(av.shape, np.result_type(av, 1.0)))
+    np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
     if not _tracked(a):  # nothing keeps sig: the output overwrites it
@@ -276,18 +279,56 @@ def take(a, idx):
     return _node(out, (a,), vjp)
 
 
-def softmax(a):
-    """Softmax over the last axis."""
-    av = val(a)
-    out = numkernel.softmax(av)
-    if not _tracked(a):
+# Logits known to lie within +-EXP_LIMIT exponentiate with no row max taken:
+# e^512 times any key count below 1e86 stays finite, and e^-512 is normal.
+EXP_LIMIT = 512.0
+
+
+def attend(logits, v, bound=np.inf):
+    """softmax(logits) @ v over the last (key) axis of logits, one tape node.
+
+    It computes E = exp(logits), s = sum(E, -1) and (E @ v) / s: the
+    division follows the AV GEMM (FlashAttention, Dao et al. 2022). bound
+    is what the caller knows of max |logits| (masked -inf aside). Only
+    when it is not within EXP_LIMIT (NaN included) or there is one key is
+    the row max subtracted first; a lone key then gets weight exactly 1.0.
+    NaN logits give NaN rows. Untracked, E is written into logits, so
+    logits must be a float array the caller has just made and nothing else
+    holds (one that cannot hold E is left alone); s and the output are
+    the only new arrays. Taped, with P = E / s, the cotangent of v is
+    P^T g summed over broadcast axes, and that of logits is
+    P * (g v^T - sum(g * out, -1)), zero for a lone key.
+    """
+    lv, vv = val(logits), val(v)
+    tracked = _tracked(logits, v)
+    owned = not tracked and numkernel.holds(lv) and np.issubdtype(lv.dtype, np.inexact)
+    e = lv if owned else None
+    if lv.shape[-1] == 1 or not bound <= EXP_LIMIT:
+        e = np.subtract(lv, np.max(lv, axis=-1, keepdims=True), out=e)
+        # an integer e cannot hold its exp; numpy picks the float dtype then
+        e = np.exp(e, out=e if np.issubdtype(e.dtype, np.inexact) else None)
+    else:
+        e = np.exp(lv, out=e)
+    s = np.add.reduce(e, -1, keepdims=True)
+    out = numkernel.matmul(e, vv)
+    out /= s
+    if not tracked:
         return out
 
     def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        p = e / s
+        gs = []
+        if isinstance(logits, Var):
+            if lv.shape[-1] == 1:  # a lone key's weight is the constant 1
+                gl = np.zeros_like(p)
+            else:
+                gl = p * (g @ np.swapaxes(vv, -1, -2) - np.sum(g * out, axis=-1, keepdims=True))
+            gs.append(_unbroadcast(gl, lv.shape))
+        if isinstance(v, Var):
+            gs.append(_unbroadcast(np.swapaxes(p, -1, -2) @ g, vv.shape))
+        return tuple(gs)
 
-    return _node(out, (a,), vjp)
+    return _node(out, (logits, v), vjp)
 
 
 def rms_norm(a, gain):

@@ -189,8 +189,8 @@ def prefixed(params: dict, prefix: str) -> dict:
     """The entries whose names start with prefix, keyed by the rest of the name.
 
     The arrays are shared, not copied: `prefixed(model.params, "blocks.0.")`
-    is what sandwich_block takes, and its `prefixed(block, "attn.")` is what
-    gqa_attention takes.
+    is block 0's entries, and `prefixed(block, "attn.")` is what
+    gqa_attention takes; _blocks builds both once per call.
     """
     return {name[len(prefix) :]: value for name, value in params.items() if name.startswith(prefix)}
 
@@ -232,12 +232,14 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     The scores are rope.rope_attention_logits of the normalised queries and
     keys, scaled by 1/sqrt(d_head) through the query gain (a [d_head] scale,
     not a scores-sized one; exact when d_head is a power of 4); masked keys
-    get a constant -inf bias. Untracked, one core follows RoPE: the logits
-    GEMM (numkernel.matmul) allocates the one scores-sized array, the bias
-    and numkernel.softmax(logits, out=logits) run in place on it, and the
-    AV GEMM allocates the output. Taped, the bias add and softmax are tape
-    nodes; both paths run the same ops in the same order, so they agree
-    bit for bit.
+    get a constant -inf bias. The QK norm bounds every logit by
+    B = sqrt(d_head) * max|q_gain| * max|k_gain|, so ad.attend exponentiates
+    them with no row max taken while B is within ad.EXP_LIMIT, and divides
+    the AV product by the row sums. Untracked, the logits GEMM
+    (numkernel.matmul) allocates the one scores-sized array, and the bias
+    and the exponentials are written into it. Taped, the bias add and
+    attend are tape nodes; both paths run the same arithmetic, so they
+    agree bit for bit.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -268,18 +270,18 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     q = _split_heads(q, d_head, group)
     k = _split_heads(k, d_head)
     v = _split_heads(v, d_head)
-    q = ad.rms_norm(q, ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head)))
+    q_gain = ad.mul(params["q_gain"], 1.0 / math.sqrt(d_head))
+    q = ad.rms_norm(q, q_gain)
     k = ad.rms_norm(k, params["k_gain"])
+    # normalised rows have norm below sqrt(d_head) and RoPE keeps norms
+    bound = d_head * np.abs(ad.val(q_gain)).max() * np.abs(ad.val(params["k_gain"])).max()
     logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
-    if isinstance(logits, ad.Var):
-        if bias is not None:
+    if bias is not None:
+        if isinstance(logits, ad.Var):
             logits = ad.add(logits, bias)
-        weights = ad.softmax(logits)
-    else:  # the logits are a fresh array this call owns
-        if bias is not None:
+        else:  # the logits are a fresh array this call owns
             logits += bias
-        weights = nk.softmax(logits, out=logits)
-    out = ad.matmul(weights, v)
+    out = ad.attend(logits, v, bound)
     return ad.matmul(_merge_heads(out), params["wo"])
 
 
@@ -303,7 +305,8 @@ def block_modulation(cond, block: dict, d: int) -> list:
 def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
     """One residual block; exact identity at zero-initialised modulation.
 
-    block holds one block's entries without their `blocks.<i>.` prefix.
+    block is one entry of _blocks(model): the block's entries without
+    their `blocks.<i>.` prefix, and its attention dict under "attn".
     Generative blocks modulate with mod = block_modulation(cond, block, d),
     the shifts, 1 + scales and tanh gates; recognition blocks (mod None)
     use tanh of bare scalar gates. block_style `prenorm` drops the
@@ -322,7 +325,7 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     h = ad.rms_norm(x, block["pre_attn_gain"])
     if mod is not None:
         h = ad.modulate(h, scale_a, shift_a)
-    h = gqa_attention(h, prefixed(block, "attn."), freqs, coords, mask=mask, kv_pool=kv_pool)
+    h = gqa_attention(h, block["attn"], freqs, coords, mask=mask, kv_pool=kv_pool)
     if sandwich:
         h = ad.rms_norm(h, block["post_attn_gain"])
     x = ad.gated_residual(x, gate_a, h)
@@ -374,8 +377,12 @@ def unpatchify(tokens, grid: tuple[int, int], patch: int, channels: int):
 
 
 def _blocks(model: ModelParams) -> list[dict]:
-    """Each block's entries without their `blocks.<i>.` prefix, in block order."""
-    return [prefixed(model.params, f"blocks.{i}.") for i in range(model.config.n_layers)]
+    """Each block's entries without their `blocks.<i>.` prefix, in block
+    order, with its attention entries also under "attn" without `attn.`."""
+    blocks = [prefixed(model.params, f"blocks.{i}.") for i in range(model.config.n_layers)]
+    for block in blocks:
+        block["attn"] = prefixed(block, "attn.")
+    return blocks
 
 
 def _trunk(model: ModelParams, blocks, tokens, mods, coords, mask=None, kv_pool=None, capture=None):

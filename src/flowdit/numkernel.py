@@ -5,6 +5,10 @@ f64 scalars, the only dtype that models, checkpoints and training use.
 Kernels are pure and deterministic for identical inputs, over leading batch
 axes that matmul broadcasts as numpy does (GQA shares a kv head over a group
 axis). EPS is the RMS-norm epsilon; Next-DiT fixes it, so no caller sets it.
+rms_norm keeps its contract for every finite input, squares that overflow
+included: before the gain, each row's RMS is below 1, which the logit
+bound in dit.gqa_attention relies on. Attention's softmax is not a kernel
+here; it is part of one tape op, autodiff.attend.
 
 Tensors serialize to a small binary container for model checkpoints: magic
 "NKT1", u8 dtype tag (2 = f64, the only one), u32 rank, one u64 per dim,
@@ -43,29 +47,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a @ b
 
 
-def softmax(x: Tensor, out: Tensor | None = None) -> Tensor:
-    """Max-subtracted softmax over the last axis.
-
-    Outputs are nonnegative and sum to 1 along the last axis. NaN inputs propagate
-    to NaN outputs; a slice that is entirely -inf also yields NaN (callers
-    guarantee at least one finite logit per slice).
-
-    The max subtraction writes `out`, and exp and the normalisation then
-    run in place on it: the same expressions in the same order as fresh
-    arrays would, so results are bitwise unchanged. With out None (the
-    taped softmax) the max-subtracted copy is the one array allocated and
-    x is never written; `out=x` (the untracked attention core, on logits
-    it owns) normalises a float x in place and allocates no scores-sized
-    array at all.
-    """
-    x = np.asarray(x)
-    z = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
-    # an integer z cannot hold its exp; numpy picks the float dtype then
-    z = np.exp(z, out=z if np.issubdtype(z.dtype, np.inexact) else None)
-    z /= np.sum(z, axis=-1, keepdims=True)
-    return z
-
-
 def holds(out, *operands) -> bool:
     """Whether an elementwise op of out with operands can write into out:
     out is a writeable array whose shape and dtype are the result's, so
@@ -82,9 +63,21 @@ def _rms_inverse(x: Tensor) -> Tensor:
     """(mean(x^2, last axis) + EPS)^-1/2; the taped rms_norm shares it.
 
     The sum over the count is what np.mean computes, bit for bit, without
-    its Python wrapper.
+    its Python wrapper. A row whose mean square overflows (|x| above about
+    1.3e154) is redone on x / max|x|, as RMS normalisation is
+    scale-invariant; finite rows keep their bits, and a NaN row stays NaN.
     """
-    return (np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1] + EPS) ** -0.5
+    ms = np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1]
+    inv = (ms + EPS) ** -0.5
+    if np.isfinite(ms).all():
+        return inv
+    rows = ~np.isfinite(ms[..., 0])
+    big = x[rows]
+    top = np.max(np.abs(big), axis=-1, keepdims=True)
+    unit = big / top
+    # top^2 * (mean(unit^2) + EPS / top^2) is the overflowing mean square plus EPS
+    inv[rows] = (np.add.reduce(unit * unit, -1, keepdims=True) / x.shape[-1] + EPS / top / top) ** -0.5 / top
+    return inv
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:

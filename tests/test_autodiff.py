@@ -83,7 +83,9 @@ ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
         ("take_basic_tuple", lambda v: ad.mul(v[..., 1:3], np.array([2.0, -1.0])), X23),
         ("take_array_and_slice", lambda v: ad.mul(v[np.array([1, 0, 1]), 1:], W32), X23),
         ("take_int_and_none", lambda v: ad.mul(v[1, None], 3.0), X23),
-        ("softmax", lambda v: ad.mul(ad.softmax(v), np.arange(3.0)), X23),
+        # untracked, attend writes into its logits: add(., 0.0) hands it a fresh copy
+        ("attend_logits", lambda v: ad.mul(ad.attend(ad.add(v, 0.0), W34), ROWS2254[0, 0, :2]), X23),
+        ("attend_values", lambda v: ad.mul(ad.attend(X23.copy(), v, 4.0), ROWS2254[0, 0, :2]), W34),
         ("rms_norm_input", lambda v: ad.rms_norm(v, np.arange(1.0, 4.0)), X23),
         ("rms_norm_scalar_gain", lambda v: ad.mul(ad.rms_norm(v, np.asarray(1.0)), W43[:2]), X23),
         ("rotate_pairs", lambda v: ad.mul(ad.rotate_pairs(v, np.cos(ANG), np.sin(ANG)), X253[0, :, :1]), RNG.standard_normal((3, 5, 8))),
@@ -136,7 +138,7 @@ def test_untracked_ops_return_plain_arrays():
     for out in (
         ad.add(x, 1.0),
         ad.matmul(x, W34),
-        ad.softmax(x),
+        ad.attend(x.copy(), W34),
         ad.rms_norm(x, np.ones(3)),
         ad.sum_(x, axis=0),
         ad.take(x, np.array([1, 0])),
@@ -153,14 +155,13 @@ def test_tracked_and_untracked_forward_bit_identical():
         h = mod.rms_norm(a, g)
         h = mod.matmul(h, W := np.linspace(-1, 1, 8 * 8).reshape(8, 8))
         h = mod.silu(h)
-        return mod.softmax(h)
+        return mod.attend(h, W)
 
     plain = pipeline(ad, x, gain)
     taped = pipeline(ad, ad.Var(x), gain)
     assert np.array_equal(plain, taped.value)
     # and the plain route agrees with the kernel module wherever both exist
     assert np.array_equal(ad.rms_norm(x, gain), nk.rms_norm(x, gain))
-    assert np.array_equal(ad.softmax(x), nk.softmax(x))
 
 
 def test_grad_accumulates_across_reuse():
@@ -274,10 +275,11 @@ def test_mean_gradient_scales_by_count():
     assert np.allclose(x.grad, np.full((4, 5), 1.0 / 20.0), atol=1e-15)
 
 
-def test_softmax_gradient_orthogonal_to_constants():
-    # softmax is shift invariant, so the gradient sums to zero along the axis
+@pytest.mark.parametrize("bound", [np.inf, 8.0], ids=["row_max", "bounded"])
+def test_attend_logit_gradient_orthogonal_to_constants(bound):
+    # softmax is shift invariant, so the gradient sums to zero along the key axis
     x = ad.Var(RNG.standard_normal((3, 5)))
-    ad.sum_(ad.mul(ad.softmax(x), RNG.standard_normal((3, 5)))).backward()
+    ad.sum_(ad.mul(ad.attend(x, RNG.standard_normal((5, 4)), bound), RNG.standard_normal((3, 4)))).backward()
     assert np.allclose(x.grad.sum(axis=-1), 0.0, atol=1e-12)
 
 
@@ -364,3 +366,117 @@ def test_untracked_silu_makes_one_array():
     assert out.tobytes() == ad.silu(ad.Var(x)).value.tobytes()
     assert x.tobytes() == x0.tobytes()
     assert x.nbytes <= peak < 2 * x.nbytes, peak
+
+
+def _softmax_av(logits, v):
+    """The max-subtracted softmax before the AV product: attend's oracle."""
+    z = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return (z / np.sum(z, axis=-1, keepdims=True)) @ v
+
+
+def _mask_bias(shape, rng):
+    """A constant bias of 0 or -inf per key, keeping at least one key per row."""
+    keep = rng.uniform(size=shape) < 0.6
+    keep[..., 0] = True
+    return np.where(keep, 0.0, -np.inf)
+
+
+# (logits shape, values shape, masked): GQA logits [B, n_kv, group, n, m]
+# against values [B, n_kv, 1, m, d], whose kv heads broadcast over the group
+ATTEND_CASES = {
+    "gqa": ((2, 2, 3, 4, 5), (2, 2, 1, 5, 3), False),
+    "mask": ((2, 2, 3, 4, 5), (2, 2, 1, 5, 3), True),
+    "pooled_keys": ((2, 2, 2, 6, 2), (2, 2, 1, 2, 3), False),
+}
+
+
+@pytest.mark.parametrize("bound", [np.inf, 3.0], ids=["row_max", "bounded"])
+@pytest.mark.parametrize("case", list(ATTEND_CASES))
+def test_attend_gradients_match_finite_differences(case, bound):
+    logits_shape, v_shape, masked = ATTEND_CASES[case]
+    rng = np.random.default_rng(41)
+    logits, v = rng.uniform(-3.0, 3.0, logits_shape), rng.standard_normal(v_shape)
+    bias = _mask_bias(logits_shape, rng) if masked else np.zeros(logits_shape)
+    weights = rng.standard_normal(np.broadcast_shapes(logits_shape[:-2], v_shape[:-2]) + (logits_shape[-2], v_shape[-1]))
+
+    def loss(a, b):
+        # the bias add makes the fresh logits an untracked attend writes into
+        return ad.sum_(ad.mul(ad.attend(ad.add(a, bias), b, bound), weights))
+
+    tracked_logits, tracked_v = ad.Var(logits), ad.Var(v)
+    loss(tracked_logits, tracked_v).backward()
+    fd_logits = numeric_grad(lambda a: loss(a, v), logits)
+    fd_v = numeric_grad(lambda b: loss(logits, b), v)
+    assert np.allclose(tracked_logits.grad, fd_logits, atol=1e-7), np.abs(tracked_logits.grad - fd_logits).max()
+    assert np.allclose(tracked_v.grad, fd_v, atol=1e-7), np.abs(tracked_v.grad - fd_v).max()
+    if masked:
+        assert np.all(tracked_logits.grad[bias == -np.inf] == 0.0)
+
+
+@pytest.mark.parametrize("bound", [900.0, np.nan], ids=["beyond_limit", "nan"])
+def test_attend_subtracts_the_row_max_past_its_limit(bound):
+    # logits near +-800: exp alone would overflow to inf, and the rows to NaN
+    rng = np.random.default_rng(42)
+    logits = rng.uniform(-800.0, 800.0, (3, 4, 6))
+    logits[..., 0] = 800.0
+    v = rng.standard_normal((3, 6, 5))
+    want = _softmax_av(logits, v)
+    untracked = ad.attend(logits.copy(), v, bound)
+    taped = ad.attend(ad.Var(logits), v, bound).value
+    assert untracked.tobytes() == taped.tobytes()
+    assert np.isfinite(untracked).all()
+    assert np.allclose(untracked, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("bound", [np.inf, 4.0], ids=["row_max", "bounded"])
+def test_attend_keeps_a_nan_logit_nan(bound):
+    rng = np.random.default_rng(43)
+    logits = rng.uniform(-2.0, 2.0, (2, 3, 4))
+    logits[1, 2, 3] = np.nan
+    v = rng.standard_normal((4, 5))
+    for out in (ad.attend(logits.copy(), v, bound), ad.attend(ad.Var(logits), v, bound).value):
+        assert np.isnan(out[1, 2]).all()
+        rows = np.ones((2, 3), dtype=bool)
+        rows[1, 2] = False
+        assert np.isfinite(out[rows]).all()
+
+
+def test_silu_takes_a_0d_input():
+    want = 1.0 / (1.0 + np.exp(-0.75)) * 0.75
+    for a in (np.asarray(0.75), 0.75):
+        assert np.asarray(ad.silu(a)).shape == ()
+        assert float(ad.silu(a)) == want
+    x = ad.Var(np.asarray(0.75))
+    out = ad.silu(x)
+    out.backward()
+    assert float(out.value) == want
+    assert np.isclose(float(x.grad), numeric_grad(lambda a: ad.silu(a), 0.75), atol=1e-9)
+
+
+def test_rms_norm_is_scale_invariant_past_overflowing_squares():
+    # |x| above ~1.3e154 overflows x * x; such rows are redone on x / max|x|,
+    # and finite rows keep their bits. numpy still warns of the overflow.
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((3, 4, 8))
+    x[2, 1, 5] = np.nan
+    gain = np.linspace(0.5, 2.0, 8)
+    weights = rng.standard_normal(x.shape)
+    with np.errstate(over="ignore"):
+        want = ad.rms_norm(x * 1e100, gain)  # EPS is below rounding at this scale
+        mixed = x * 1e100
+        mixed[0] *= 1e100
+        for h in (ad.rms_norm(x * 1e200, gain), ad.rms_norm(ad.Var(x * 1e200), gain).value):
+            assert np.isnan(h[2, 1]).all()
+            assert np.isnan(want[2, 1]).all()
+            finite = ~np.isnan(want)
+            assert np.allclose(h[finite], want[finite], rtol=1e-14, atol=0.0)
+        got = nk.rms_norm(mixed, gain)
+        assert got[1:].tobytes() == want[1:].tobytes()
+        assert np.allclose(got[0], want[0], rtol=1e-14, atol=0.0)
+
+        grads = []
+        for scale in (1e100, 1e200):
+            leaf = ad.Var(np.nan_to_num(x) * scale)
+            ad.sum_(ad.mul(ad.rms_norm(leaf, gain), weights)).backward()
+            grads.append(leaf.grad * scale)
+    assert np.allclose(grads[1], grads[0], rtol=1e-12, atol=0.0)

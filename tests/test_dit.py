@@ -99,7 +99,7 @@ def test_zero_init_block_is_exact_identity():
     cond = rng.standard_normal((3, config.d_model))
     coords = nk.grid_coords((2, 3))
     freqs = dit.model_freqs(config)
-    block = dit.prefixed(model.params, "blocks.0.")
+    block = dit._blocks(model)[0]
     y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, freqs, coords)
     assert np.array_equal(y, x)
 
@@ -176,6 +176,26 @@ def test_attention_matches_per_head_oracle(n_q, n_kv):
     got = dit.gqa_attention(x, p, freqs, coords)
     want = slow_attention(x, p, n_q, n_kv, freqs, coords, 1e-6)
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_attention_with_logits_past_the_exp_limit_matches_the_per_head_oracle(monkeypatch):
+    # gains of 17 bound the logits by sqrt(8) * 17^2 = 817 > ad.EXP_LIMIT, and
+    # keys equal to the queries put each token's own logit near that bound,
+    # where exp alone overflows: the row max must be subtracted first
+    d, n_q = 16, 2
+    p = make_attn(d, n_q, n_q, seed=23)
+    p["wk"] = p["wq"]
+    p["q_gain"] = p["k_gain"] = np.full(d // n_q, 17.0)
+    freqs = rope.freq_matrix(100.0, d // n_q, 2)
+    coords = nk.grid_coords((2, 3))
+    x = np.random.default_rng(24).standard_normal((6, d))
+    with monkeypatch.context() as unlimited, np.errstate(over="ignore", invalid="ignore"):
+        unlimited.setattr(ad, "EXP_LIMIT", np.inf)
+        assert not np.isfinite(dit.gqa_attention(x, p, freqs, coords)).all()
+    got = dit.gqa_attention(x, p, freqs, coords)
+    assert np.isfinite(got).all()
+    want = slow_attention(x, p, n_q, n_q, freqs, coords, 1e-6)
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -282,8 +302,19 @@ def test_attention_is_translation_invariant(n_q, n_kv, extra):
         assert np.max(np.abs(moved - base)) <= 1e-12, shift
 
 
+def softmax(logits):
+    """Max-subtracted softmax over the last axis, one tape node when taped."""
+    lv = ad.val(logits)
+    z = np.exp(lv - np.max(lv, axis=-1, keepdims=True))
+    out = z / np.sum(z, axis=-1, keepdims=True)
+    if not isinstance(logits, ad.Var):
+        return out
+    return ad.Var(out, (logits,), lambda g: (out * (g - np.sum(g * out, axis=-1, keepdims=True)),))
+
+
 def general_attention(x, p, freqs, coords, mask=None, kv_pool=None):
-    """gqa_attention's general expression, with no one-token shortcut."""
+    """gqa_attention's general expression, with no one-token shortcut and
+    a plain softmax before the AV product."""
     d_head = ad.val(p["q_gain"]).shape[-1]
     group = ad.val(p["wq"]).shape[-1] // ad.val(p["wk"]).shape[-1]
     q, k, v = (ad.matmul(x, p[w]) for w in ("wq", "wk", "wv"))
@@ -296,7 +327,7 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None):
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
         logits = ad.add(logits, np.where(keep, 0.0, -np.inf)[..., None, None, None, :])
-    out = ad.matmul(ad.softmax(logits), v)
+    out = ad.matmul(softmax(logits), v)
     return ad.matmul(dit._merge_heads(out), p["wo"])
 
 

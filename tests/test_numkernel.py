@@ -1,6 +1,6 @@
-"""Kernel contracts: independent oracles for pooling, softmax, and the
-tensor container, plus the exact-arithmetic properties the rest of the
-stack leans on."""
+"""Kernel contracts: independent oracles for pooling, attention weights,
+and the tensor container, plus the exact-arithmetic properties the rest of
+the stack leans on."""
 
 import math
 import struct
@@ -45,26 +45,33 @@ def test_matmul_rejects_vectors_and_mismatched_inner_axes():
         nk.matmul(np.ones((2, 3)), np.ones((4, 2)))
 
 
-def test_softmax_rows_are_distributions():
+def attention_weights(x, bound=np.inf):
+    """softmax(x) over the last axis through ad.attend: x @ I is exact."""
+    return ad.attend(np.array(x, dtype=float), np.eye(np.shape(x)[-1]), bound)
+
+
+@pytest.mark.parametrize("bound", [np.inf, 40.0], ids=["row_max", "bounded"])
+def test_attention_weights_rows_are_distributions(bound):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 7)) * 10.0
-    p = nk.softmax(x)
+    p = attention_weights(x, bound)
     assert np.all(p >= 0.0)
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-15)
 
 
-def test_softmax_shift_invariant_and_overflow_safe():
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(nk.softmax(x), nk.softmax(x + 1000.0), atol=1e-15)
-    huge = np.array([1e308, 1e308, 0.0])
-    assert np.all(np.isfinite(nk.softmax(huge)))
+def test_attention_weights_shift_invariant_and_overflow_safe():
+    x = np.array([[1.0, 2.0, 3.0]])
+    assert np.allclose(attention_weights(x), attention_weights(x + 1000.0), atol=1e-15)
+    huge = np.array([[1e308, 1e308, 0.0]])
+    assert np.all(np.isfinite(attention_weights(huge)))
 
 
-def test_softmax_matches_direct_formula():
+@pytest.mark.parametrize("bound", [np.inf, 4.0], ids=["row_max", "bounded"])
+def test_attention_weights_match_direct_formula(bound):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 3))
     expected = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
-    assert np.allclose(nk.softmax(x), expected, atol=1e-15)
+    assert np.allclose(attention_weights(x, bound), expected, atol=1e-15)
 
 
 def test_rms_norm_matches_definition():
@@ -86,10 +93,9 @@ def test_rms_norm_output_has_unit_rms_at_unit_gain():
 
 # The fresh-array expressions these kernels computed before they worked in
 # place; the in-place forms must match them bit for bit.
-def _softmax_reference(x):
-    z = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _attend_reference(x, bound=np.inf):
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True) if not bound <= ad.EXP_LIMIT else x)
+    return nk.matmul(e, _values(x)) / np.sum(e, axis=-1, keepdims=True)
 
 
 def _rms_norm_reference(x, gain):
@@ -105,8 +111,16 @@ def _gain(x):
     return np.linspace(0.25, 2.0, x.shape[-1])
 
 
+def _values(x):
+    return np.linspace(-2.0, 3.0, 3 * x.shape[-1]).reshape(x.shape[-1], 3)
+
+
 _KERNELS = {
-    "softmax": (nk.softmax, _softmax_reference),
+    # the taped op never writes its logits; untracked, it writes a copy
+    "attend_tracked": (lambda x: ad.attend(ad.Var(x), _values(x)).value, _attend_reference),
+    "attend_untracked": (lambda x: ad.attend(np.copy(x, order="K"), _values(x)), _attend_reference),
+    "attend_bounded": (lambda x: ad.attend(np.copy(x, order="K"), _values(x), ad.EXP_LIMIT),
+                       lambda x: _attend_reference(x, ad.EXP_LIMIT)),
     "rms_norm": (lambda x: nk.rms_norm(x, _gain(x)), lambda x: _rms_norm_reference(x, _gain(x))),
     "silu_untracked": (ad.silu, _silu_reference),
     "silu_tracked": (lambda x: ad.silu(ad.Var(x)).value, _silu_reference),
@@ -118,7 +132,7 @@ def test_in_place_kernels_keep_their_contract(name):
     kernel, reference = _KERNELS[name]
     rng = np.random.default_rng(11)
     inputs = [rng.standard_normal((3, 5, 8)) * 4.0, np.swapaxes(rng.standard_normal((8, 5, 3)) * 4.0, 0, -1)]
-    if name == "softmax":
+    if name.startswith("attend"):
         row = rng.standard_normal((2, 8))
         row[0, [1, 4, 5]] = -np.inf
         inputs.append(row)
@@ -149,8 +163,8 @@ def test_rms_norm_gain_may_broadcast_input_up():
 
 @pytest.mark.parametrize(
     "name,shape,bound",
-    [("softmax", (2, 2, 2, 250, 250), 1.5), ("rms_norm", (2, 250, 64), 1.75)],
-    ids=["softmax", "rms_norm"],
+    [("attend_tracked", (2, 2, 2, 250, 250), 1.5), ("rms_norm", (2, 250, 64), 1.75)],
+    ids=["attend_tracked", "rms_norm"],
 )
 def test_in_place_kernels_allocate_little_beyond_their_result(name, shape, bound):
     # numpy reports its buffers to tracemalloc, so the peak counts every
@@ -167,21 +181,26 @@ def test_in_place_kernels_allocate_little_beyond_their_result(name, shape, bound
     assert peak < bound * nbytes, peak / nbytes
 
 
-def test_softmax_into_its_input_is_bitwise_and_allocates_no_scores_array():
-    # the untracked attention core normalises the logits it owns this way
+@pytest.mark.parametrize("bound", [np.inf, ad.EXP_LIMIT], ids=["row_max", "bounded"])
+def test_attend_writes_into_its_logits_bitwise_and_allocates_no_scores_array(bound):
+    # the untracked attention core exponentiates the logits it owns this way
     rng = np.random.default_rng(14)
     row = rng.standard_normal((2, 8))
     row[0, [1, 4, 5]] = -np.inf
     for x in (rng.standard_normal((3, 5, 8)) * 4.0, row):
-        want = nk.softmax(x)
-        got = nk.softmax(x, out=x)
-        assert got is x
+        x0 = x.copy()
+        want = ad.attend(ad.Var(x0), _values(x0), bound).value
+        got = ad.attend(x, _values(x0), bound)
         assert got.tobytes() == want.tobytes()
-    # the max and sum rows are the only temporaries: 1/250 of the scores
+        shift = np.max(x0, axis=-1, keepdims=True) if bound == np.inf else 0.0
+        assert x.tobytes() == np.exp(x0 - shift).tobytes()
+    # the row max and sum rows and the [.., 250, 16] output are the only new
+    # arrays: together 18/250 of the scores
     x = rng.standard_normal((2, 2, 2, 250, 250))
+    v = rng.standard_normal((2, 2, 1, 250, 16))
     tracemalloc.start()
     try:
-        nk.softmax(x, out=x)
+        ad.attend(x, v, bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
