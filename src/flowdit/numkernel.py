@@ -69,7 +69,7 @@ def _rms_inverse(x: Tensor) -> Tensor:
     """
     ms = np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1]
     inv = (ms + EPS) ** -0.5
-    if np.isfinite(ms).all():
+    if math.isfinite(np.maximum.reduce(ms, None, initial=0.0)):  # NaN propagates through the max
         return inv
     rows = ~np.isfinite(ms[..., 0])
     big = x[rows]
