@@ -7,20 +7,20 @@ by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
 The op set is the thirteen ops the model runs: add, mul, matmul, sum_,
-mean, reshape, transpose, take, rms_norm, rotate_pairs (RoPE), attend
-(attention's softmax(logits) @ v, normalised after the AV GEMM), and the
-nonlinearities tanh and silu. A difference is add of a negated
-constant, and an axis swap is transpose. Indexing is the only operator a
-Var supports; anything else, numpy ufuncs included, raises rather than
-differentiating silently.
+mean, reshape, transpose, take, rms_norm (the model's one RMS norm),
+rotate_pairs (RoPE), attend (attention's softmax(logits) @ v, normalised
+after the AV GEMM), and the nonlinearities tanh and silu. A difference is
+add of a negated constant, and an axis swap is transpose. Indexing is the
+only operator a Var supports; anything else, numpy ufuncs included, raises
+rather than differentiating silently.
 
-Two compositions serve the sandwich block: modulate(n, scale, shift) is
-add(mul(n, scale), shift) and gated_residual(x, gate, n) is
-add(x, mul(gate, n)). Taped, they build exactly those nodes. Untracked,
-they write the result into n, so n must be an array the caller has just
-made and nothing else holds; an n whose shape or dtype cannot hold the
-result (numkernel.holds) is left alone and a fresh array returned.
-IEEE products and sums commute, so both paths give the same bits.
+One composition serves the sandwich block: modulate(n, scale, shift) is
+add(mul(n, scale), shift), both AdaLN's n * scale + shift and the gated
+residual branch * gate + x. Taped, it builds exactly those nodes.
+Untracked, it writes the result into n, so n must be an array the caller
+has just made and nothing else holds; an n whose shape or dtype cannot
+hold the result (numkernel.holds) is left alone and a fresh array
+returned. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def silu(a):
     sig += 1.0
     np.divide(1.0, sig, out=sig)
     if not _tracked(a):  # nothing keeps sig: the output overwrites it
-        return np.multiply(av, sig, out=sig if numkernel.holds(sig, av) else None)
+        return np.multiply(av, sig, out=sig)
     out = av * sig
     return _node(out, (a,), lambda g: (g * sig * (1.0 + av * (1.0 - sig)),))
 
@@ -167,19 +167,6 @@ def modulate(n, scale, shift):
         return add(mul(n, scale), shift)
     n *= scale
     n += shift
-    return n
-
-
-def gated_residual(x, gate, n):
-    """x + gate * n: add(x, mul(gate, n)) taped, written into n untracked.
-
-    n must be an array the caller owns (see the module docstring); x and
-    gate are never written.
-    """
-    if _tracked(x, gate, n) or not numkernel.holds(n, gate, x):
-        return add(x, mul(gate, n))
-    n *= gate
-    n += x
     return n
 
 
@@ -332,17 +319,23 @@ def attend(logits, v, bound=np.inf):
 
 
 def rms_norm(a, gain):
-    """Differentiable twin of numkernel.rms_norm (same expression order), one tape node.
+    """y = a / sqrt(mean(a^2, last axis) + EPS) * gain, one tape node.
 
-    With n = a * inv and inv = (mean(a^2) + EPS)^-1/2, the cotangent of
-    a is inv * (u - n * mean(u * n)) for u = g * gain, and that of gain is
-    sum(g * n) over the broadcast axes (Zhang & Sennrich 2019).
+    The contract holds for every finite input, squares that overflow
+    included (numkernel._rms_inverse): before the gain, each row's RMS is
+    below 1, which the logit bound in dit.gqa_attention relies on. a is
+    never written. Untracked, the gain multiplies in place into a * inv,
+    the one array returned, unless it broadcasts that to a larger shape or
+    a wider dtype. With n = a * inv and inv = (mean(a^2) + EPS)^-1/2, the
+    cotangent of a is inv * (u - n * mean(u * n)) for u = g * gain, and
+    that of gain is sum(g * n) over the broadcast axes (Zhang & Sennrich
+    2019).
     """
     av, gv = val(a), val(gain)
-    if not _tracked(a, gain):
-        return numkernel.rms_norm(av, gv)
     inv = numkernel._rms_inverse(av)
     n = av * inv
+    if not _tracked(a, gain):
+        return np.multiply(n, gv, out=n if numkernel.holds(n, gv) else None)
     out = n * gv
 
     def vjp(g):

@@ -236,10 +236,10 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     B = sqrt(d_head) * max|q_gain| * max|k_gain|, so ad.attend exponentiates
     them with no row max taken while B is within ad.EXP_LIMIT, and divides
     the AV product by the row sums. Untracked, the logits GEMM
-    (numkernel.matmul) allocates the one scores-sized array, and the bias
-    and the exponentials are written into it. Taped, the bias add and
-    attend are tape nodes; both paths run the same arithmetic, so they
-    agree bit for bit.
+    (numkernel.matmul) allocates the one scores-sized array, and the
+    exponentials are written into it; a key mask's bias is one ad.add on
+    both paths, which makes a second. Taped, attend is one tape node; both
+    paths run the same arithmetic, so they agree bit for bit.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -277,10 +277,7 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     bound = d_head * np.abs(ad.val(q_gain)).max() * np.abs(ad.val(params["k_gain"])).max()
     logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
     if bias is not None:
-        if isinstance(logits, ad.Var):
-            logits = ad.add(logits, bias)
-        else:  # the logits are a fresh array this call owns
-            logits += bias
+        logits = ad.add(logits, bias)
     out = ad.attend(logits, v, bound)
     return ad.matmul(_merge_heads(out), params["wo"])
 
@@ -313,8 +310,9 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     post-branch norm, leaving branch scale unpinned.
 
     Each norm, projection and activation makes a fresh array, so
-    ad.modulate and ad.gated_residual write into it when untracked: one
-    block serves both paths, and neither writes x, mod or a parameter.
+    ad.modulate writes into it when untracked, the AdaLN modulation and
+    the gated residual h * gate + x alike: one block serves both paths,
+    and neither writes x, mod or a parameter.
     """
     sandwich = config.block_style == "sandwich"
     if mod is not None:
@@ -328,7 +326,7 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     h = gqa_attention(h, block["attn"], freqs, coords, mask=mask, kv_pool=kv_pool)
     if sandwich:
         h = ad.rms_norm(h, block["post_attn_gain"])
-    x = ad.gated_residual(x, gate_a, h)
+    x = ad.modulate(h, gate_a, x)
 
     h = ad.rms_norm(x, block["pre_mlp_gain"])
     if mod is not None:
@@ -336,7 +334,7 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
     if sandwich:
         h = ad.rms_norm(h, block["post_mlp_gain"])
-    return ad.gated_residual(x, gate_m, h)
+    return ad.modulate(h, gate_m, x)
 
 
 def time_embedding(model: ModelParams, t_batch) -> np.ndarray:
@@ -640,9 +638,17 @@ def save_model(dirpath, model: ModelParams) -> None:
 def load_model(dirpath) -> ModelParams:
     """Rebuild a model from a checkpoint directory."""
     dirpath = Path(dirpath)
-    manifest = json.loads((dirpath / "manifest.json").read_text())
+    path = dirpath / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{dirpath}: unknown checkpoint format {manifest.get('format')!r}")
+    if not isinstance(manifest.get("config"), dict) or not isinstance(manifest.get("tensors"), list):
+        raise ValueError(f"{path}: expected a `config` object and a `tensors` list")
     config = dict(manifest["config"])
     for key, fixed in FIXED_MANIFEST_CONFIG.items():
         if (value := config.pop(key, fixed)) != fixed:

@@ -5,10 +5,6 @@ f64 scalars, the only dtype that models, checkpoints and training use.
 Kernels are pure and deterministic for identical inputs, over leading batch
 axes that matmul broadcasts as numpy does (GQA shares a kv head over a group
 axis). EPS is the RMS-norm epsilon; Next-DiT fixes it, so no caller sets it.
-rms_norm keeps its contract for every finite input, squares that overflow
-included: before the gain, each row's RMS is below 1, which the logit
-bound in dit.gqa_attention relies on. Attention's softmax is not a kernel
-here; it is part of one tape op, autodiff.attend.
 
 Tensors serialize to a small binary container for model checkpoints: magic
 "NKT1", u8 dtype tag (2 = f64, the only one), u32 rank, one u64 per dim,
@@ -60,7 +56,7 @@ def holds(out, *operands) -> bool:
 
 
 def _rms_inverse(x: Tensor) -> Tensor:
-    """(mean(x^2, last axis) + EPS)^-1/2; the taped rms_norm shares it.
+    """(mean(x^2, last axis) + EPS)^-1/2, the scale autodiff.rms_norm applies.
 
     The sum over the count is what np.mean computes, bit for bit, without
     its Python wrapper. A row whose mean square overflows (|x| above about
@@ -78,24 +74,6 @@ def _rms_inverse(x: Tensor) -> Tensor:
     # top^2 * (mean(unit^2) + EPS / top^2) is the overflowing mean square plus EPS
     inv[rows] = (np.add.reduce(unit * unit, -1, keepdims=True) / x.shape[-1] + EPS / top / top) ** -0.5 / top
     return inv
-
-
-def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    """y = x / sqrt(mean(x^2, last axis) + EPS) * gain.
-
-    Allocates only the array it returns: the gain multiplies in place into
-    x * inv, bitwise equal to the fresh-array product, unless the gain
-    broadcasts x to a larger shape or a wider dtype. The input is never
-    written, and the taped rms_norm computes the same products in the same
-    order, so both paths stay bitwise equal.
-    """
-    x = np.asarray(x)
-    gain = np.asarray(gain)
-    y = x * _rms_inverse(x)
-    if not holds(y, gain):
-        return y * gain
-    y *= gain
-    return y
 
 
 def pool_assignments(grid: tuple[int, int], window: tuple[int, int]) -> tuple[np.ndarray, int, np.ndarray]:

@@ -208,8 +208,8 @@ def reference_mha(x, p, n_heads, freqs, coords):
     q = split(nk.matmul(x, p["wq"]))
     k = split(nk.matmul(x, p["wk"]))
     v = split(nk.matmul(x, p["wv"]))
-    q = rope.apply_rope(nk.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head))), coords, freqs)
-    k = rope.apply_rope(nk.rms_norm(k, p["k_gain"]), coords, freqs)
+    q = rope.apply_rope(ad.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head))), coords, freqs)
+    k = rope.apply_rope(ad.rms_norm(k, p["k_gain"]), coords, freqs)
     logits = nk.matmul(q, np.swapaxes(k, -1, -2))
     out = np.swapaxes(softmax_av(logits, v), -3, -2)
     s = out.shape

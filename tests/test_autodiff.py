@@ -10,7 +10,6 @@ import pytest
 
 from flowdit import autodiff as ad
 from flowdit import dit
-from flowdit import numkernel as nk
 from flowdit import rope
 from flowdit.flowlab import training
 
@@ -160,8 +159,8 @@ def test_tracked_and_untracked_forward_bit_identical():
     plain = pipeline(ad, x, gain)
     taped = pipeline(ad, ad.Var(x), gain)
     assert np.array_equal(plain, taped.value)
-    # and the plain route agrees with the kernel module wherever both exist
-    assert np.array_equal(ad.rms_norm(x, gain), nk.rms_norm(x, gain))
+    # and the norm alone, whose untracked route multiplies the gain in place
+    assert ad.rms_norm(x, gain).tobytes() == ad.rms_norm(ad.Var(x), gain).value.tobytes()
 
 
 def test_grad_accumulates_across_reuse():
@@ -302,7 +301,6 @@ def _compositions(rng, side_shape):
     x, side, n = rng.standard_normal((4, 5, 6)), rng.standard_normal(side_shape), rng.standard_normal((4, 5, 6))
     return [
         ("modulate", lambda a, s, m: ad.modulate(m, s, a), lambda a, s, m: ad.add(ad.mul(m, s), a), x, side, n),
-        ("gated_residual", ad.gated_residual, lambda a, s, m: ad.add(a, ad.mul(s, m)), x, side, n),
     ]
 
 
@@ -328,7 +326,7 @@ def test_taped_compositions_are_their_add_mul_expressions(side_shape):
         for build in (op, expression):
             leaves = [ad.Var(a) for a in (x, side, n)]
             out = build(*leaves)
-            assert len(out._parents) == 2 and len(out._parents[0 if name == "modulate" else 1]._parents) == 2, name
+            assert len(out._parents) == 2 and len(out._parents[0]._parents) == 2, name
             ad.sum_(ad.mul(out, weights)).backward()
             results.append([out.value.tobytes()] + [leaf.grad.tobytes() for leaf in leaves])
         assert results[0] == results[1], name
@@ -470,7 +468,7 @@ def test_rms_norm_is_scale_invariant_past_overflowing_squares():
             assert np.isnan(want[2, 1]).all()
             finite = ~np.isnan(want)
             assert np.allclose(h[finite], want[finite], rtol=1e-14, atol=0.0)
-        got = nk.rms_norm(mixed, gain)
+        got = ad.rms_norm(mixed, gain)
         assert got[1:].tobytes() == want[1:].tobytes()
         assert np.allclose(got[0], want[0], rtol=1e-14, atol=0.0)
 

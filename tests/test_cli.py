@@ -484,6 +484,28 @@ def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, mo
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: "[]",
+        lambda text: "{",
+        lambda text: json.dumps({**json.loads(text), "config": [["d_model", 16]]}),
+        # an object keyed by the tensor names: set() and iteration see the same names as in the list
+        lambda text: json.dumps({**(m := json.loads(text)), "tensors": dict.fromkeys(m["tensors"])}),
+    ],
+    ids=["list", "truncated", "config_not_an_object", "tensors_not_a_list"],
+)
+def test_gen_refuses_a_malformed_manifest_naming_it(tmp_path, capsys, monkeypatch, edit):
+    monkeypatch.chdir(tmp_path)
+    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1), seed=0))
+    manifest = tmp_path / "ckpt" / "manifest.json"
+    manifest.write_text(edit(manifest.read_text()))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["gen", "--model", "ckpt", "--n", "8", "--steps", "2", "--out", "g.csv", "--pgm", "g.pgm"]) == 2
+    assert f"{Path('ckpt') / 'manifest.json'}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def copy_overflowing_checkpoint(ckpt):
     """perfbench's point checkpoint with every b_out entry at 1.7e308: each entry
     is finite, so load_model accepts the copy, yet the samples reach 1.7e308."""
