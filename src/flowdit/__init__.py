@@ -1,11 +1,12 @@
 """flowdit: rotary-embedding diffusion transformers and flow-matching tools.
 
 Modules:
-    numkernel    dense-tensor kernels and the NKT1 tensor container
-    autodiff     reverse-mode tape over numpy arrays
+    numkernel    dense f64 array kernels: matmul, grid coordinates, pooling
+    autodiff     reverse-mode tape over numpy arrays, the RMS norm included
     rope         multi-axis rotary embeddings and extrapolation scaling
     sampler      timestep schedules, Runge-Kutta solvers, error diagnostics
-    dit          transformer blocks, velocity/recognition forward passes
+    dit          transformer blocks, velocity/recognition forward passes,
+                 checkpoints (manifest plus NKT1 tensor files)
     contextdrop  time-ramped key/value pooling
     partitioner  patch-grid selection for arbitrary image sizes
     flowlab      exact Gaussian flows, 2-d toys, training loops

@@ -7,9 +7,10 @@ by exactly the same numpy expressions, so inference and training share one
 forward codebase and produce bit-identical values.
 
 The op set is the thirteen ops the model runs: add, mul, matmul, sum_,
-mean, reshape, transpose, take, rms_norm (the model's one RMS norm),
-rotate_pairs (RoPE), attend (attention's softmax(logits) @ v, normalised
-after the AV GEMM), and the nonlinearities tanh and silu. A difference is
+mean, reshape, transpose, take, rms_norm (the model's one RMS norm, with
+the fixed epsilon EPS), rotate_pairs (RoPE), attend (attention's
+softmax(logits) @ v, normalised after the AV GEMM), and the
+nonlinearities tanh and silu. A difference is
 add of a negated constant, and an axis swap is transpose. Indexing is the
 only operator a Var supports; anything else, numpy ufuncs included, raises
 rather than differentiating silently.
@@ -19,11 +20,13 @@ add(mul(n, scale), shift), both AdaLN's n * scale + shift and the gated
 residual branch * gate + x. Taped, it builds exactly those nodes.
 Untracked, it writes the result into n, so n must be an array the caller
 has just made and nothing else holds; an n whose shape or dtype cannot
-hold the result (numkernel.holds) is left alone and a fresh array
-returned. Both paths give the same bits.
+hold the result (_holds) is left alone and a fresh array returned. Both
+paths give the same bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -97,6 +100,18 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _holds(out, *operands) -> bool:
+    """Whether an elementwise op of out with operands can write into out:
+    out is a writeable array whose shape and dtype are the result's, so
+    broadcasting against no operand grows it and no operand widens it."""
+    return (
+        isinstance(out, np.ndarray)
+        and out.flags.writeable
+        and np.broadcast(out, *operands).shape == out.shape
+        and np.result_type(out, *operands) == out.dtype
+    )
+
+
 def _node(out, parents, vjp):
     tracked = tuple(p for p in parents if isinstance(p, Var))
     return Var(out, tracked, vjp)
@@ -163,7 +178,7 @@ def modulate(n, scale, shift):
     n must be an array the caller owns (see the module docstring); scale
     and shift are never written.
     """
-    if _tracked(n, scale, shift) or not numkernel.holds(n, scale, shift):
+    if _tracked(n, scale, shift) or not _holds(n, scale, shift):
         return add(mul(n, scale), shift)
     n *= scale
     n += shift
@@ -288,7 +303,7 @@ def attend(logits, v, bound=np.inf):
     """
     lv, vv = val(logits), val(v)
     tracked = _tracked(logits, v)
-    owned = not tracked and numkernel.holds(lv) and np.issubdtype(lv.dtype, np.inexact)
+    owned = not tracked and _holds(lv) and np.issubdtype(lv.dtype, np.inexact)
     e = lv if owned else None
     if lv.shape[-1] == 1 or not bound <= EXP_LIMIT:
         e = np.subtract(lv, np.max(lv, axis=-1, keepdims=True), out=e)
@@ -318,11 +333,36 @@ def attend(logits, v, bound=np.inf):
     return _node(out, (logits, v), vjp)
 
 
+# the RMS-norm epsilon; Next-DiT fixes it, so no caller sets it
+EPS = 1e-6
+
+
+def _rms_inverse(x):
+    """(mean(x^2, last axis) + EPS)^-1/2, the scale rms_norm applies.
+
+    The sum over the count is what np.mean computes, bit for bit, without
+    its Python wrapper. A row whose mean square overflows (|x| above about
+    1.3e154) is redone on x / max|x|, as RMS normalisation is
+    scale-invariant; finite rows keep their bits, and a NaN row stays NaN.
+    """
+    ms = np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1]
+    inv = (ms + EPS) ** -0.5
+    if math.isfinite(np.maximum.reduce(ms, None, initial=0.0)):  # NaN propagates through the max
+        return inv
+    rows = ~np.isfinite(ms[..., 0])
+    big = x[rows]
+    top = np.max(np.abs(big), axis=-1, keepdims=True)
+    unit = big / top
+    # top^2 * (mean(unit^2) + EPS / top^2) is the overflowing mean square plus EPS
+    inv[rows] = (np.add.reduce(unit * unit, -1, keepdims=True) / x.shape[-1] + EPS / top / top) ** -0.5 / top
+    return inv
+
+
 def rms_norm(a, gain):
     """y = a / sqrt(mean(a^2, last axis) + EPS) * gain, one tape node.
 
     The contract holds for every finite input, squares that overflow
-    included (numkernel._rms_inverse): before the gain, each row's RMS is
+    included (_rms_inverse): before the gain, each row's RMS is
     below 1, which the logit bound in dit.gqa_attention relies on. a is
     never written. Untracked, the gain multiplies in place into a * inv,
     the one array returned, unless it broadcasts that to a larger shape or
@@ -332,10 +372,10 @@ def rms_norm(a, gain):
     2019).
     """
     av, gv = val(a), val(gain)
-    inv = numkernel._rms_inverse(av)
+    inv = _rms_inverse(av)
     n = av * inv
     if not _tracked(a, gain):
-        return np.multiply(n, gv, out=n if numkernel.holds(n, gv) else None)
+        return np.multiply(n, gv, out=n if _holds(n, gv) else None)
     out = n * gv
 
     def vjp(g):

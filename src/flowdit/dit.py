@@ -10,7 +10,7 @@ position; there are no long skip connections between distant layers.
 Next-DiT fixes the design values, so no config sets them: ROPE_AXES = 2,
 ROPE_BASE = 10000 (RoFormer's), MLP_RATIO = 4 and the timestep embedder's
 sinusoidal width TIME_DIM = 64 here, and the RMS-norm epsilon
-numkernel.EPS = 1e-6 beside the kernel that adds it.
+autodiff.EPS = 1e-6 beside the op that adds it.
 
 Two modes share the trunk: `generative` predicts per-patch velocities
 through a zero-initialised output head (a fresh model outputs exactly 0);
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import tempfile
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ MODES = ("generative", "recognition")
 BLOCK_STYLES = ("sandwich", "prenorm")
 ROPE_AXES, ROPE_BASE, MLP_RATIO, TIME_DIM = 2, 10000.0, 4, 64
 # checkpoints name the fixed values under the config keys older flowdit versions read
-FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": nk.EPS,
+FIXED_MANIFEST_CONFIG = {"axes": ROPE_AXES, "rope_base": ROPE_BASE, "mlp_ratio": MLP_RATIO, "eps": ad.EPS,
                          "time_dim": TIME_DIM}
 # the timestep embedder's sinusoid frequencies, TIME_DIM // 2 of them
 _TIME_FREQS = np.exp(-math.log(10000.0) * np.arange(TIME_DIM // 2) / (TIME_DIM // 2))
@@ -603,10 +604,54 @@ def set_parameter(model: ModelParams, name: str, value) -> None:
 
 
 CHECKPOINT_FORMAT = "flowdit-checkpoint-v1"
+# each tensor file is magic "NKT1", u8 dtype tag (2 = f64, the only one),
+# u32 rank, one u64 per dim, then the raw little-endian row-major buffer
+_NKT_MAGIC = b"NKT1"
+_NKT_F64_TAG = 2
+_F64 = np.dtype("<f8")
+
+
+def _save_tensor(path, x: np.ndarray) -> None:
+    """Write one f64 tensor to an NKT1 file."""
+    x = np.asarray(x)
+    if x.ndim:  # ascontiguousarray would silently promote rank 0 to rank 1
+        x = np.ascontiguousarray(x)
+    if x.dtype != np.float64:
+        raise ValueError(f"unsupported dtype {x.dtype}; only f64 serializes")
+    with open(path, "wb") as f:
+        f.write(_NKT_MAGIC)
+        f.write(struct.pack("<BI", _NKT_F64_TAG, x.ndim))
+        f.write(struct.pack(f"<{x.ndim}Q", *x.shape))
+        f.write(x.astype(_F64, copy=False).tobytes())
+
+
+def _load_tensor(path) -> np.ndarray:
+    """Read one f64 tensor from an NKT1 file."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:4] != _NKT_MAGIC:
+        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 9:
+        raise ValueError(f"{path}: truncated header")
+    tag, rank = struct.unpack_from("<BI", raw, 4)
+    if tag != _NKT_F64_TAG:
+        raise ValueError(f"{path}: dtype tag {tag} is not {_NKT_F64_TAG} (f64), the only dtype NKT1 holds")
+    start = 9 + 8 * rank
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{rank}Q", raw, 9)
+    # exact integers: a numpy product wraps silently past int64
+    if math.prod(d for d in dims if d) * _F64.itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{path}: shape {dims} is too large")
+    count = math.prod(dims)
+    expected = start + count * _F64.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=_F64, count=count, offset=start).reshape(dims).astype(np.float64)
 
 
 def save_model(dirpath, model: ModelParams) -> None:
-    """Write a checkpoint directory: manifest.json plus one .nkt per tensor.
+    """Write a checkpoint directory: manifest.json plus one NKT1 .nkt file per tensor.
 
     The files are written into a sibling temporary directory that is then
     renamed into place, so an interrupted write leaves any previous
@@ -619,7 +664,7 @@ def save_model(dirpath, model: ModelParams) -> None:
     try:
         staged.mkdir()  # unlike mkdtemp's 0700, this honours the umask
         for name, leaf in model.params.items():
-            nk.save_tensor(staged / f"{name}.nkt", np.asarray(ad.val(leaf), dtype=np.float64))
+            _save_tensor(staged / f"{name}.nkt", np.asarray(ad.val(leaf), dtype=np.float64))
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "config": {**dataclasses.asdict(model.config), **FIXED_MANIFEST_CONFIG},
@@ -653,12 +698,15 @@ def load_model(dirpath) -> ModelParams:
     for key, fixed in FIXED_MANIFEST_CONFIG.items():
         if (value := config.pop(key, fixed)) != fixed:
             raise ValueError(f"{dirpath}: config {key} is {value!r}; flowdit fixes it at {fixed!r}")
-    config = ModelConfig(**config)
+    try:
+        config = ModelConfig(**config)
+    except (TypeError, ValueError) as err:  # an unknown key, or a value of the wrong type
+        raise ValueError(f"{path}: {err}") from None
     model = init_model(config, seed=0)
     if set(model.params) != set(manifest["tensors"]):
         raise ValueError(f"{dirpath}: tensor manifest does not match the architecture")
     for name in manifest["tensors"]:
-        arr = nk.load_tensor(dirpath / f"{name}.nkt")
+        arr = _load_tensor(dirpath / f"{name}.nkt")
         expected = model.params[name].shape
         if arr.shape != expected:
             raise ValueError(f"{name}: stored shape {arr.shape} != expected {expected}")

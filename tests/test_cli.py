@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from flowdit import cli, dit, flowlab
-from flowdit import numkernel as nk
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parents[1]
@@ -448,7 +447,7 @@ def test_gen_missing_checkpoint_returns_two(tmp_path):
 def test_gen_rejects_non_finite_checkpoint(tmp_path, capsys):
     model = dit.init_model(flowlab.point_model_config(16, 1), seed=0)
     dit.save_model(tmp_path / "ckpt", model)
-    nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.full_like(model.params["w_embed"], np.inf))
+    dit._save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.full_like(model.params["w_embed"], np.inf))
     rc = cli.main(["gen", "--model", str(tmp_path / "ckpt"), "--n", "8", "--steps", "2"])
     assert rc == 2
     assert "w_embed" in capsys.readouterr().err
@@ -492,8 +491,12 @@ def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, mo
         lambda text: json.dumps({**json.loads(text), "config": [["d_model", 16]]}),
         # an object keyed by the tensor names: set() and iteration see the same names as in the list
         lambda text: json.dumps({**(m := json.loads(text)), "tensors": dict.fromkeys(m["tensors"])}),
+        lambda text: json.dumps({**(m := json.loads(text)),
+                                 "config": {("d_modle" if k == "d_model" else k): v for k, v in m["config"].items()}}),
+        lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "d_model": "16"}}),
     ],
-    ids=["list", "truncated", "config_not_an_object", "tensors_not_a_list"],
+    ids=["list", "truncated", "config_not_an_object", "tensors_not_a_list", "unknown_config_key",
+         "config_value_of_wrong_type"],
 )
 def test_gen_refuses_a_malformed_manifest_naming_it(tmp_path, capsys, monkeypatch, edit):
     monkeypatch.chdir(tmp_path)
@@ -510,7 +513,7 @@ def copy_overflowing_checkpoint(ckpt):
     """perfbench's point checkpoint with every b_out entry at 1.7e308: each entry
     is finite, so load_model accepts the copy, yet the samples reach 1.7e308."""
     shutil.copytree(ROOT / "perfbench" / "checkpoint", ckpt)
-    nk.save_tensor(ckpt / "b_out.nkt", np.full_like(nk.load_tensor(ckpt / "b_out.nkt"), 1.7e308))
+    dit._save_tensor(ckpt / "b_out.nkt", np.full_like(dit._load_tensor(ckpt / "b_out.nkt"), 1.7e308))
 
 
 def test_gen_non_finite_energy_distance_exits_one_and_writes_nothing(tmp_path, capsys):

@@ -766,7 +766,7 @@ def test_checkpoint_rejects_other_fixed_values(tmp_path, key, value):
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     model = dit.init_model(small_config(), seed=0)
     dit.save_model(tmp_path / "ckpt", model)
-    nk.save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.zeros((2, 2)))
+    dit._save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.zeros((2, 2)))
     with pytest.raises(ValueError, match="stored shape"):
         dit.load_model(tmp_path / "ckpt")
 
@@ -777,7 +777,7 @@ def test_checkpoint_rejects_non_finite_tensor(tmp_path):
     name, value = dit.named_parameters(model)[3]
     bad = value.copy()
     bad.flat[1] = np.nan
-    nk.save_tensor(tmp_path / "ckpt" / f"{name}.nkt", bad)
+    dit._save_tensor(tmp_path / "ckpt" / f"{name}.nkt", bad)
     with pytest.raises(ValueError, match="non-finite") as err:
         dit.load_model(tmp_path / "ckpt")
     assert name in str(err.value)
@@ -793,7 +793,7 @@ def test_checkpoint_overwrite_is_all_or_nothing(tmp_path, monkeypatch):
     old = randomized(dit.init_model(small_config(), seed=0), seed=1)
     new = randomized(dit.init_model(small_config(), seed=5), seed=6)
     dit.save_model(tmp_path / "ckpt", old)
-    save_tensor = nk.save_tensor
+    save_tensor = dit._save_tensor
     calls = []
 
     def failing_save(path, x):
@@ -802,7 +802,7 @@ def test_checkpoint_overwrite_is_all_or_nothing(tmp_path, monkeypatch):
             raise OSError("disk full")
         save_tensor(path, x)
 
-    monkeypatch.setattr(nk, "save_tensor", failing_save)
+    monkeypatch.setattr(dit, "_save_tensor", failing_save)
     with pytest.raises(OSError, match="disk full"):
         dit.save_model(tmp_path / "ckpt", new)
     monkeypatch.undo()

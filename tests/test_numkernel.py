@@ -1,5 +1,5 @@
 """Kernel contracts: independent oracles for pooling, attention weights,
-and the tensor container, plus the exact-arithmetic properties the rest of
+and the checkpoints' NKT1 tensor files, plus the exact-arithmetic properties the rest of
 the stack leans on."""
 
 import math
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flowdit import autodiff as ad
 from flowdit import contextdrop as cd
+from flowdit import dit
 from flowdit import numkernel as nk
 
 
@@ -88,7 +89,7 @@ def test_rms_norm_output_has_unit_rms_at_unit_gain():
     x = rng.standard_normal((8, 32)) * 5.0
     y = ad.rms_norm(x, np.ones(32))
     ms = np.mean(x * x, axis=-1)
-    assert np.allclose(np.sqrt(np.mean(y * y, axis=-1)), np.sqrt(ms / (ms + nk.EPS)), atol=1e-12)
+    assert np.allclose(np.sqrt(np.mean(y * y, axis=-1)), np.sqrt(ms / (ms + ad.EPS)), atol=1e-12)
 
 
 # The fresh-array expressions these kernels computed before they worked in
@@ -99,7 +100,7 @@ def _attend_reference(x, bound=np.inf):
 
 
 def _rms_norm_reference(x, gain):
-    return (x * (np.mean(x * x, axis=-1, keepdims=True) + nk.EPS) ** -0.5) * gain
+    return (x * (np.mean(x * x, axis=-1, keepdims=True) + ad.EPS) ** -0.5) * gain
 
 
 def _silu_reference(x):
@@ -240,9 +241,16 @@ def test_avg_pool_tokens_identity_window_copies():
     assert pk is x and pv is x and pc is coords
 
 
+def pool_assignments(grid, window):
+    """(assign, n_out, counts) read off nk.pool_matrix: assign[i] is the window
+    of token i, n_out the number of windows, counts[j] the tokens in window j."""
+    m = nk.pool_matrix(grid, window)
+    return np.argmax(m > 0, axis=0), m.shape[0], np.count_nonzero(m, axis=1)
+
+
 def test_pool_assignments_counts_and_edges():
     # 5x5 grid, 2x2 windows: 3x3 outputs, right/bottom edge windows shrink
-    assign, n_out, counts = nk.pool_assignments((5, 5), (2, 2))
+    assign, n_out, counts = pool_assignments((5, 5), (2, 2))
     assert n_out == 9
     assert counts.sum() == 25
     assert counts.tolist() == [4, 4, 2, 4, 4, 2, 2, 2, 1]
@@ -254,7 +262,7 @@ def test_pool_assignments_output_count_law():
         for w in range(1, 9):
             for wh in range(1, 9):
                 for ww in range(1, 9):
-                    _, n_out, counts = nk.pool_assignments((h, w), (wh, ww))
+                    _, n_out, counts = pool_assignments((h, w), (wh, ww))
                     assert n_out == math.ceil(h / wh) * math.ceil(w / ww)
                     assert counts.sum() == h * w
                     assert np.all(counts >= 1)
@@ -262,9 +270,9 @@ def test_pool_assignments_output_count_law():
 
 def test_pool_assignments_rejects_nonpositive():
     with pytest.raises(ValueError, match="positive"):
-        nk.pool_assignments((0, 3), (1, 1))
+        pool_assignments((0, 3), (1, 1))
     with pytest.raises(ValueError, match="positive"):
-        nk.pool_assignments((2, 2), (1, 0))
+        pool_assignments((2, 2), (1, 0))
 
 
 def test_pool_matrix_is_row_stochastic():
@@ -287,8 +295,8 @@ def test_tensor_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4, 5))
     path = tmp_path / "t.nkt"
-    nk.save_tensor(path, x)
-    y = nk.load_tensor(path)
+    dit._save_tensor(path, x)
+    y = dit._load_tensor(path)
     assert y.dtype == np.float64
     assert np.array_equal(y, x)
     assert y.tobytes() == x.tobytes()
@@ -297,7 +305,7 @@ def test_tensor_roundtrip_bitwise(tmp_path):
 def test_tensor_container_layout(tmp_path):
     x = np.array([[1.0, 2.0]], dtype=np.float64)
     path = tmp_path / "t.nkt"
-    nk.save_tensor(path, x)
+    dit._save_tensor(path, x)
     raw = path.read_bytes()
     assert raw[:4] == b"NKT1"
     assert raw[4] == 2  # f64 tag
@@ -310,37 +318,37 @@ def test_tensor_container_layout(tmp_path):
 def test_tensor_load_rejects_corruption(tmp_path):
     x = np.ones((2, 2))
     path = tmp_path / "t.nkt"
-    nk.save_tensor(path, x)
+    dit._save_tensor(path, x)
     raw = path.read_bytes()
     bad_magic = tmp_path / "bad_magic.nkt"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError, match="magic"):
-        nk.load_tensor(bad_magic)
+        dit._load_tensor(bad_magic)
     truncated = tmp_path / "short.nkt"
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="bytes"):
-        nk.load_tensor(truncated)
+        dit._load_tensor(truncated)
     bad_tag = tmp_path / "bad_tag.nkt"
     bad_tag.write_bytes(raw[:4] + b"\x09" + raw[5:])
     with pytest.raises(ValueError, match="dtype tag"):
-        nk.load_tensor(bad_tag)
+        dit._load_tensor(bad_tag)
 
 
 def test_tensor_load_rejects_header_cut_before_rank(tmp_path):
     path = tmp_path / "t.nkt"
     path.write_bytes(b"NKT1\x02")  # magic and dtype tag, no rank
     with pytest.raises(ValueError, match=r"t\.nkt: truncated header"):
-        nk.load_tensor(path)
+        dit._load_tensor(path)
 
 
 def test_tensor_load_rejects_dims_past_end_of_file(tmp_path):
     path = tmp_path / "t.nkt"
-    nk.save_tensor(path, np.ones((2, 3, 4)))
+    dit._save_tensor(path, np.ones((2, 3, 4)))
     raw = path.read_bytes()
     cut = tmp_path / "cut.nkt"
     cut.write_bytes(raw[: 9 + 8 * 2])  # the header names 3 dims; 2 remain
     with pytest.raises(ValueError, match=r"cut\.nkt: truncated header"):
-        nk.load_tensor(cut)
+        dit._load_tensor(cut)
 
 
 @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**32, 2**32, 0)], ids=["wraps_to_zero", "zero_size"])
@@ -349,18 +357,18 @@ def test_tensor_load_rejects_dims_too_large_to_count(tmp_path, dims):
     path = tmp_path / "huge.nkt"
     path.write_bytes(b"NKT1" + struct.pack("<BI", 2, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims))
     with pytest.raises(ValueError, match=r"huge\.nkt: shape .* is too large"):
-        nk.load_tensor(path)
+        dit._load_tensor(path)
 
 
 def test_save_tensor_rejects_other_dtypes(tmp_path):
     with pytest.raises(ValueError, match="dtype"):
-        nk.save_tensor(tmp_path / "t.nkt", np.ones(3, dtype=np.int64))
+        dit._save_tensor(tmp_path / "t.nkt", np.ones(3, dtype=np.int64))
 
 
 def test_save_tensor_refuses_f32(tmp_path):
     path = tmp_path / "t.nkt"
     with pytest.raises(ValueError, match="unsupported dtype float32; only f64 serializes"):
-        nk.save_tensor(path, np.ones(3, dtype=np.float32))
+        dit._save_tensor(path, np.ones(3, dtype=np.float32))
     assert not path.exists()
 
 
@@ -369,7 +377,7 @@ def test_load_tensor_refuses_an_f32_file(tmp_path):
     path = tmp_path / "f32.nkt"
     path.write_bytes(b"NKT1" + struct.pack("<BIQ", 1, 1, 3) + np.ones(3, dtype="<f4").tobytes())
     with pytest.raises(ValueError, match=r"f32\.nkt: dtype tag 1 is not 2 \(f64\)"):
-        nk.load_tensor(path)
+        dit._load_tensor(path)
 
 
 @settings(deadline=None, max_examples=50)
@@ -378,8 +386,8 @@ def test_tensor_roundtrip_property(tmp_path_factory, shape, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     path = tmp_path_factory.mktemp("nkt") / "t.nkt"
-    nk.save_tensor(path, x)
-    y = nk.load_tensor(path)
+    dit._save_tensor(path, x)
+    y = dit._load_tensor(path)
     assert y.shape == x.shape and y.dtype == np.float64
     assert np.array_equal(y, x)
 
@@ -387,6 +395,6 @@ def test_tensor_roundtrip_property(tmp_path_factory, shape, seed):
 @settings(deadline=None, max_examples=100)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
 def test_pool_count_law_property(h, w, wh, ww):
-    _, n_out, counts = nk.pool_assignments((h, w), (wh, ww))
+    _, n_out, counts = pool_assignments((h, w), (wh, ww))
     assert n_out == math.ceil(h / wh) * math.ceil(w / ww)
     assert counts.sum() == h * w

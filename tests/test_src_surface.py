@@ -102,6 +102,43 @@ def test_numkernel_and_autodiff_share_no_function_but_the_matmul_the_tape_op_cal
     assert "numkernel.matmul(" in inspect.getsource(autodiff.matmul)
 
 
+def private_reads(path, tree, modules):
+    """`<line> <name>` of each `_`-prefixed name this module takes from another
+    flowdit module: an attribute of a name bound to a flowdit module, or a
+    name imported from one. Dunder names are public."""
+    package = path.relative_to(SRC.parent).with_suffix("").parts[:-1]
+    bound = {}  # local name -> the flowdit module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            base += tuple(filter(None, (node.module or "").split(".")))
+            for alias in node.names:
+                if ".".join(base + (alias.name,)) in modules:
+                    bound[alias.asname or alias.name] = ".".join(base + (alias.name,))
+                elif ".".join(base) in modules and alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield f"{node.lineno} {'.'.join(base)}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            bound.update({alias.asname: alias.name for alias in node.names if alias.asname and alias.name in modules})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+                and node.attr.startswith("_") and not node.attr.startswith("__")):
+            yield f"{node.lineno} {bound[node.value.id]}.{node.attr}"
+
+
+def test_no_src_module_reads_a_private_name_of_another():
+    # a private name is its module's own business: a second module that reads
+    # it splits one job over two homes, which the public surface does not show
+    paths = sorted(SRC.rglob("*.py"))
+    modules = {".".join(path.relative_to(SRC.parent).with_suffix("").parts).removesuffix(".__init__") for path in paths}
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    reads = [f"{path.relative_to(SRC)}:{read}" for path, tree in trees.items() for read in private_reads(path, tree, modules)]
+    assert reads == []
+    # the scan sees the imports it checks, so it is not vacuous
+    assert "flowdit.numkernel" in modules and "flowdit.flowlab.training" in modules
+    probe = ast.parse("from . import numkernel as nk\nfrom .dit import _save_tensor\nnk._x(nk.__name__)\n")
+    assert list(private_reads(SRC / "autodiff.py", probe, modules)) == ["2 flowdit.dit._save_tensor", "3 flowdit.numkernel._x"]
+
+
 def test_every_model_config_field_is_set_outside_the_tests():
     # a field that no src/ or perfbench/ ModelConfig(...) call sets is a fixed value, not a setting
     paths = sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
