@@ -10,10 +10,10 @@ The op set is the thirteen ops the model runs: add, mul, matmul, sum_,
 mean, reshape, transpose, take, rms_norm (the model's one RMS norm, with
 the fixed epsilon EPS), rotate_pairs (RoPE), attend (attention's
 softmax(logits) @ v, normalised after the AV GEMM), and the
-nonlinearities tanh and silu. A difference is
-add of a negated constant, and an axis swap is transpose. Indexing is the
-only operator a Var supports; anything else, numpy ufuncs included, raises
-rather than differentiating silently.
+nonlinearities tanh and silu. A difference is add of a negated constant,
+and an axis swap is transpose. Indexing is the only operator a Var
+supports; anything else, numpy ufuncs included, raises rather than
+differentiating silently.
 
 One composition serves the sandwich block: modulate(n, scale, shift) is
 add(mul(n, scale), shift), both AdaLN's n * scale + shift and the gated

@@ -699,10 +699,9 @@ def load_model(dirpath) -> ModelParams:
         if (value := config.pop(key, fixed)) != fixed:
             raise ValueError(f"{dirpath}: config {key} is {value!r}; flowdit fixes it at {fixed!r}")
     try:
-        config = ModelConfig(**config)
+        model = init_model(ModelConfig(**config), seed=0)
     except (TypeError, ValueError) as err:  # an unknown key, or a value of the wrong type
         raise ValueError(f"{path}: {err}") from None
-    model = init_model(config, seed=0)
     if set(model.params) != set(manifest["tensors"]):
         raise ValueError(f"{dirpath}: tensor manifest does not match the architecture")
     for name in manifest["tensors"]:

@@ -494,9 +494,10 @@ def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, mo
         lambda text: json.dumps({**(m := json.loads(text)),
                                  "config": {("d_modle" if k == "d_model" else k): v for k, v in m["config"].items()}}),
         lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "d_model": "16"}}),
+        lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "d_model": 16.0}}),
     ],
     ids=["list", "truncated", "config_not_an_object", "tensors_not_a_list", "unknown_config_key",
-         "config_value_of_wrong_type"],
+         "config_value_of_wrong_type", "config_value_a_float"],
 )
 def test_gen_refuses_a_malformed_manifest_naming_it(tmp_path, capsys, monkeypatch, edit):
     monkeypatch.chdir(tmp_path)

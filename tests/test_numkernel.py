@@ -1,6 +1,6 @@
 """Kernel contracts: independent oracles for pooling, attention weights,
-and the checkpoints' NKT1 tensor files, plus the exact-arithmetic properties the rest of
-the stack leans on."""
+and the checkpoints' NKT1 tensor files, plus the exact-arithmetic
+properties the rest of the stack leans on."""
 
 import math
 import struct
