@@ -364,16 +364,17 @@ def rms_norm(a, gain):
     The contract holds for every finite input, squares that overflow
     included (_rms_inverse): before the gain, each row's RMS is
     below 1, which the logit bound in dit.gqa_attention relies on. a is
-    never written. Untracked, the gain multiplies in place into a * inv,
-    the one array returned, unless it broadcasts that to a larger shape or
-    a wider dtype. With n = a * inv and inv = (mean(a^2) + EPS)^-1/2, the
+    never written, and a * inv is made in C order (exactly rounded, so no
+    bit depends on a's strides). Untracked, the gain multiplies in place
+    into a * inv, the one array returned, unless it broadcasts that to a
+    larger shape or a wider dtype. With n = a * inv and inv = (mean(a^2) + EPS)^-1/2, the
     cotangent of a is inv * (u - n * mean(u * n)) for u = g * gain, and
     that of gain is sum(g * n) over the broadcast axes (Zhang & Sennrich
     2019).
     """
     av, gv = val(a), val(gain)
     inv = _rms_inverse(av)
-    n = av * inv
+    n = np.multiply(av, inv, order="C")
     if not _tracked(a, gain):
         return np.multiply(n, gv, out=n if _holds(n, gv) else None)
     out = n * gv

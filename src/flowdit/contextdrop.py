@@ -51,17 +51,21 @@ def window_for_ratio(ratio: float) -> tuple[int, int]:
     return chosen
 
 
-def pool_kv(k, v, coords, grid: tuple[int, int], window: tuple[int, int]):
-    """Average-pool keys, values, and their coordinates over `window` cells.
-
-    k, v have shape [..., h*w, d] (arrays or tape Vars); coords [h*w, axes].
-    Returns (k', v', coords'). The (1, 1) window returns the inputs
-    unchanged, as the same objects.
-    """
-    n = ad.val(k).shape[-2]
+def pool_plan(coords, grid: tuple[int, int], window: tuple[int, int]):
+    """(M, M @ coords) for M = numkernel.pool_matrix(grid, window) and the
+    grid's token coordinates [h*w, axes]; (None, coords) for the (1, 1) window."""
+    n = len(coords)
     if n != grid[0] * grid[1]:
         raise ValueError(f"got {n} tokens for grid {grid}")
     if tuple(window) == (1, 1):
-        return k, v, coords
+        return None, coords
     pool = nk.pool_matrix(grid, window)
-    return ad.matmul(pool, k), ad.matmul(pool, v), nk.matmul(pool, np.asarray(coords, dtype=float))
+    return pool, nk.matmul(pool, np.asarray(coords, dtype=float))
+
+
+def pool_kv(k, v, pool):
+    """(M @ k, M @ v) for pool_plan's M and k, v [..., h*w, d] (arrays or
+    tape Vars); a None M returns k and v themselves."""
+    if pool is None:
+        return k, v
+    return ad.matmul(pool, k), ad.matmul(pool, v)

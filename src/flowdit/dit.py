@@ -63,6 +63,9 @@ class ModelConfig:
     block_style: str = "sandwich"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):  # exact types: a bool is an int, and a float may be integral
+            if type(value := getattr(self, field.name)) is not type(field.default):
+                raise TypeError(f"{field.name} must be {type(field.default).__name__}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.block_style not in BLOCK_STYLES:
@@ -217,23 +220,33 @@ def _merge_heads(x):
     return ad.reshape(x, (*lead, n, h * group * dh))
 
 
-def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_pool=None):
+def attention_tables(coords, freqs: rope.RopeFreqs, kv_pool=None):
+    """(rope_q, pool, rope_k), which every gqa_attention call of one forward
+    shares: the queries' rope.rope_tables, contextdrop.pool_plan's matrix
+    under kv_pool (else None), and the pooled keys' tables (else rope_q)."""
+    rope_q = rope.rope_tables(coords, freqs)
+    pool, coords_k = (None, coords) if kv_pool is None else contextdrop.pool_plan(coords, *kv_pool)
+    return rope_q, pool, rope_q if pool is None else rope.rope_tables(coords_k, freqs)
+
+
+def gqa_attention(x, params: dict, tables, *, mask=None, kv_pool=None):
     """Grouped-query attention with QK RMS norm and rotary phases.
 
     params holds wq [d_model, h_q*d_head], wk and wv [d_model, h_kv*d_head],
     wo and the per-head-dim gains q_gain and k_gain [d_head]; the head
-    counts follow from those shapes. x [..., n, d_model]; coords [n, axes].
-    mask marks valid keys (True = attend), shape [n] or [batch, n]; every
-    row must keep at least one key.
-    kv_pool = (grid, window) average-pools projected keys/values and their
-    coordinates before normalisation and rotation; pooled keys have no
-    per-token identity, so kv_pool and mask are mutually exclusive. A
-    (1, 1) window is a no-op, bit-identical to kv_pool=None.
+    counts follow from those shapes. x [..., n, d_model]; tables is
+    attention_tables(coords, freqs, kv_pool) of the tokens' coordinates
+    [n, axes]. mask marks valid keys (True = attend), shape [n] or [batch,
+    n]; every row must keep at least one key. kv_pool = (grid, window)
+    average-pools projected keys/values before normalisation and rotation;
+    pooled keys have no per-token identity, so kv_pool and mask are
+    mutually exclusive. A (1, 1) window is bit-identical to kv_pool=None.
 
     The scores are rope.rope_attention_logits of the normalised queries and
     keys, scaled by 1/sqrt(d_head) through the query gain (a [d_head] scale,
     not a scores-sized one; exact when d_head is a power of 4); masked keys
-    get a constant -inf bias. The QK norm bounds every logit by
+    get a constant -inf bias; RoPE gets the heads as contiguous rows, which
+    rms_norm makes. The QK norm bounds every logit by
     B = sqrt(d_head) * max|q_gain| * max|k_gain|, so ad.attend exponentiates
     them with no row max taken while B is within ad.EXP_LIMIT, and divides
     the AV product by the row sums. Untracked, the logits GEMM
@@ -248,8 +261,11 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     the general path, and wq, wk, q_gain and k_gain (exact-zero gradient
     through one key) stay off the tape. One-token GQA runs the general path.
     """
+    rope_q, pool, rope_k = tables
     if mask is not None and kv_pool is not None:
         raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
+    if (pool is not None) != (kv_pool is not None and tuple(kv_pool[1]) != (1, 1)):
+        raise ValueError(f"tables built for another kv_pool than {kv_pool}")
     bias = None
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
@@ -260,14 +276,9 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     group = ad.val(params["wq"]).shape[-1] // ad.val(params["wk"]).shape[-1]
     v = ad.matmul(x, params["wv"])
     if ad.val(x).shape[-2] == 1 and group == 1:
-        if kv_pool is not None and kv_pool[0][0] * kv_pool[0][1] != 1:
-            raise ValueError(f"got 1 token for grid {kv_pool[0]}")
         return ad.matmul(v, params["wo"])
     q = ad.matmul(x, params["wq"])
-    k = ad.matmul(x, params["wk"])
-    coords_k = coords
-    if kv_pool is not None:
-        k, v, coords_k = contextdrop.pool_kv(k, v, coords, *kv_pool)
+    k, v = contextdrop.pool_kv(ad.matmul(x, params["wk"]), v, pool)
     q = _split_heads(q, d_head, group)
     k = _split_heads(k, d_head)
     v = _split_heads(v, d_head)
@@ -276,7 +287,7 @@ def gqa_attention(x, params: dict, freqs: rope.RopeFreqs, coords, mask=None, kv_
     k = ad.rms_norm(k, params["k_gain"])
     # normalised rows have norm below sqrt(d_head) and RoPE keeps norms
     bound = d_head * np.abs(ad.val(q_gain)).max() * np.abs(ad.val(params["k_gain"])).max()
-    logits = rope.rope_attention_logits(q, k, coords, coords_k, freqs)
+    logits = rope.rope_attention_logits(q, k, rope_q, rope_k)
     if bias is not None:
         logits = ad.add(logits, bias)
     out = ad.attend(logits, v, bound)
@@ -300,11 +311,12 @@ def block_modulation(cond, block: dict, d: int) -> list:
     return [shift_a, ad.add(scale_a, 1.0), ad.tanh(gate_a), shift_m, ad.add(scale_m, 1.0), ad.tanh(gate_m)]
 
 
-def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask=None, kv_pool=None):
+def sandwich_block(x, mod, block: dict, config: ModelConfig, tables, mask=None, kv_pool=None):
     """One residual block; exact identity at zero-initialised modulation.
 
     block is one entry of _blocks(model): the block's entries without
-    their `blocks.<i>.` prefix, and its attention dict under "attn".
+    their `blocks.<i>.` prefix, and its attention dict under "attn";
+    tables is the call's attention_tables.
     Generative blocks modulate with mod = block_modulation(cond, block, d),
     the shifts, 1 + scales and tanh gates; recognition blocks (mod None)
     use tanh of bare scalar gates. block_style `prenorm` drops the
@@ -324,7 +336,7 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, freqs, coords, mask
     h = ad.rms_norm(x, block["pre_attn_gain"])
     if mod is not None:
         h = ad.modulate(h, scale_a, shift_a)
-    h = gqa_attention(h, block["attn"], freqs, coords, mask=mask, kv_pool=kv_pool)
+    h = gqa_attention(h, block["attn"], tables, mask=mask, kv_pool=kv_pool)
     if sandwich:
         h = ad.rms_norm(h, block["post_attn_gain"])
     x = ad.modulate(h, gate_a, x)
@@ -384,16 +396,16 @@ def _blocks(model: ModelParams) -> list[dict]:
     return blocks
 
 
-def _trunk(model: ModelParams, blocks, tokens, mods, coords, mask=None, kv_pool=None, capture=None):
+def _trunk(model: ModelParams, blocks, tokens, mods, tables, mask=None, kv_pool=None, capture=None):
     """Token embedding and the block loop under both heads; blocks is
     _blocks(model), mods holds each block's block_modulation (None for
-    recognition blocks), and capture is as in forward_velocity."""
+    recognition blocks), tables is the call's attention_tables, and capture
+    is as in forward_velocity."""
     p, config = model.params, model.config
     h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
-    freqs = model_freqs(config)
     for i, block in enumerate(blocks):
         mod = None if mods is None else mods[i]
-        h = sandwich_block(h, mod, block, config, freqs, coords, mask=mask, kv_pool=kv_pool)
+        h = sandwich_block(h, mod, block, config, tables, mask=mask, kv_pool=kv_pool)
         if capture is not None:
             capture.append(np.array(ad.val(h)))
     return h
@@ -478,8 +490,10 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     per-sample call with np.full(B, t) to rounding, not bitwise.
     label is an int array of class ids (None uses the null embedding when
     the model is conditional). kv_pool = (grid, window), grid the patch
-    grid, pools attention context in every block. capture, if a list,
-    receives each block's output token array (values only, no tape).
+    grid, pools attention context in every block; attention_tables are
+    built once per call for every block and part, and kept by none.
+    capture, if a list, receives each block's output token array (values
+    only, no tape).
 
     Inference splits batches across the usable CPUs, bitwise: an untracked
     call (neither x_t nor any parameter a tape Var) with one conditioning
@@ -516,12 +530,13 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     elif label is not None:
         raise ValueError("model has no label table")
     blocks = _blocks(model)
+    tables = attention_tables(coords, model_freqs(config), kv_pool)
     mods = [block_modulation(cond, block, config.d_model) for block in blocks]
     scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
     scale = ad.add(_with_token_axis(scale), 1.0)
 
     def head_input(tokens):
-        h = _trunk(model, blocks, tokens, mods, coords, kv_pool=kv_pool, capture=capture)
+        h = _trunk(model, blocks, tokens, mods, tables, kv_pool=kv_pool, capture=capture)
         return ad.rms_norm(h, scale)  # the final norm takes the scale as its gain
 
     # the tape is single-threaded, and parts share mods and scale, which must be one broadcast row
@@ -556,7 +571,7 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
         raise ValueError("a sample has no valid tokens")
 
     p = model.params
-    h = _trunk(model, _blocks(model), tokens, None, coords, mask=mask_arr)
+    h = _trunk(model, _blocks(model), tokens, None, attention_tables(coords, model_freqs(config)), mask=mask_arr)
     weights = mask_arr / mask_arr.sum(axis=-1, keepdims=True)
     pooled = ad.sum_(ad.mul(h, weights[..., None]), axis=-2)
     h1 = ad.silu(ad.add(ad.matmul(pooled, p["head_w1"]), p["head_b1"]))

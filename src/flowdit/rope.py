@@ -210,33 +210,33 @@ def rope_tables(coords, freqs: RopeFreqs) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), np.sin(ang)
 
 
-def apply_rope(x, coords, freqs: RopeFreqs, *, tables=None):
+def apply_rope(x, tables):
     """Rotate the complex channel pairs of x by coord-proportional angles.
 
-    x has shape [..., n, d_head]; coords [n, axes]. Accepts autodiff Vars
-    transparently (angles are constants). A pure rotation, so per-token L2
-    norms are preserved. tables, if given, is rope_tables(coords, freqs),
-    built once for several arrays on the same coordinates.
+    x has shape [..., n, d_head]; tables is rope_tables(coords, freqs) for
+    coords [n, axes], built once and shared by every array on those
+    coordinates. Accepts autodiff Vars transparently (angles are
+    constants). A pure rotation, so per-token L2 norms are preserved.
     """
     shape = ad.val(x).shape
-    if shape[-1] != freqs.d_head:
-        raise ValueError(f"x last axis {shape[-1]} != d_head {freqs.d_head}")
-    cos, sin = rope_tables(coords, freqs) if tables is None else tables
+    cos, sin = tables
+    if shape[-1] != 2 * cos.shape[-1]:
+        raise ValueError(f"x last axis {shape[-1]} != d_head {2 * cos.shape[-1]} of the tables")
     if cos.shape[0] != shape[-2]:
         raise ValueError(f"{cos.shape[0]} coords for {shape[-2]} tokens")
     return ad.rotate_pairs(x, cos, sin)
 
 
-def rope_attention_logits(q, k, coords_q, coords_k, freqs: RopeFreqs):
+def rope_attention_logits(q, k, tables_q, tables_k):
     """Unscaled logits Re[sum_pairs q k* e^{i Theta (delta coord)}].
 
+    tables_q and tables_k are rope_tables of the queries' and the keys'
+    coordinates (the same tables when keys sit on the queries' tokens).
     Computed as rotate-then-dot; equals the relative complex form exactly in
-    exact arithmetic, so logits depend only on coordinate differences. Keys
-    on the queries' own coordinates (the same array) reuse their tables.
+    exact arithmetic, so logits depend only on coordinate differences.
     """
-    tables = rope_tables(coords_q, freqs)
-    qr = apply_rope(q, coords_q, freqs, tables=tables)
-    kr = apply_rope(k, coords_k, freqs, tables=tables if coords_k is coords_q else None)
+    qr = apply_rope(q, tables_q)
+    kr = apply_rope(k, tables_k)
     # non-negative axes: transpose's VJP inverts them with argsort
     lead = ad.val(kr).ndim - 2
     return ad.matmul(qr, ad.transpose(kr, (*range(lead), lead + 1, lead)))

@@ -30,13 +30,13 @@ def test_criterion_01_rope_translation_invariance_and_isometry():
         k = rng.standard_normal((10, d_head))
         cq = rng.uniform(0.0, 32.0, (12, axes))
         ck = rng.uniform(0.0, 32.0, (10, axes))
-        base = rope.rope_attention_logits(q, k, cq, ck, freqs)
+        base = rope.rope_attention_logits(q, k, rope.rope_tables(cq, freqs), rope.rope_tables(ck, freqs))
         for _ in range(4):
             shift = rng.uniform(-64.0, 64.0, axes)
-            moved = rope.rope_attention_logits(q, k, cq + shift, ck + shift, freqs)
+            moved = rope.rope_attention_logits(q, k, rope.rope_tables(cq + shift, freqs), rope.rope_tables(ck + shift, freqs))
             assert np.max(np.abs(moved - base)) < 1e-9
         x = rng.standard_normal((5, 12, d_head))
-        rx = rope.apply_rope(x, cq, freqs)
+        rx = rope.apply_rope(x, rope.rope_tables(cq, freqs))
         norms = np.linalg.norm(x, axis=-1)
         assert np.max(np.abs(np.linalg.norm(rx, axis=-1) - norms)) < 1e-9
     assert time.perf_counter() - start < 5.0
@@ -208,8 +208,9 @@ def reference_mha(x, p, n_heads, freqs, coords):
     q = split(nk.matmul(x, p["wq"]))
     k = split(nk.matmul(x, p["wk"]))
     v = split(nk.matmul(x, p["wv"]))
-    q = rope.apply_rope(ad.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head))), coords, freqs)
-    k = rope.apply_rope(ad.rms_norm(k, p["k_gain"]), coords, freqs)
+    tables = rope.rope_tables(coords, freqs)
+    q = rope.apply_rope(ad.rms_norm(q, p["q_gain"] * (1.0 / math.sqrt(d_head))), tables)
+    k = rope.apply_rope(ad.rms_norm(k, p["k_gain"]), tables)
     logits = nk.matmul(q, np.swapaxes(k, -1, -2))
     out = np.swapaxes(softmax_av(logits, v), -3, -2)
     s = out.shape
@@ -227,7 +228,7 @@ def test_criterion_07_block_identity_gqa_probe_masking():
     coords = nk.grid_coords((2, 4))
     freqs = dit.model_freqs(config)
     block = dit._blocks(model)[0]
-    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, freqs, coords)
+    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, dit.attention_tables(coords, freqs))
     assert np.array_equal(y, x)
     img = rng.standard_normal((2, 4, 4, 2))
     assert np.all(dit.forward_velocity(model, img, 0.5) == 0.0)
@@ -238,7 +239,7 @@ def test_criterion_07_block_identity_gqa_probe_masking():
         q_gain=rng.uniform(0.5, 1.5, 8), k_gain=rng.uniform(0.5, 1.5, 8),
     )
     xt = rng.standard_normal((2, 8, 32))
-    got = dit.gqa_attention(xt, p, freqs, coords)
+    got = dit.gqa_attention(xt, p, dit.attention_tables(coords, freqs))
     assert np.array_equal(got, reference_mha(xt, p, 4, freqs, coords))
 
     def probe_peak(style):
@@ -277,7 +278,8 @@ def test_criterion_08_context_drop_identities_and_length_law():
     k = rng.standard_normal((2, 12, 6))
     v = rng.standard_normal((2, 12, 6))
     coords = nk.grid_coords((3, 4))
-    pk, pv, pc = contextdrop.pool_kv(k, v, coords, (3, 4), contextdrop.window_for_ratio(0.0))
+    pool, pc = contextdrop.pool_plan(coords, (3, 4), contextdrop.window_for_ratio(0.0))
+    pk, pv = contextdrop.pool_kv(k, v, pool)
     assert pk is k and pv is v and pc is coords
 
     config = dit.ModelConfig(d_model=16, n_layers=1, n_q_heads=2, n_kv_heads=2,
@@ -290,14 +292,14 @@ def test_criterion_08_context_drop_identities_and_length_law():
     )
     x = rng.standard_normal((12, 16))
     assert np.array_equal(
-        dit.gqa_attention(x, p, freqs, coords),
-        dit.gqa_attention(x, p, freqs, coords, kv_pool=((3, 4), (1, 1))),
+        dit.gqa_attention(x, p, dit.attention_tables(coords, freqs)),
+        dit.gqa_attention(x, p, dit.attention_tables(coords, freqs, ((3, 4), (1, 1))), kv_pool=((3, 4), (1, 1))),
     )
 
     # pooling is an exact identity on windows of equal values
     const = np.broadcast_to(np.array([1.0, 2.0, 3.0]), (64, 3))
     for window in contextdrop.WINDOWS:
-        pooled, _, _ = contextdrop.pool_kv(const, const, nk.grid_coords((8, 8)), (8, 8), window)
+        pooled, _ = contextdrop.pool_kv(const, const, contextdrop.pool_plan(nk.grid_coords((8, 8)), (8, 8), window)[0])
         assert np.array_equal(pooled, np.broadcast_to([1.0, 2.0, 3.0], pooled.shape))
 
     for h in range(1, 9):
@@ -306,12 +308,12 @@ def test_criterion_08_context_drop_identities_and_length_law():
             for window in contextdrop.WINDOWS:
                 wh, ww = window
                 n_out = math.ceil(h / wh) * math.ceil(w / ww)
-                pooled, _, _ = contextdrop.pool_kv(tokens, tokens, nk.grid_coords((h, w)), (h, w), window)
+                pooled, _ = contextdrop.pool_kv(tokens, tokens, contextdrop.pool_plan(nk.grid_coords((h, w)), (h, w), window)[0])
                 assert pooled.shape == (n_out, 3)
 
     assert contextdrop.window_for_ratio(0.75) == (2, 2)
     ones = np.ones((16, 3))
-    pk, _, _ = contextdrop.pool_kv(ones, ones, nk.grid_coords((4, 4)), (4, 4), contextdrop.window_for_ratio(0.75))
+    pk, _ = contextdrop.pool_kv(ones, ones, contextdrop.pool_plan(nk.grid_coords((4, 4)), (4, 4), contextdrop.window_for_ratio(0.75))[0])
     assert pk.shape == (4, 3)
     assert time.perf_counter() - start < 5.0
 

@@ -53,6 +53,7 @@ X2318 = RNG.standard_normal((2, 3, 1, 8))
 FREQS = rope.freq_matrix(100.0, 8, 2)
 COORDS = RNG.uniform(0.0, 9.0, (5, 2))
 ANG = rope.rope_angles(COORDS, FREQS)
+TABLES = rope.rope_tables(COORDS, FREQS)
 # distinct per-row weights, so a cotangent whose rows land out of order shows
 ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
 
@@ -88,7 +89,7 @@ ROWS2254 = np.random.default_rng(1).standard_normal((2, 2, 5, 4))
         ("rms_norm_input", lambda v: ad.rms_norm(v, np.arange(1.0, 4.0)), X23),
         ("rms_norm_scalar_gain", lambda v: ad.mul(ad.rms_norm(v, np.asarray(1.0)), W43[:2]), X23),
         ("rotate_pairs", lambda v: ad.mul(ad.rotate_pairs(v, np.cos(ANG), np.sin(ANG)), X253[0, :, :1]), RNG.standard_normal((3, 5, 8))),
-        ("apply_rope", lambda v: ad.mul(rope.apply_rope(v, COORDS, FREQS), np.arange(8.0)), RNG.standard_normal((2, 5, 8))),
+        ("apply_rope", lambda v: ad.mul(rope.apply_rope(v, TABLES), np.arange(8.0)), RNG.standard_normal((2, 5, 8))),
     ],
     ids=lambda p: p if isinstance(p, str) else "",
 )
@@ -124,7 +125,7 @@ def test_rotation_tracked_and_untracked_forward_bit_identical():
     expected = np.stack([xe * cos - xo * sin, xe * sin + xo * cos], axis=-1).reshape(x.shape)
     assert np.array_equal(ad.rotate_pairs(x, cos, sin), expected)
     assert np.array_equal(ad.rotate_pairs(ad.Var(x), cos, sin).value, expected)
-    assert np.array_equal(rope.apply_rope(ad.Var(x), COORDS, FREQS).value, rope.apply_rope(x, COORDS, FREQS))
+    assert np.array_equal(rope.apply_rope(ad.Var(x), TABLES).value, rope.apply_rope(x, TABLES))
 
 
 def test_rotate_pairs_rejects_tracked_angles():

@@ -61,6 +61,12 @@ def test_ramp_window_schedule():
     assert cd.window_for_ratio(spec.ratio(1.0)) == (1, 1)
 
 
+def pooled(k, v, coords, grid, window):
+    """(k', v', coords'): pool_kv on the matrix pool_plan builds for coords."""
+    pool, pooled_coords = cd.pool_plan(coords, grid, window)
+    return (*cd.pool_kv(k, v, pool), pooled_coords)
+
+
 def test_pool_kv_low_ratio_returns_same_objects():
     rng = np.random.default_rng(0)
     k = rng.standard_normal((2, 6, 4))
@@ -68,7 +74,7 @@ def test_pool_kv_low_ratio_returns_same_objects():
     coords = nk.grid_coords((2, 3))
     window = cd.window_for_ratio(0.3)
     assert window == (1, 1)
-    pk, pv, pc = cd.pool_kv(k, v, coords, (2, 3), window)
+    pk, pv, pc = pooled(k, v, coords, (2, 3), window)
     assert pk is k and pv is v and pc is coords
 
 
@@ -82,7 +88,7 @@ def test_pool_kv_matches_loop_oracle(h, w, ratio, window):
     k = rng.standard_normal((2, h * w, 5))
     v = rng.standard_normal((2, h * w, 5))
     coords = nk.grid_coords((h, w))
-    pk, pv, pc = cd.pool_kv(k, v, coords, (h, w), window)
+    pk, pv, pc = pooled(k, v, coords, (h, w), window)
     assert np.allclose(pk, pool_oracle(k, (h, w), window), atol=1e-12)
     assert np.allclose(pv, pool_oracle(v, (h, w), window), atol=1e-12)
     assert np.allclose(pc, pool_oracle(coords, (h, w), window), atol=1e-12)
@@ -91,7 +97,7 @@ def test_pool_kv_matches_loop_oracle(h, w, ratio, window):
 def test_pool_kv_constant_rows_are_preserved():
     h, w = 4, 4
     x = np.broadcast_to(np.arange(3.0), (h * w, 3)).copy()
-    pk, pv, _ = cd.pool_kv(x, x, nk.grid_coords((h, w)), (h, w), (2, 2))
+    pk, pv, _ = pooled(x, x, nk.grid_coords((h, w)), (h, w), (2, 2))
     assert np.allclose(pk, np.arange(3.0), atol=1e-15)
     assert np.allclose(pv, np.arange(3.0), atol=1e-15)
 
@@ -101,13 +107,13 @@ def test_pool_kv_handles_leading_batch_axes():
     k = rng.standard_normal((3, 2, 8, 4))
     v = rng.standard_normal((3, 2, 8, 4))
     coords = nk.grid_coords((2, 4))
-    pk, pv, pc = cd.pool_kv(k, v, coords, (2, 4), (2, 2))
+    pk, pv, pc = pooled(k, v, coords, (2, 4), (2, 2))
     assert pk.shape == (3, 2, 2, 4) and pv.shape == pk.shape
     assert pc.shape == (2, 2)
     # each batch slice pools independently
     for i in range(3):
         for j in range(2):
-            lk, lv, _ = cd.pool_kv(k[i, j], v[i, j], coords, (2, 4), (2, 2))
+            lk, lv, _ = pooled(k[i, j], v[i, j], coords, (2, 4), (2, 2))
             assert np.array_equal(pk[i, j], lk)
             assert np.array_equal(pv[i, j], lv)
 
@@ -116,15 +122,16 @@ def test_pool_kv_custom_coords_are_pooled_too():
     rng = np.random.default_rng(4)
     k = rng.standard_normal((4, 3))
     coords = rng.standard_normal((4, 2))
-    _, _, pc = cd.pool_kv(k, k, coords, (2, 2), (2, 2))
+    _, _, pc = pooled(k, k, coords, (2, 2), (2, 2))
     assert np.allclose(pc, coords.mean(axis=0), atol=1e-15)
 
 
 def test_pool_kv_rejects_wrong_token_count():
-    x = np.ones((5, 2))
     for window in ((2, 2), (1, 1)):
         with pytest.raises(ValueError, match="tokens"):
-            cd.pool_kv(x, x, nk.grid_coords((2, 3)), (2, 3), window)
+            cd.pool_plan(np.ones((5, 2)), (2, 3), window)
+    with pytest.raises(ValueError, match="inner axes"):
+        cd.pool_kv(np.ones((5, 2)), np.ones((5, 2)), cd.pool_plan(nk.grid_coords((2, 3)), (2, 3), (2, 2))[0])
 
 
 @settings(deadline=None, max_examples=40)
@@ -132,7 +139,7 @@ def test_pool_kv_rejects_wrong_token_count():
 def test_pooled_length_law(h, w, window):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((h * w, 3))
-    pk, _, pc = cd.pool_kv(x, x, nk.grid_coords((h, w)), (h, w), window)
+    pk, _, pc = pooled(x, x, nk.grid_coords((h, w)), (h, w), window)
     wh, ww = window
     n_out = (-(-h // wh)) * (-(-w // ww))
     assert pk.shape == (n_out, 3)

@@ -100,7 +100,7 @@ def test_zero_init_block_is_exact_identity():
     coords = nk.grid_coords((2, 3))
     freqs = dit.model_freqs(config)
     block = dit._blocks(model)[0]
-    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, freqs, coords)
+    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, dit.attention_tables(coords, freqs))
     assert np.array_equal(y, x)
 
 
@@ -153,6 +153,11 @@ def slow_attention(x, p, n_q, n_kv, freqs, coords, eps, kv_pool=None):
     return np.concatenate(outs, -1) @ p["wo"]
 
 
+def attention(x, p, freqs, coords, **extra):
+    """dit.gqa_attention on the tables forward_velocity builds for coords and kv_pool."""
+    return dit.gqa_attention(x, p, dit.attention_tables(coords, freqs, extra.get("kv_pool")), **extra)
+
+
 def make_attn(d, n_q, n_kv, seed):
     rng = np.random.default_rng(seed)
     dh = d // n_q
@@ -173,7 +178,7 @@ def test_attention_matches_per_head_oracle(n_q, n_kv):
     freqs = rope.freq_matrix(100.0, d // n_q, 2)
     coords = nk.grid_coords((2, 3))
     x = np.random.default_rng(0).standard_normal((6, d))
-    got = dit.gqa_attention(x, p, freqs, coords)
+    got = attention(x, p, freqs, coords)
     want = slow_attention(x, p, n_q, n_kv, freqs, coords, 1e-6)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -191,8 +196,8 @@ def test_attention_with_logits_past_the_exp_limit_matches_the_per_head_oracle(mo
     x = np.random.default_rng(24).standard_normal((6, d))
     with monkeypatch.context() as unlimited, np.errstate(over="ignore", invalid="ignore"):
         unlimited.setattr(ad, "EXP_LIMIT", np.inf)
-        assert not np.isfinite(dit.gqa_attention(x, p, freqs, coords)).all()
-    got = dit.gqa_attention(x, p, freqs, coords)
+        assert not np.isfinite(attention(x, p, freqs, coords)).all()
+    got = attention(x, p, freqs, coords)
     assert np.isfinite(got).all()
     want = slow_attention(x, p, n_q, n_q, freqs, coords, 1e-6)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
@@ -207,7 +212,7 @@ def test_pooled_attention_matches_per_head_oracle(grid, window):
     freqs = rope.freq_matrix(100.0, d // n_q, 2)
     coords = nk.grid_coords(grid)
     x = np.random.default_rng(12).standard_normal((grid[0] * grid[1], d))
-    got = dit.gqa_attention(x, p, freqs, coords, kv_pool=(grid, window))
+    got = attention(x, p, freqs, coords, kv_pool=(grid, window))
     want = slow_attention(x, p, n_q, n_kv, freqs, coords, 1e-6, kv_pool=(grid, window))
     assert np.allclose(got, want, atol=1e-12)
 
@@ -229,8 +234,8 @@ def test_grouped_kv_equals_duplicated_heads_bitwise():
     freqs = rope.freq_matrix(100.0, dh, 2)
     coords = nk.grid_coords((2, 2))
     x = np.random.default_rng(4).standard_normal((4, d))
-    grouped = dit.gqa_attention(x, p, freqs, coords)
-    ungrouped = dit.gqa_attention(x, wide, freqs, coords)
+    grouped = attention(x, p, freqs, coords)
+    ungrouped = attention(x, wide, freqs, coords)
     assert np.allclose(grouped, ungrouped, atol=1e-13)
 
 
@@ -245,8 +250,8 @@ def test_masked_attention_ignores_padding():
     junk[:, 4:] = 1e6  # absurd values in the padded slots
     mask = np.zeros((2, 6), dtype=bool)
     mask[:, :4] = True
-    out_masked = dit.gqa_attention(junk, p, freqs, coords, mask=mask)
-    out_ref = dit.gqa_attention(x[:, :4], p, freqs, coords[:4])
+    out_masked = attention(junk, p, freqs, coords, mask=mask)
+    out_ref = attention(x[:, :4], p, freqs, coords[:4])
     assert np.allclose(out_masked[:, :4], out_ref, atol=1e-12)
 
 
@@ -257,12 +262,24 @@ def test_attention_mask_validation():
     coords = nk.grid_coords((2, 2))
     x = np.zeros((4, d))
     with pytest.raises(ValueError, match="no valid keys"):
-        dit.gqa_attention(x, p, freqs, coords, mask=np.zeros(4, dtype=bool))
+        attention(x, p, freqs, coords, mask=np.zeros(4, dtype=bool))
     with pytest.raises(ValueError, match="mask cannot apply"):
-        dit.gqa_attention(
+        attention(
             x, p, freqs, coords,
             mask=np.ones(4, dtype=bool), kv_pool=((2, 2), (2, 1)),
         )
+
+
+def test_attention_refuses_tables_built_for_another_kv_pool():
+    # pooling follows the tables, so a kv_pool they were not built for would do nothing
+    p = make_attn(16, 2, 2, seed=8)
+    freqs = rope.freq_matrix(100.0, 8, 2)
+    coords = nk.grid_coords((2, 2))
+    x = np.ones((4, 16))
+    with pytest.raises(ValueError, match="another kv_pool"):
+        dit.gqa_attention(x, p, dit.attention_tables(coords, freqs), kv_pool=((2, 2), (2, 1)))
+    with pytest.raises(ValueError, match="another kv_pool"):
+        dit.gqa_attention(x, p, dit.attention_tables(coords, freqs, ((2, 2), (2, 1))))
 
 
 def test_kv_pool_identity_window_is_bitwise_noop():
@@ -271,9 +288,9 @@ def test_kv_pool_identity_window_is_bitwise_noop():
     freqs = rope.freq_matrix(100.0, 8, 2)
     coords = nk.grid_coords((2, 2))
     x = np.random.default_rng(9).standard_normal((4, d))
-    plain = dit.gqa_attention(x, p, freqs, coords)
-    noop = dit.gqa_attention(x, p, freqs, coords, kv_pool=((2, 2), (1, 1)))
-    pooled = dit.gqa_attention(x, p, freqs, coords, kv_pool=((2, 2), (2, 1)))
+    plain = attention(x, p, freqs, coords)
+    noop = attention(x, p, freqs, coords, kv_pool=((2, 2), (1, 1)))
+    pooled = attention(x, p, freqs, coords, kv_pool=((2, 2), (2, 1)))
     assert np.array_equal(plain, noop)
     assert not np.allclose(plain, pooled, atol=1e-6)
 
@@ -296,9 +313,9 @@ def test_attention_is_translation_invariant(n_q, n_kv, extra):
     freqs = rope.freq_matrix(100.0, d // n_q, 2)
     coords = nk.grid_coords((4, 4))
     x = np.random.default_rng(17).standard_normal((2, 16, d))
-    base = dit.gqa_attention(x, p, freqs, coords, **extra)
+    base = attention(x, p, freqs, coords, **extra)
     for shift in ([41.0, 17.25], [-3.5, 7.0], [0.125, -60.0]):
-        moved = dit.gqa_attention(x, p, freqs, coords + np.array(shift), **extra)
+        moved = attention(x, p, freqs, coords + np.array(shift), **extra)
         assert np.max(np.abs(moved - base)) <= 1e-12, shift
 
 
@@ -318,12 +335,11 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None):
     d_head = ad.val(p["q_gain"]).shape[-1]
     group = ad.val(p["wq"]).shape[-1] // ad.val(p["wk"]).shape[-1]
     q, k, v = (ad.matmul(x, p[w]) for w in ("wq", "wk", "wv"))
-    coords_k = coords
-    if kv_pool is not None:
-        k, v, coords_k = cd.pool_kv(k, v, coords, *kv_pool)
+    rope_q, pool, rope_k = dit.attention_tables(coords, freqs, kv_pool)
+    k, v = cd.pool_kv(k, v, pool)
     q, k, v = dit._split_heads(q, d_head, group), dit._split_heads(k, d_head), dit._split_heads(v, d_head)
     q, k = ad.rms_norm(q, p["q_gain"]), ad.rms_norm(k, p["k_gain"])
-    logits = ad.mul(rope.rope_attention_logits(q, k, coords, coords_k, freqs), 1.0 / np.sqrt(d_head))
+    logits = ad.mul(rope.rope_attention_logits(q, k, rope_q, rope_k), 1.0 / np.sqrt(d_head))
     if mask is not None:
         keep = np.asarray(mask, dtype=bool)
         logits = ad.add(logits, np.where(keep, 0.0, -np.inf)[..., None, None, None, :])
@@ -341,13 +357,13 @@ def test_one_token_attention_is_the_general_expression_bitwise(n_q, n_kv, extra)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((5, 1, d))
     weights = rng.standard_normal((5, 1, d))
-    got = dit.gqa_attention(x, p, freqs, coords, **extra)
+    got = attention(x, p, freqs, coords, **extra)
     assert np.array_equal(got, general_attention(x, p, freqs, coords, **extra))
 
     grads = []
-    for attention in (dit.gqa_attention, general_attention):
+    for forward in (attention, general_attention):
         xv, pv = ad.Var(x), {name: ad.Var(a) for name, a in p.items()}
-        out = attention(xv, pv, freqs, coords, **extra)
+        out = forward(xv, pv, freqs, coords, **extra)
         ad.sum_(ad.mul(out, weights)).backward()
         assert np.array_equal(out.value, got)
         grads.append([xv.grad, pv["wv"].grad, pv["wo"].grad])
@@ -369,8 +385,8 @@ def test_multi_token_untracked_attention_is_the_taped_value_bitwise(n_q, n_kv, e
     freqs = rope.freq_matrix(100.0, d // n_q, 2)
     coords = nk.grid_coords((4, 4))
     x = np.random.default_rng(19).standard_normal((2, 16, d))
-    got = dit.gqa_attention(x, p, freqs, coords, **extra)
-    taped = dit.gqa_attention(ad.Var(x), {name: ad.Var(a) for name, a in p.items()}, freqs, coords, **extra)
+    got = attention(x, p, freqs, coords, **extra)
+    taped = attention(ad.Var(x), {name: ad.Var(a) for name, a in p.items()}, freqs, coords, **extra)
     assert isinstance(taped, ad.Var)
     assert got.tobytes() == taped.value.tobytes()
 
@@ -386,10 +402,10 @@ def test_untracked_full_attention_does_not_page_fault():
     x = np.random.default_rng(22).standard_normal((2, 250, d))
     scores_pages = 2 * n_q * 250 * 250 * 8 / 4096  # [2, n_kv, group, 250, 250] f64
     for _ in range(3):
-        dit.gqa_attention(x, p, freqs, coords)
+        attention(x, p, freqs, coords)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(50):
-        dit.gqa_attention(x, p, freqs, coords)
+        attention(x, p, freqs, coords)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
     assert faults < scores_pages / 4, faults
 
@@ -400,9 +416,9 @@ def test_one_token_attention_keeps_its_checks():
     coords = nk.grid_coords((1, 1))
     x = np.ones((1, 16))
     with pytest.raises(ValueError, match="no valid keys"):
-        dit.gqa_attention(x, p, freqs, coords, mask=[False])
+        attention(x, p, freqs, coords, mask=[False])
     with pytest.raises(ValueError, match="grid"):
-        dit.gqa_attention(x, p, freqs, coords, kv_pool=((2, 1), (1, 1)))
+        attention(x, p, freqs, coords, kv_pool=((2, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("n_q,n_kv", [(4, 2), (4, 1)])
@@ -423,7 +439,7 @@ def test_grouped_attention_gradients_match_finite_differences(n_q, n_kv, extra):
     weights = rng.standard_normal((2, 6, d))
 
     def loss(named):
-        return ad.sum_(ad.mul(dit.gqa_attention(named["x"], named, freqs, coords, **extra), weights))
+        return ad.sum_(ad.mul(attention(named["x"], named, freqs, coords, **extra), weights))
 
     tracked = {name: ad.Var(a) for name, a in inputs.items()}
     loss(tracked).backward()
@@ -446,9 +462,40 @@ def test_attention_permutation_equivariance():
     coords = nk.grid_coords((2, 3))
     x = np.random.default_rng(11).standard_normal((6, d))
     perm = np.random.default_rng(12).permutation(6)
-    out = dit.gqa_attention(x, p, freqs, coords)
-    out_p = dit.gqa_attention(x[perm], p, freqs, coords[perm])
+    out = attention(x, p, freqs, coords)
+    out_p = attention(x[perm], p, freqs, coords[perm])
     assert np.allclose(out_p, out[perm], atol=1e-12)
+
+
+def test_qk_norm_returns_head_major_rows_and_layout_moves_no_bits():
+    # the split heads are a transposed, token-major view; rms_norm allocates
+    # its result in C order, and an elementwise product is exactly rounded,
+    # so the layout changes no byte of the values or of either gradient
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((2, 12, 32))
+    gain = rng.uniform(0.5, 1.5, 8)
+    weights = rng.standard_normal((2, 2, 2, 12, 8))
+    view = dit._split_heads(x, 8, 2)
+    assert view.shape == weights.shape and not view.flags.c_contiguous
+    out = ad.rms_norm(view, gain)
+    assert out.flags.c_contiguous
+    assert out.tobytes() == ad.rms_norm(np.ascontiguousarray(view), gain).tobytes()
+
+    taped = []
+    for source, split in ((x, True), (np.ascontiguousarray(view), False)):
+        xv, gv = ad.Var(source), ad.Var(gain)
+        heads = dit._split_heads(xv, 8, 2) if split else xv
+        normed = ad.rms_norm(heads, gv)
+        ad.sum_(ad.mul(normed, weights)).backward()
+        assert normed.value.flags.c_contiguous
+        taped.append((normed.value, heads.grad, gv.grad))
+    assert taped[0][0].tobytes() == out.tobytes()
+    for split, contiguous in zip(*taped):
+        assert split.tobytes() == contiguous.tobytes()
+
+    cos, sin = rope.rope_tables(nk.grid_coords((3, 4)), rope.freq_matrix(100.0, 8, 2))
+    rotated = ad.rotate_pairs(view, cos, sin)
+    assert rotated.tobytes() == ad.rotate_pairs(np.ascontiguousarray(view), cos, sin).tobytes()
 
 
 def test_patchify_layout_against_loop():

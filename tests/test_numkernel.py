@@ -227,16 +227,17 @@ def pool_oracle(x, grid, window):
 def test_avg_pool_tokens_matches_loop_oracle(grid, window):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, grid[0] * grid[1], 3))
-    pooled, _, _ = cd.pool_kv(x, x, nk.grid_coords(grid), grid, window)
+    pooled, _ = cd.pool_kv(x, x, cd.pool_plan(nk.grid_coords(grid), grid, window)[0])
     assert np.allclose(pooled, pool_oracle(x, grid, window), atol=1e-14)
 
 
 def test_avg_pool_tokens_identity_window_copies():
-    # kept under its old id; the (1, 1) window of contextdrop.pool_kv now
-    # returns its inputs unchanged as the same objects rather than copies
+    # kept under its old id; the (1, 1) window of contextdrop.pool_plan and
+    # pool_kv now returns the inputs unchanged as the same objects rather than copies
     x = np.arange(12.0).reshape(6, 2)
     coords = nk.grid_coords((2, 3))
-    pk, pv, pc = cd.pool_kv(x, x, coords, (2, 3), (1, 1))
+    pool, pc = cd.pool_plan(coords, (2, 3), (1, 1))
+    pk, pv = cd.pool_kv(x, x, pool)
     assert np.array_equal(pk, x) and np.array_equal(pv, x)
     assert pk is x and pv is x and pc is coords
 

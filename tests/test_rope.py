@@ -49,7 +49,7 @@ def test_logits_match_complex_oracle(axes, d_head):
     k = rng.standard_normal((n_k, d_head))
     cq = rng.uniform(0, 20, (n_q, axes))
     ck = rng.uniform(0, 20, (n_k, axes))
-    got = rope.rope_attention_logits(q, k, cq, ck, freqs)
+    got = rope.rope_attention_logits(q, k, rope.rope_tables(cq, freqs), rope.rope_tables(ck, freqs))
     assert np.allclose(got, complex_logits_oracle(q, k, cq, ck, freqs), atol=1e-10)
 
 
@@ -61,8 +61,9 @@ def test_logits_translation_invariant(axes, d_head):
     k = rng.standard_normal((6, d_head))
     coords = rng.uniform(0, 32, (6, axes))
     shift = rng.uniform(-100, 100, axes)
-    base_logits = rope.rope_attention_logits(q, k, coords, coords, freqs)
-    moved = rope.rope_attention_logits(q, k, coords + shift, coords + shift, freqs)
+    tables, moved_tables = rope.rope_tables(coords, freqs), rope.rope_tables(coords + shift, freqs)
+    base_logits = rope.rope_attention_logits(q, k, tables, tables)
+    moved = rope.rope_attention_logits(q, k, moved_tables, moved_tables)
     assert np.allclose(base_logits, moved, atol=1e-9)
 
 
@@ -71,7 +72,7 @@ def test_apply_rope_is_isometry():
     freqs = rope.freq_matrix(10000.0, 16, 2)
     x = rng.standard_normal((3, 9, 16))
     coords = rng.uniform(0, 50, (9, 2))
-    y = rope.apply_rope(x, coords, freqs)
+    y = rope.apply_rope(x, rope.rope_tables(coords, freqs))
     assert np.allclose(
         np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-12
     )
@@ -81,16 +82,16 @@ def test_apply_rope_zero_coords_identity():
     rng = np.random.default_rng(21)
     freqs = rope.freq_matrix(100.0, 8, 2)
     x = rng.standard_normal((4, 8))
-    y = rope.apply_rope(x, np.zeros((4, 2)), freqs)
+    y = rope.apply_rope(x, rope.rope_tables(np.zeros((4, 2)), freqs))
     assert np.allclose(y, x, atol=1e-15)
 
 
 def test_apply_rope_validates_shapes():
     freqs = rope.freq_matrix(100.0, 8, 2)
     with pytest.raises(ValueError, match="d_head"):
-        rope.apply_rope(np.ones((3, 6)), np.zeros((3, 2)), freqs)
+        rope.apply_rope(np.ones((3, 6)), rope.rope_tables(np.zeros((3, 2)), freqs))
     with pytest.raises(ValueError, match="coords"):
-        rope.apply_rope(np.ones((3, 8)), np.zeros((4, 2)), freqs)
+        rope.apply_rope(np.ones((3, 8)), rope.rope_tables(np.zeros((4, 2)), freqs))
     with pytest.raises(ValueError, match="axes"):
         rope.rope_angles(np.zeros((3, 3)), freqs)
 
@@ -291,8 +292,8 @@ def test_translation_invariance_property(axes, shift, seed):
     k = rng.standard_normal((4, d_head))
     cq = rng.uniform(0, 16, (3, axes))
     ck = rng.uniform(0, 16, (4, axes))
-    a = rope.rope_attention_logits(q, k, cq, ck, freqs)
-    b = rope.rope_attention_logits(q, k, cq + shift, ck + shift, freqs)
+    a = rope.rope_attention_logits(q, k, rope.rope_tables(cq, freqs), rope.rope_tables(ck, freqs))
+    b = rope.rope_attention_logits(q, k, rope.rope_tables(cq + shift, freqs), rope.rope_tables(ck + shift, freqs))
     assert np.allclose(a, b, atol=1e-8)
 
 
@@ -313,31 +314,41 @@ def test_keys_on_the_queries_coordinates_reuse_their_tables_bitwise():
     qr = ad.rotate_pairs(q, np.cos(ang), np.sin(ang))
     kr = ad.rotate_pairs(k, np.cos(ang), np.sin(ang))
     expected = ad.matmul(qr, np.swapaxes(kr, -1, -2))
-    assert rope.rope_attention_logits(q, k, coords, coords, freqs).tobytes() == expected.tobytes()
-    assert rope.rope_attention_logits(q, k, coords, coords.copy(), freqs).tobytes() == expected.tobytes()
+    tables = rope.rope_tables(coords, freqs)
+    assert rope.rope_attention_logits(q, k, tables, tables).tobytes() == expected.tobytes()
+    assert rope.rope_attention_logits(q, k, tables, rope.rope_tables(coords.copy(), freqs)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kv_pool,tokens", [(None, [16]), (((4, 4), (2, 2)), [16, 4])], ids=["unpooled", "pooled"])
 def test_attention_builds_rope_angles_once_unless_keys_are_pooled(monkeypatch, kv_pool, tokens):
-    """The tokens of each rope_angles call: the queries', then the pooled keys' if any."""
-    calls = []
-    angles = rope.rope_angles
+    """Per forward_velocity call, whatever its layers and parts: the tokens of
+    each rope_angles call are the queries', then the pooled keys' if any, and
+    pool_matrix runs once if keys are pooled."""
+    calls = {"rope_angles": [], "pool_matrix": [], "gqa_attention": [], "_trunk": []}
 
-    def counted(coords, freqs):
-        calls.append(len(coords))
-        return angles(coords, freqs)
+    def counted(module, name, record=lambda *args: None):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(rope, "rope_angles", counted)
-    d, n_q, n_kv = 32, 4, 2
-    rng = np.random.default_rng(42)
-    p = {
-        "wq": rng.standard_normal((d, d)),
-        "wk": rng.standard_normal((d, d * n_kv // n_q)),
-        "wv": rng.standard_normal((d, d * n_kv // n_q)),
-        "wo": rng.standard_normal((d, d)),
-        "q_gain": np.ones(d // n_q),
-        "k_gain": np.ones(d // n_q),
-    }
-    coords = nk.grid_coords((4, 4))
-    dit.gqa_attention(rng.standard_normal((2, 16, d)), p, rope.freq_matrix(100.0, d // n_q, 2), coords, kv_pool=kv_pool)
-    assert calls == tokens
+        def wrapper(*args, **kwargs):
+            calls[name].append(record(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rope, "rope_angles", lambda coords, freqs: len(coords))
+    counted(nk, "pool_matrix")
+    counted(dit, "gqa_attention")
+    counted(dit, "_trunk")
+    x = np.random.default_rng(42).standard_normal((2, 4, 4, 2))
+    for n_layers in (1, 4):
+        model = dit.init_model(dit.ModelConfig(d_model=32, n_layers=n_layers, n_q_heads=4, n_kv_heads=2, patch=1), seed=3)
+        for parts in (1, 2):
+            # 16 tokens per part cut the two 16-token images in two
+            monkeypatch.setattr(dit, "_PART_TOKENS", 1024 if parts == 1 else 16)
+            for record in calls.values():
+                record.clear()
+            dit.forward_velocity(model, x, 0.5, kv_pool=kv_pool)
+            assert len(calls["_trunk"]) == parts
+            assert len(calls["gqa_attention"]) == n_layers * parts
+            assert calls["rope_angles"] == tokens
+            assert len(calls["pool_matrix"]) == (kv_pool is not None)
