@@ -220,40 +220,45 @@ def _merge_heads(x):
     return ad.reshape(x, (*lead, n, h * group * dh))
 
 
-def attention_tables(coords, freqs: rope.RopeFreqs, kv_pool=None):
-    """(rope_q, pool, rope_k), which every gqa_attention call of one forward
-    shares: the queries' rope.rope_tables, contextdrop.pool_plan's matrix
-    under kv_pool (else None), and the pooled keys' tables (else rope_q)."""
+def attention_tables(coords, freqs: rope.RopeFreqs, kv_pool=None, mask=None):
+    """(rope_q, pool, rope_k, bias), the plan every gqa_attention call of one
+    forward shares: the queries' rope.rope_tables, contextdrop.pool_plan's
+    matrix under kv_pool (else None), the pooled keys' tables (else rope_q),
+    and the -inf bias of a key mask (else None): [n] or [batch, n] for the
+    n = len(coords) keys, True = attend, a key in every row, no kv_pool."""
+    bias = None
+    if mask is not None:
+        if kv_pool is not None:
+            raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape[-1:] != (len(coords),):
+            raise ValueError(f"mask shape {keep.shape} does not end in the {len(coords)} keys of coords {np.shape(coords)}")
+        if not keep.any(axis=-1).all():
+            raise ValueError("mask leaves a sample with no valid keys")
+        bias = np.where(keep, 0.0, -np.inf)[..., None, None, None, :]
     rope_q = rope.rope_tables(coords, freqs)
     pool, coords_k = (None, coords) if kv_pool is None else contextdrop.pool_plan(coords, *kv_pool)
-    return rope_q, pool, rope_q if pool is None else rope.rope_tables(coords_k, freqs)
+    return rope_q, pool, rope_q if pool is None else rope.rope_tables(coords_k, freqs), bias
 
 
-def gqa_attention(x, params: dict, tables, *, mask=None, kv_pool=None):
+def gqa_attention(x, params: dict, tables, *, kv_pool=None):
     """Grouped-query attention with QK RMS norm and rotary phases.
 
     params holds wq [d_model, h_q*d_head], wk and wv [d_model, h_kv*d_head],
-    wo and the per-head-dim gains q_gain and k_gain [d_head]; the head
-    counts follow from those shapes. x [..., n, d_model]; tables is
-    attention_tables(coords, freqs, kv_pool) of the tokens' coordinates
-    [n, axes]. mask marks valid keys (True = attend), shape [n] or [batch,
-    n]; every row must keep at least one key. kv_pool = (grid, window)
-    average-pools projected keys/values before normalisation and rotation;
-    pooled keys have no per-token identity, so kv_pool and mask are
-    mutually exclusive. A (1, 1) window is bit-identical to kv_pool=None.
+    wo and the gains q_gain and k_gain [d_head], whose shapes give the head
+    counts. x [..., n, d_model]; tables is attention_tables of the tokens'
+    coordinates [n, axes], which pools keys/values and masks keys; kv_pool
+    only names the pooling they were built for, and a mismatch is refused.
 
     The scores are rope.rope_attention_logits of the normalised queries and
-    keys, scaled by 1/sqrt(d_head) through the query gain (a [d_head] scale,
-    not a scores-sized one; exact when d_head is a power of 4); masked keys
-    get a constant -inf bias; RoPE gets the heads as contiguous rows, which
-    rms_norm makes. The QK norm bounds every logit by
+    keys (contiguous head-major rows, which rms_norm makes), scaled by
+    1/sqrt(d_head) through the query gain (exact when d_head is a power of
+    4), plus the tables' mask bias if any. The QK norm bounds every logit by
     B = sqrt(d_head) * max|q_gain| * max|k_gain|, so ad.attend exponentiates
     them with no row max taken while B is within ad.EXP_LIMIT, and divides
-    the AV product by the row sums. Untracked, the logits GEMM
-    (numkernel.matmul) allocates the one scores-sized array, and the
-    exponentials are written into it; a key mask's bias is one ad.add on
-    both paths, which makes a second. Taped, attend is one tape node; both
-    paths run the same arithmetic, so they agree bit for bit.
+    the AV product by the row sums. Untracked, the logits GEMM makes the one
+    scores-sized array and attend writes into it (a mask bias's ad.add makes
+    a second); taped, attend is one node, and both paths agree bit for bit.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -261,17 +266,9 @@ def gqa_attention(x, params: dict, tables, *, mask=None, kv_pool=None):
     the general path, and wq, wk, q_gain and k_gain (exact-zero gradient
     through one key) stay off the tape. One-token GQA runs the general path.
     """
-    rope_q, pool, rope_k = tables
-    if mask is not None and kv_pool is not None:
-        raise ValueError("kv_pool merges keys across tokens; a key mask cannot apply")
+    rope_q, pool, rope_k, bias = tables
     if (pool is not None) != (kv_pool is not None and tuple(kv_pool[1]) != (1, 1)):
         raise ValueError(f"tables built for another kv_pool than {kv_pool}")
-    bias = None
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        if not keep.any(axis=-1).all():
-            raise ValueError("mask leaves a sample with no valid keys")
-        bias = np.where(keep, 0.0, -np.inf)[..., None, None, None, :]  # over heads, groups, queries
     d_head = ad.val(params["q_gain"]).shape[-1]
     group = ad.val(params["wq"]).shape[-1] // ad.val(params["wk"]).shape[-1]
     v = ad.matmul(x, params["wv"])
@@ -311,12 +308,12 @@ def block_modulation(cond, block: dict, d: int) -> list:
     return [shift_a, ad.add(scale_a, 1.0), ad.tanh(gate_a), shift_m, ad.add(scale_m, 1.0), ad.tanh(gate_m)]
 
 
-def sandwich_block(x, mod, block: dict, config: ModelConfig, tables, mask=None, kv_pool=None):
+def sandwich_block(x, mod, block: dict, config: ModelConfig, tables, kv_pool=None):
     """One residual block; exact identity at zero-initialised modulation.
 
     block is one entry of _blocks(model): the block's entries without
     their `blocks.<i>.` prefix, and its attention dict under "attn";
-    tables is the call's attention_tables.
+    tables is the call's attention_tables, kv_pool as in gqa_attention.
     Generative blocks modulate with mod = block_modulation(cond, block, d),
     the shifts, 1 + scales and tanh gates; recognition blocks (mod None)
     use tanh of bare scalar gates. block_style `prenorm` drops the
@@ -336,7 +333,7 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, tables, mask=None, 
     h = ad.rms_norm(x, block["pre_attn_gain"])
     if mod is not None:
         h = ad.modulate(h, scale_a, shift_a)
-    h = gqa_attention(h, block["attn"], tables, mask=mask, kv_pool=kv_pool)
+    h = gqa_attention(h, block["attn"], tables, kv_pool=kv_pool)
     if sandwich:
         h = ad.rms_norm(h, block["post_attn_gain"])
     x = ad.modulate(h, gate_a, x)
@@ -396,16 +393,16 @@ def _blocks(model: ModelParams) -> list[dict]:
     return blocks
 
 
-def _trunk(model: ModelParams, blocks, tokens, mods, tables, mask=None, kv_pool=None, capture=None):
+def _trunk(model: ModelParams, blocks, tokens, mods, tables, kv_pool=None, capture=None):
     """Token embedding and the block loop under both heads; blocks is
     _blocks(model), mods holds each block's block_modulation (None for
-    recognition blocks), tables is the call's attention_tables, and capture
-    is as in forward_velocity."""
+    recognition blocks), tables is the call's attention_tables (key mask
+    included), kv_pool as in gqa_attention, capture as in forward_velocity."""
     p, config = model.params, model.config
     h = ad.add(ad.matmul(tokens, p["w_embed"]), p["b_embed"])
     for i, block in enumerate(blocks):
         mod = None if mods is None else mods[i]
-        h = sandwich_block(h, mod, block, config, tables, mask=mask, kv_pool=kv_pool)
+        h = sandwich_block(h, mod, block, config, tables, kv_pool=kv_pool)
         if capture is not None:
             capture.append(np.array(ad.val(h)))
     return h
@@ -557,7 +554,8 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     """Class logits from a masked mean of the final token states.
 
     tokens [B, n, token_dim], coords [n, 2], mask [B, n] with True for a
-    real token; the result is [B, n_classes].
+    real token, or None (no attention bias, bitwise as an all-True mask);
+    the result is [B, n_classes].
     With all gates at zero initialisation the trunk is the identity, so
     logits equal head(mean of embedded tokens) exactly.
     """
@@ -567,11 +565,13 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     if ad.val(tokens).ndim != 3:
         raise ValueError(f"tokens must be [B,n,token_dim], got shape {ad.val(tokens).shape}")
     mask_arr = np.ones(ad.val(tokens).shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask_arr.shape != ad.val(tokens).shape[:-1]:
+        raise ValueError(f"mask shape {mask_arr.shape} is not the tokens' {ad.val(tokens).shape[:-1]}")
     if not mask_arr.any(axis=-1).all():
         raise ValueError("a sample has no valid tokens")
 
     p = model.params
-    h = _trunk(model, _blocks(model), tokens, None, attention_tables(coords, model_freqs(config)), mask=mask_arr)
+    h = _trunk(model, _blocks(model), tokens, None, attention_tables(coords, model_freqs(config), mask=mask))
     weights = mask_arr / mask_arr.sum(axis=-1, keepdims=True)
     pooled = ad.sum_(ad.mul(h, weights[..., None]), axis=-2)
     h1 = ad.silu(ad.add(ad.matmul(pooled, p["head_w1"]), p["head_b1"]))

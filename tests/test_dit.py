@@ -153,9 +153,9 @@ def slow_attention(x, p, n_q, n_kv, freqs, coords, eps, kv_pool=None):
     return np.concatenate(outs, -1) @ p["wo"]
 
 
-def attention(x, p, freqs, coords, **extra):
-    """dit.gqa_attention on the tables forward_velocity builds for coords and kv_pool."""
-    return dit.gqa_attention(x, p, dit.attention_tables(coords, freqs, extra.get("kv_pool")), **extra)
+def attention(x, p, freqs, coords, mask=None, kv_pool=None):
+    """dit.gqa_attention on the tables a forward call builds for coords, kv_pool and mask."""
+    return dit.gqa_attention(x, p, dit.attention_tables(coords, freqs, kv_pool, mask), kv_pool=kv_pool)
 
 
 def make_attn(d, n_q, n_kv, seed):
@@ -255,19 +255,25 @@ def test_masked_attention_ignores_padding():
     assert np.allclose(out_masked[:, :4], out_ref, atol=1e-12)
 
 
-def test_attention_mask_validation():
+@pytest.mark.parametrize(
+    "mask,kv_pool,message",
+    [
+        (np.zeros(4, dtype=bool), None, "no valid keys"),
+        (np.ones(4, dtype=bool), ((2, 2), (2, 1)), "mask cannot apply"),
+        # a key axis of 1 would broadcast over the 4 keys, one of 3 would not
+        (np.ones((2, 1), dtype=bool), None, r"mask shape \(2, 1\) does not end in the 4 keys of coords \(4, 2\)"),
+        (np.ones(3, dtype=bool), None, r"mask shape \(3,\) does not end in the 4 keys of coords \(4, 2\)"),
+    ],
+    ids=["no_valid_keys", "with_kv_pool", "one_key_column", "three_keys"],
+)
+def test_attention_mask_validation(mask, kv_pool, message):
     d = 16
     p = make_attn(d, 2, 2, seed=7)
     freqs = rope.freq_matrix(100.0, 8, 2)
     coords = nk.grid_coords((2, 2))
-    x = np.zeros((4, d))
-    with pytest.raises(ValueError, match="no valid keys"):
-        attention(x, p, freqs, coords, mask=np.zeros(4, dtype=bool))
-    with pytest.raises(ValueError, match="mask cannot apply"):
-        attention(
-            x, p, freqs, coords,
-            mask=np.ones(4, dtype=bool), kv_pool=((2, 2), (2, 1)),
-        )
+    x = np.zeros((2, 4, d))
+    with pytest.raises(ValueError, match=message):
+        attention(x, p, freqs, coords, mask=mask, kv_pool=kv_pool)
 
 
 def test_attention_refuses_tables_built_for_another_kv_pool():
@@ -335,7 +341,7 @@ def general_attention(x, p, freqs, coords, mask=None, kv_pool=None):
     d_head = ad.val(p["q_gain"]).shape[-1]
     group = ad.val(p["wq"]).shape[-1] // ad.val(p["wk"]).shape[-1]
     q, k, v = (ad.matmul(x, p[w]) for w in ("wq", "wk", "wv"))
-    rope_q, pool, rope_k = dit.attention_tables(coords, freqs, kv_pool)
+    rope_q, pool, rope_k, _ = dit.attention_tables(coords, freqs, kv_pool)
     k, v = cd.pool_kv(k, v, pool)
     q, k, v = dit._split_heads(q, d_head, group), dit._split_heads(k, d_head), dit._split_heads(v, d_head)
     q, k = ad.rms_norm(q, p["q_gain"]), ad.rms_norm(k, p["k_gain"])
@@ -663,16 +669,24 @@ def test_recognition_padding_invariance_with_active_gates():
     assert np.allclose(got, want, atol=1e-9)
 
 
-def test_recognition_validation():
-    config = small_config(mode="recognition", n_classes=2)
+@pytest.mark.parametrize(
+    "mode,mask,message",
+    [
+        ("recognition", np.zeros((2, 4), dtype=bool), "no valid tokens"),
+        ("generative", None, "recognition-mode"),
+        # a [2, 1] mask would broadcast to a token sum, not a mean
+        ("recognition", np.ones((2, 1), dtype=bool), r"mask shape \(2, 1\) is not the tokens' \(2, 4\)"),
+        ("recognition", np.ones(4, dtype=bool), r"mask shape \(4,\) is not the tokens' \(2, 4\)"),
+    ],
+    ids=["no_valid_tokens", "generative_model", "mask_2x1", "mask_without_batch"],
+)
+def test_recognition_validation(mode, mask, message):
+    config = small_config(mode=mode, n_classes=2)
     model = dit.init_model(config, seed=0)
     tokens = np.zeros((2, 4, config.token_dim))
     coords = nk.grid_coords((2, 2))
-    with pytest.raises(ValueError, match="no valid tokens"):
-        dit.recognition_forward(model, tokens, coords, mask=np.zeros((2, 4), dtype=bool))
-    gen = dit.init_model(small_config(), seed=0)
-    with pytest.raises(ValueError, match="recognition-mode"):
-        dit.recognition_forward(gen, tokens, coords)
+    with pytest.raises(ValueError, match=message):
+        dit.recognition_forward(model, tokens, coords, mask=mask)
 
 
 def test_activation_probe_rows_and_determinism():

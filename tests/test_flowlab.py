@@ -436,6 +436,30 @@ def test_gqa_image_tape_size_is_pinned(kv_pool, size):
     assert len(seen) == size
 
 
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_unmasked_recognition_builds_no_bias(n_layers):
+    # mask=None gives the bits of an all-True mask, and its tape lacks the
+    # mask bias's add, one node per block
+    config = dit.ModelConfig(d_model=32, n_layers=n_layers, n_q_heads=4, n_kv_heads=2, mode="recognition", n_classes=3)
+    model = dit.init_model(config, seed=0)
+    rng = np.random.default_rng(n_layers)
+    for i in range(n_layers):  # open the zero-initialised gates so attention reaches the logits
+        dit.set_parameter(model, f"blocks.{i}.gates", rng.uniform(0.5, 1.0, 2))
+    tokens = rng.standard_normal((2, 6, config.token_dim))
+    coords = np.stack([np.arange(6.0), np.zeros(6)], axis=-1)
+    runs = []
+    for mask in (None, np.ones((2, 6), dtype=bool)):
+        wrapped, x = training.wrap_parameters(model), ad.Var(tokens)
+        logits = dit.recognition_forward(wrapped, x, coords, mask=mask)
+        loss = ad.mean(ad.mul(logits, logits))
+        nodes, _ = tape_of(loss)
+        grads = training.grad(wrapped, loss)
+        runs.append((nodes, logits.value.tobytes(), x.grad.tobytes(), {k: g.tobytes() for k, g in grads.items()}))
+    (plain_nodes, *plain), (masked_nodes, *masked) = runs
+    assert plain == masked
+    assert masked_nodes - plain_nodes == n_layers
+
+
 def test_generate_fresh_model_returns_its_noise():
     model = dit.init_model(training.point_model_config(16, 1), seed=0)
     out = training.generate(model, 64, sampler.ScheduleSpec(n_steps=4), seed=21)

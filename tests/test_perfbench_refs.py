@@ -8,6 +8,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from flowdit import autodiff, contextdrop, dit, flowlab, partitioner, sampler
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,6 +61,20 @@ def load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def test_tracer_counts_the_keys_a_pooled_forward_keeps():
+    # _count_keys reads gqa_attention's kv_pool keyword; a call path that
+    # stopped passing it would read every key as kept, silently
+    tracing = load_tracing()
+    config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2)
+    model = dit.init_model(config, seed=0)
+    x = np.random.default_rng(0).standard_normal((2, 16 * config.patch, 16 * config.patch, config.in_channels))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        dit.forward_velocity(model, x, 0.5, kv_pool=((16, 16), (2, 2)))
+    assert tracer.keys_available == 2 * 2 * 256  # layers x images x tokens, however the images are parted
+    assert tracer.keys_kept / tracer.keys_available == 0.25
 
 
 # span names run.py still reads for functions that are gone; each reads 0 until
