@@ -3,6 +3,8 @@ training loop. Velocity fields are checked two independent ways: against
 finite differences of the marginal moments, and against Monte-Carlo
 moment identities of the transport equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,8 +168,9 @@ def test_mode_assignments_exact_on_centres():
 
 
 def test_energy_distance_identical_sets_is_exact_zero():
-    a = np.random.default_rng(9).standard_normal((300, 2))
-    assert metrics.energy_distance(a, a.copy()) == 0.0
+    for n in (300, 1000):  # one chunk; two, the second split into 61-row parts
+        a = np.random.default_rng(9).standard_normal((n, 2))
+        assert metrics.energy_distance(a, a.copy()) == 0.0
 
 
 def test_energy_distance_hand_oracle():
@@ -190,6 +193,75 @@ def test_energy_distance_matches_full_matrix_oracle():
     assert np.isclose(
         metrics.energy_distance(a, b), metrics.energy_distance(b, a), atol=1e-12
     )
+
+
+def reference_mean_distance(u: np.ndarray, w: np.ndarray) -> np.float64:
+    """The scorer's mean before tiling: each 512-row chunk as one [512, len(w)] block, summed whole."""
+    w_sq = (w * w).sum(axis=1)
+    total = 0.0
+    for start in range(0, u.shape[0], 512):
+        block = u[start : start + 512]
+        d2 = (block * block).sum(axis=1)[:, None] + w_sq[None, :] - 2.0 * block @ w.T
+        total += np.sqrt(np.maximum(d2, 0.0)).sum()
+    return total / (u.shape[0] * w.shape[0])
+
+
+def reference_energy_distance(a: np.ndarray, b: np.ndarray) -> np.float64:
+    return 2.0 * reference_mean_distance(a, b) - reference_mean_distance(a, a) - reference_mean_distance(b, b)
+
+
+def point_sets(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(n_a + n_b)
+    return rng.standard_normal((n_a, 2)), rng.standard_normal((n_b, 2)) + 0.3
+
+
+# The criterion-11, perfbench and `gen --n` default shape, and sizes whose
+# chunks split into parts of 61 and 64 rows: every part's GEMM takes the bits
+# the whole chunk's GEMM gave its rows.
+@pytest.mark.parametrize("n_a, n_b", [(4096, 4096), (8192, 4096), (4096, 1000), (512, 7)])
+def test_energy_distance_keeps_the_chunked_scorers_bytes(n_a, n_b):
+    a, b = point_sets(n_a, n_b)
+    assert metrics.energy_distance(a, b).tobytes() == reference_energy_distance(a, b).tobytes()
+
+
+# OpenBLAS may give a part's rows other bits than the whole chunk's GEMM when
+# the width is not a multiple of 8 (the 300x300 self term of 300x5 does), so
+# other sizes are held to rounding.
+@pytest.mark.parametrize("n_a, n_b", [(1000, 4096), (300, 5), (512, 1), (1, 1)])
+def test_energy_distance_matches_the_chunked_scorer_within_rounding(n_a, n_b):
+    a, b = point_sets(n_a, n_b)
+    assert abs(metrics.energy_distance(a, b) - reference_energy_distance(a, b)) <= 1e-12
+
+
+# A last chunk of any row count is split where numpy's pairwise sum splits its
+# block, so its sum keeps its bits too, at widths that keep the GEMM's.
+@pytest.mark.parametrize("rows", [1000, 700, 513, 65, 2])
+@pytest.mark.parametrize("width", [1000, 7, 2, 1])
+def test_a_chunk_of_any_row_count_keeps_its_bytes(rows, width):
+    a, b = point_sets(rows, width)
+    got = metrics._mean_pairwise_distance(a, (a * a).sum(axis=1), b, (b * b).sum(axis=1))
+    assert got.tobytes() == reference_mean_distance(a, b).tobytes()
+
+
+def test_energy_distance_scratch_is_two_tiles_not_a_chunk():
+    # numpy reports its buffers to tracemalloc; two [64, 4096] tiles are 4 MiB,
+    # where three [512, 4096] chunk temporaries were 48 MiB
+    a, b = point_sets(4096, 4096)
+    tracemalloc.start()
+    try:
+        metrics.energy_distance(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_energy_distance_refuses_an_empty_set(side):
+    sets = {"a": np.zeros((3, 2)), "b": np.ones((4, 2))}
+    sets[side] = np.zeros((0, 2))
+    with pytest.raises(ValueError, match=f"sample set {side} is empty"):
+        metrics.energy_distance(sets["a"], sets["b"])
 
 
 def test_energy_distance_validation_and_discrimination():
