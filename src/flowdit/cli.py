@@ -240,9 +240,10 @@ def _cmd_train(args) -> None:
         optimizer=args.optimizer,
         seed=args.seed,
     )
-    # made before training, so an unusable --out-dir costs no training steps
+    # checked before training, so an unusable --out-dir costs no training steps
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    dit.check_save_target(out_dir / "model")
     losses = flowlab.train(model, data, train_config)
     dit.save_model(out_dir / "model", model)
     _write_csv(out_dir / "losses.csv", ["step", "loss"], list(enumerate(losses)))
@@ -308,7 +309,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--base", type=float, default=5.0)
     p.add_argument("--dhead", type=int, default=24, dest="d_head")
     p.add_argument("--axes", type=int, default=3)
-    p.add_argument("--extent", type=float, default=None, help="max trained extent per axis, for freq_aware (default 16)")
+    p.add_argument("--extent", type=float, default=None, help="max trained extent, for freq_aware (default 16)")
     p.add_argument("--scale", type=float, default=None, help="extension factor s, for all but extrapolate (default 2)")
     p.add_argument("--t", type=float, default=None, help="diffusion time for time_aware (default 0.5)")
     p.add_argument("--strategy", default="all", help="'all' or a comma list")

@@ -554,8 +554,8 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     """Class logits from a masked mean of the final token states.
 
     tokens [B, n, token_dim], coords [n, 2], mask [B, n] with True for a
-    real token, or None (no attention bias, bitwise as an all-True mask);
-    the result is [B, n_classes].
+    real token, one at least per sample, or None (no attention bias, bitwise
+    as an all-True mask); the result is [B, n_classes].
     With all gates at zero initialisation the trunk is the identity, so
     logits equal head(mean of embedded tokens) exactly.
     """
@@ -567,8 +567,6 @@ def recognition_forward(model: ModelParams, tokens, coords, mask=None):
     mask_arr = np.ones(ad.val(tokens).shape[:-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask_arr.shape != ad.val(tokens).shape[:-1]:
         raise ValueError(f"mask shape {mask_arr.shape} is not the tokens' {ad.val(tokens).shape[:-1]}")
-    if not mask_arr.any(axis=-1).all():
-        raise ValueError("a sample has no valid tokens")
 
     p = model.params
     h = _trunk(model, _blocks(model), tokens, None, attention_tables(coords, model_freqs(config), mask=mask))
@@ -665,14 +663,24 @@ def _load_tensor(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=_F64, count=count, offset=start).reshape(dims).astype(np.float64)
 
 
+def check_save_target(dirpath) -> None:
+    """Refuse to replace anything but a checkpoint (a directory with manifest.json) or an empty directory."""
+    dirpath = Path(dirpath)
+    replaceable = dirpath.is_dir() and ((dirpath / "manifest.json").is_file() or not any(dirpath.iterdir()))
+    if dirpath.exists() and not replaceable:
+        raise FileExistsError(f"{dirpath} exists and is neither a checkpoint nor an empty directory; not replacing it")
+
+
 def save_model(dirpath, model: ModelParams) -> None:
     """Write a checkpoint directory: manifest.json plus one NKT1 .nkt file per tensor.
 
     The files are written into a sibling temporary directory that is then
-    renamed into place, so an interrupted write leaves any previous
-    checkpoint intact; that one is moved aside first and removed last.
+    renamed into place, so an interrupted write leaves a previous checkpoint
+    intact (check_save_target refuses to replace anything else); that one is
+    moved aside first and removed last.
     """
     dirpath = Path(dirpath)
+    check_save_target(dirpath)
     dirpath.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{dirpath.name}.", dir=dirpath.parent))
     staged = work / "new"
@@ -717,9 +725,10 @@ def load_model(dirpath) -> ModelParams:
         model = init_model(ModelConfig(**config), seed=0)
     except (TypeError, ValueError) as err:  # an unknown key, or a value of the wrong type
         raise ValueError(f"{path}: {err}") from None
-    if set(model.params) != set(manifest["tensors"]):
-        raise ValueError(f"{dirpath}: tensor manifest does not match the architecture")
-    for name in manifest["tensors"]:
+    names = manifest["tensors"]
+    if not all(isinstance(name, str) for name in names) or sorted(names) != sorted(model.params):
+        raise ValueError(f"{path}: tensor manifest does not match the architecture's {len(model.params)} names, each once")
+    for name in names:
         arr = _load_tensor(dirpath / f"{name}.nkt")
         expected = model.params[name].shape
         if arr.shape != expected:

@@ -16,6 +16,7 @@ published exponents for fidelity runs and claims no equivalences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,15 +55,15 @@ class RopeFreqs:
 class ScaleSpec:
     """How to extend a trained positional range by factor s >= 1.
 
-    s and train_extent may be scalars (shared by all axes) or one value per
-    axis. train_extent is the maximal trained extent L in tokens (needed by
+    s and train_extent are single numbers shared by every axis.
+    train_extent is the maximal trained extent L in tokens (needed by
     freq_aware); t is the diffusion time in [0,1] (needed by time_aware);
     convention picks the scaling exponents (see the module docstring).
     """
 
     strategy: str
-    s: float | tuple = 1.0
-    train_extent: float | tuple | None = None
+    s: float = 1.0
+    train_extent: float | None = None
     t: float | None = None
     convention: str = "consistent"
 
@@ -71,14 +72,15 @@ class ScaleSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-        for sv in np.atleast_1d(np.asarray(self.s, dtype=float)):
-            if not 1.0 <= sv < math.inf:
-                raise ValueError(f"scale factor must be finite and >= 1, got {sv}")
-        if self.train_extent is not None and not np.isfinite(self.train_extent).all():
+        for name, value in (("scale factor", self.s), ("training extent", self.train_extent)):
+            if value is not None and not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be one number, got {value!r}")
+        if not (math.isfinite(self.s) and self.s >= 1.0):
+            raise ValueError(f"scale factor must be finite and >= 1, got {self.s}")
+        if self.train_extent is not None and not math.isfinite(self.train_extent):
             raise ValueError(f"training extent must be finite, got {self.train_extent}")
-        if self.strategy == "time_aware":
-            if self.t is None or not 0.0 <= self.t <= 1.0:
-                raise ValueError("time_aware needs t in [0,1]")
+        if self.strategy == "time_aware" and (self.t is None or not 0.0 <= self.t <= 1.0):
+            raise ValueError("time_aware needs t in [0,1]")
         if self.strategy == "freq_aware" and self.train_extent is None:
             raise ValueError("freq_aware needs the max training extent")
 
@@ -116,21 +118,12 @@ def d_target(base: float, d_head: int, axes: int, train_extent: float, conventio
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _per_axis(value, axes: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        return np.full(axes, arr[0])
-    if arr.size != axes:
-        raise ValueError(f"need 1 or {axes} per-axis values, got {arr.size}")
-    return arr
-
-
-def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d, axis: int = 0) -> np.ndarray:
-    """Evaluate one axis of the scaled frequency curve at (possibly real) d."""
+def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d) -> np.ndarray:
+    """Evaluate the scaled frequency curve, shared by every axis, at (possibly real) d."""
     d = np.asarray(d, dtype=float)
     base, d_head, axes = freqs.base, freqs.d_head, freqs.axes
     n = freqs.dims_per_axis
-    s = float(_per_axis(spec.s, axes)[axis])
+    s = float(spec.s)  # a Python float: its ** raises OverflowError, numpy's returns inf
     theta = base ** (-(2.0 * axes) * d / d_head)
     if spec.strategy == "extrapolate":
         return theta
@@ -141,7 +134,7 @@ def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d, axis: int = 0) -> np.ndar
         if spec.strategy == "ntk":
             return (base * s) ** (-(2.0 * axes) * d / d_head)
         if spec.strategy == "freq_aware":
-            L = float(_per_axis(spec.train_extent, axes)[axis])
+            L = float(spec.train_extent)
             pivot = d_target(base, d_head, axes, L, "paper_literal")
             bp = base * s ** (d_head / pivot)
             return np.maximum(bp ** (-(2.0 * axes) * d / d_head), theta * s)
@@ -158,7 +151,7 @@ def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d, axis: int = 0) -> np.ndar
             bp = base * s ** (d_head / (d_head - 2.0 * axes))
             return bp ** (-(2.0 * axes) * d / d_head)
         if spec.strategy == "freq_aware":
-            L = float(_per_axis(spec.train_extent, axes)[axis])
+            L = float(spec.train_extent)
             pivot = d_target(base, d_head, axes, L, "consistent")
             bp = base * s ** (d_head / (2.0 * axes * pivot))
             return np.maximum(bp ** (-(2.0 * axes) * d / d_head), theta / s)
@@ -174,24 +167,20 @@ def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d, axis: int = 0) -> np.ndar
 
 
 def scaled_freqs(freqs: RopeFreqs, spec: ScaleSpec) -> RopeFreqs:
-    """Apply one extrapolation strategy, independently per axis.
+    """Apply one extrapolation strategy: one scaled curve, tiled to every axis.
 
-    An axis whose theta or wavelength 2*pi/theta is not finite, as when an
-    extreme base or scale factor over- or underflows the arithmetic, raises
-    FloatingPointError naming the strategy and axis.
+    A theta or wavelength 2*pi/theta that is not finite, as when an extreme
+    base or scale factor over- or underflows the arithmetic, raises
+    FloatingPointError naming the strategy.
     """
-    d = np.arange(freqs.dims_per_axis, dtype=float)
-    rows = []
-    for axis in range(freqs.axes):
-        message = f"non-finite {spec.strategy} frequency table at axis {axis}"
-        try:
-            theta = scaled_theta(freqs, spec, d, axis=axis)
-        except OverflowError as err:  # Python float ** raises where numpy returns inf
-            raise FloatingPointError(message) from err
-        if not (np.isfinite(theta).all() and np.isfinite(TWO_PI / theta).all()):
-            raise FloatingPointError(message)
-        rows.append(theta)
-    return replace(freqs, theta=np.stack(rows))
+    message = f"non-finite {spec.strategy} frequency table"
+    try:
+        theta = scaled_theta(freqs, spec, np.arange(freqs.dims_per_axis, dtype=float))
+    except OverflowError as err:  # Python float ** raises where numpy returns inf
+        raise FloatingPointError(message) from err
+    if not (np.isfinite(theta).all() and np.isfinite(TWO_PI / theta).all()):
+        raise FloatingPointError(message)
+    return replace(freqs, theta=np.tile(theta, (freqs.axes, 1)))
 
 
 def rope_angles(coords, freqs: RopeFreqs) -> np.ndarray:

@@ -270,6 +270,17 @@ def test_rope_scan_all_strategies(tmp_path):
     assert np.allclose(lam, 2.0 * np.pi / theta, rtol=1e-12)
 
 
+@pytest.mark.parametrize("convention", ["consistent", "paper_literal"])
+def test_rope_scan_golden_bytes(tmp_path, convention):
+    out = tmp_path / "scan.csv"
+    rc = cli.main([
+        "rope-scan", "--base", "5", "--dhead", "24", "--axes", "3", "--extent", "16", "--scale", "2",
+        "--strategy", "all", "--convention", convention, "--out", str(out),
+    ])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"rope_scan_all_{convention}.csv").read_bytes()
+
+
 def test_rope_scan_single_strategy(tmp_path):
     out = tmp_path / "one.csv"
     rc = cli.main(["rope-scan", "--strategy", "ntk", "--out", str(out)])
@@ -282,12 +293,12 @@ def test_rope_scan_single_strategy(tmp_path):
     "argv,message",
     [
         # theta = 1/s is finite (down to 3e-309), but its wavelength overflows
-        (["--strategy", "interpolate", "--scale", "1e308"], "non-finite interpolate frequency table at axis 0"),
+        (["--strategy", "interpolate", "--scale", "1e308"], "non-finite interpolate frequency table"),
         # the scaled base overflows to inf, so theta is 0 beyond d = 0
         (["--base", "1e308", "--dhead", "24", "--axes", "3", "--strategy", "ntk", "--scale", "2"],
-         "non-finite ntk frequency table at axis 0"),
+         "non-finite ntk frequency table"),
         # Python's float ** raises OverflowError on s ** (d_head / (d_head - 2 * axes))
-        (["--strategy", "ntk", "--scale", "1e250"], "non-finite ntk frequency table at axis 0"),
+        (["--strategy", "ntk", "--scale", "1e250"], "non-finite ntk frequency table"),
     ],
     ids=["interpolate_wavelength", "ntk_base", "ntk_power"],
 )
@@ -496,9 +507,13 @@ def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, mo
         lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "d_model": "16"}}),
         lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "d_model": 16.0}}),
         lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "patch": True}}),
+        lambda text: json.dumps({**(m := json.loads(text)), "tensors": [[m["tensors"][0]], *m["tensors"][1:]]}),
+        # every name and one of them again: set() sees the architecture's names
+        lambda text: json.dumps({**(m := json.loads(text)), "tensors": [*m["tensors"], m["tensors"][0]]}),
     ],
     ids=["list", "truncated", "config_not_an_object", "tensors_not_a_list", "unknown_config_key",
-         "config_value_of_wrong_type", "config_value_a_float", "config_value_a_bool"],
+         "config_value_of_wrong_type", "config_value_a_float", "config_value_a_bool", "tensor_name_not_a_string",
+         "tensor_name_listed_twice"],
 )
 def test_gen_refuses_a_malformed_manifest_naming_it(tmp_path, capsys, monkeypatch, edit):
     monkeypatch.chdir(tmp_path)
@@ -744,6 +759,27 @@ def test_train_checks_its_out_dir_before_training(tmp_path, capsys, monkeypatch)
     assert cli.main(argv) == 1
     assert "File exists" in capsys.readouterr().err
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("occupant", ["file", "directory"])
+def test_train_refuses_a_model_path_that_is_not_a_checkpoint_before_training(tmp_path, capsys, monkeypatch, occupant):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train ran although its checkpoint path is taken")
+
+    monkeypatch.setattr(cli.flowlab, "train", no_training)
+    model = tmp_path / "run" / "model"
+    if occupant == "file":
+        model.parent.mkdir()
+        model.write_text("keep")
+    else:
+        model.mkdir(parents=True)
+        (model / "notes.txt").write_text("keep")
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["train", "--steps", "2", "--batch", "8", "--train-points", "64", "--out-dir", str(model.parent)]
+    assert cli.main(argv) == 1
+    assert f"{model} exists and is neither a checkpoint nor an empty directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (model if occupant == "file" else model / "notes.txt").read_text() == "keep"
 
 
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):

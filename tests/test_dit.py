@@ -672,7 +672,7 @@ def test_recognition_padding_invariance_with_active_gates():
 @pytest.mark.parametrize(
     "mode,mask,message",
     [
-        ("recognition", np.zeros((2, 4), dtype=bool), "no valid tokens"),
+        ("recognition", np.zeros((2, 4), dtype=bool), "mask leaves a sample with no valid keys"),
         ("generative", None, "recognition-mode"),
         # a [2, 1] mask would broadcast to a token sum, not a mean
         ("recognition", np.ones((2, 1), dtype=bool), r"mask shape \(2, 1\) is not the tokens' \(2, 4\)"),
@@ -830,6 +830,30 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
     dit._save_tensor(tmp_path / "ckpt" / "w_embed.nkt", np.zeros((2, 2)))
     with pytest.raises(ValueError, match="stored shape"):
         dit.load_model(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("occupant", ["file", "directory"])
+def test_save_model_refuses_to_replace_what_is_not_a_checkpoint(tmp_path, occupant):
+    target = tmp_path / "model"
+    if occupant == "file":
+        target.write_text("keep")
+    else:
+        target.mkdir()
+        (target / "notes.txt").write_text("keep")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(FileExistsError, match=f"{target} exists and is neither a checkpoint nor an empty directory"):
+        dit.save_model(target, dit.init_model(small_config(), seed=0))
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]  # no temp dirs left
+
+
+def test_save_model_fills_an_empty_directory(tmp_path):
+    (tmp_path / "ckpt").mkdir()
+    model = randomized(dit.init_model(small_config(), seed=0), seed=1)
+    dit.save_model(tmp_path / "ckpt", model)
+    loaded = dit.load_model(tmp_path / "ckpt")
+    for (name, a), (_, b) in zip(dit.named_parameters(model), dit.named_parameters(loaded)):
+        assert np.array_equal(a, b), name
 
 
 def test_checkpoint_rejects_non_finite_tensor(tmp_path):

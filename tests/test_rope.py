@@ -144,12 +144,17 @@ def test_d_target_solves_wavelength_equation():
 def test_scale_spec_validation():
     with pytest.raises(ValueError, match="strategy"):
         rope.ScaleSpec("other")
-    for s in (0.5, np.nan, np.inf, (2.0, np.nan)):
+    for s in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match=">= 1"):
             rope.ScaleSpec("interpolate", s=s)
-    for extent in (np.nan, np.inf, (16.0, np.inf)):
+    for extent in (np.nan, np.inf):
         with pytest.raises(ValueError, match="extent must be finite"):
             rope.ScaleSpec("freq_aware", s=2.0, train_extent=extent)
+    # one scale factor and one extent serve every axis; a per-axis tuple is refused
+    with pytest.raises(ValueError, match=r"scale factor must be one number, got \(2.0, 4.0\)"):
+        rope.ScaleSpec("interpolate", s=(2.0, 4.0))
+    with pytest.raises(ValueError, match=r"training extent must be one number, got \(16.0, 32.0\)"):
+        rope.ScaleSpec("freq_aware", s=2.0, train_extent=(16.0, 32.0))
     with pytest.raises(ValueError, match="t in"):
         rope.ScaleSpec("time_aware", s=2.0)
     with pytest.raises(ValueError, match="extent"):
@@ -231,15 +236,6 @@ def test_paper_literal_d_target_omits_axis_factor():
     literal = rope.d_target(5.0, 24, 3, 16.0, "paper_literal")
     assert np.isclose(literal, 6.0 * consistent, rtol=1e-12)
     assert np.isclose(consistent, (24 / 6) * math.log(16.0 / TWO_PI) / math.log(5.0), rtol=1e-12)
-
-
-def test_per_axis_scale_factors():
-    freqs = rope.freq_matrix(100.0, 8, 2)
-    theta = rope.scaled_freqs(freqs, rope.ScaleSpec("interpolate", s=(2.0, 4.0))).theta
-    assert np.allclose(theta[0], freqs.theta[0] / 2.0, atol=1e-15)
-    assert np.allclose(theta[1], freqs.theta[1] / 4.0, atol=1e-15)
-    with pytest.raises(ValueError, match="per-axis"):
-        rope.scaled_freqs(freqs, rope.ScaleSpec("interpolate", s=(2.0, 4.0, 8.0)))
 
 
 def test_scaled_fourier_features_layout_and_endpoints():
