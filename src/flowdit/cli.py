@@ -166,7 +166,9 @@ _SCALE_FLAGS = {"scale": ("s", 2.0), "extent": ("train_extent", 16.0), "t": ("t"
 def _cmd_rope_scan(args) -> None:
     base = rope.freq_matrix(args.base, args.d_head, args.axes)
     chosen = [s.strip() for s in args.strategy.split(",")]
-    strategies = list(rope.STRATEGIES) if "all" in chosen else chosen
+    strategies = [s for name in chosen for s in (rope.STRATEGIES if name == "all" else (name,))]
+    if repeated := next((s for i, s in enumerate(strategies) if s in strategies[:i]), None):
+        raise ValueError(f"--strategy {args.strategy} names {repeated} twice")
     fields = {
         field: default if getattr(args, flag) is None else getattr(args, flag)
         for flag, (field, default) in _SCALE_FLAGS.items()
@@ -312,7 +314,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--extent", type=float, default=None, help="max trained extent, for freq_aware (default 16)")
     p.add_argument("--scale", type=float, default=None, help="extension factor s, for all but extrapolate (default 2)")
     p.add_argument("--t", type=float, default=None, help="diffusion time for time_aware (default 0.5)")
-    p.add_argument("--strategy", default="all", help="'all' or a comma list")
+    p.add_argument("--strategy", default="all", help="'all' (every strategy) or a comma list, each once")
     p.add_argument("--convention", default=None, choices=rope.CONVENTIONS,
                    help="scaling exponents, for all but extrapolate (default consistent)")
     p.add_argument("--out", required=True)

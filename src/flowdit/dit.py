@@ -80,8 +80,9 @@ class ModelConfig:
             raise ValueError(f"{self.n_q_heads} query heads not divisible by {self.n_kv_heads} kv heads")
         if self.d_head % (2 * ROPE_AXES) != 0:
             raise ValueError(f"head dim {self.d_head} not divisible by {2 * ROPE_AXES} ({ROPE_AXES} rotary axes)")
-        if self.mode == "recognition" and self.n_classes < 1:
-            raise ValueError("recognition mode needs n_classes >= 1")
+        least = 1 if self.mode == "recognition" else 0
+        if self.n_classes < least:
+            raise ValueError(f"{self.mode} mode needs n_classes >= {least}, got {self.n_classes}")
 
     @property
     def d_head(self) -> int:
@@ -521,7 +522,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
             idx = np.full(len(t_arr), config.n_classes)
         else:
             idx = np.asarray(label)
-            if idx.shape != (batch,) or idx.min() < 0 or idx.max() >= config.n_classes:
+            if idx.shape != (batch,) or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= config.n_classes:
                 raise ValueError(f"labels must be {batch} ids below {config.n_classes}")
         cond = ad.add(cond, p["label_embed"][idx])
     elif label is not None:

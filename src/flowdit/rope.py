@@ -4,8 +4,8 @@ The head dimension is split into `axes` contiguous chunks (time, height,
 width); each chunk is rotated as complex pairs by angle coord * theta_d, so
 attention logits depend on coordinates only through their differences.
 
-Frequency tables follow theta_d = base^(-(2*axes)*d/d_head) for
-d = 0 .. d_head/(2*axes)-1. Scaling strategies come in two conventions:
+Every axis uses the one frequency curve theta_d = base^(-(2*axes)*d/d_head)
+for d = 0 .. d_head/(2*axes)-1. Scaling strategies come in two conventions:
 `consistent` (default) restores the per-axis factor 2*axes in every exponent
 so the advertised equivalences hold exactly (interpolation is the floor,
 extrapolation the ceiling, and the time-conditioned table moves between
@@ -39,7 +39,7 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RopeFreqs:
-    """Per-axis frequency tables theta[axis, d], d in [0, d_head/(2*axes))."""
+    """The frequency curve theta[d], d in [0, d_head/(2*axes)), shared by every axis."""
 
     axes: int
     d_head: int
@@ -86,20 +86,19 @@ class ScaleSpec:
 
 
 def freq_matrix(base: float, d_head: int, axes: int) -> RopeFreqs:
-    """Build the per-axis table theta_d = base^(-(2*axes)*d/d_head)."""
+    """Build the curve theta_d = base^(-(2*axes)*d/d_head) shared by every axis."""
     if axes not in (1, 2, 3):
         raise ValueError(f"axes must be 1, 2, or 3, got {axes}")
     if not 1.0 < base < math.inf:
         raise ValueError(f"rotary base must be finite and exceed 1, got {base}")
     if d_head < 2 * axes or d_head % (2 * axes) != 0:
         raise ValueError(f"d_head={d_head} must be positive and divisible by 2*axes={2*axes}")
-    n = d_head // (2 * axes)
-    row = base ** (-(2.0 * axes) * np.arange(n) / d_head)
-    return RopeFreqs(axes, d_head, float(base), np.tile(row, (axes, 1)))
+    theta = base ** (-(2.0 * axes) * np.arange(d_head // (2 * axes)) / d_head)
+    return RopeFreqs(axes, d_head, float(base), theta)
 
 
 def wavelength(freqs: RopeFreqs) -> np.ndarray:
-    """lambda_d = 2*pi / theta_d, per axis."""
+    """lambda_d = 2*pi / theta_d, shape [d_head/(2*axes)]."""
     return TWO_PI / freqs.theta
 
 
@@ -167,7 +166,7 @@ def scaled_theta(freqs: RopeFreqs, spec: ScaleSpec, d) -> np.ndarray:
 
 
 def scaled_freqs(freqs: RopeFreqs, spec: ScaleSpec) -> RopeFreqs:
-    """Apply one extrapolation strategy: one scaled curve, tiled to every axis.
+    """Apply one extrapolation strategy: one scaled curve for every axis.
 
     A theta or wavelength 2*pi/theta that is not finite, as when an extreme
     base or scale factor over- or underflows the arithmetic, raises
@@ -180,17 +179,16 @@ def scaled_freqs(freqs: RopeFreqs, spec: ScaleSpec) -> RopeFreqs:
         raise FloatingPointError(message) from err
     if not (np.isfinite(theta).all() and np.isfinite(TWO_PI / theta).all()):
         raise FloatingPointError(message)
-    return replace(freqs, theta=np.tile(theta, (freqs.axes, 1)))
+    return replace(freqs, theta=theta)
 
 
 def rope_angles(coords, freqs: RopeFreqs) -> np.ndarray:
-    """Per-token rotation angles of coords [n, axes], shape [n, d_head/2]
-    (axis chunks concatenated)."""
+    """Per-token rotation angles of coords [n, axes], shape [n, d_head/2]:
+    axis a's chunk is coords[:, a] * theta."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != freqs.axes:
         raise ValueError(f"coords must be [n, {freqs.axes}] for {freqs.axes} axes, got shape {coords.shape}")
-    chunks = [coords[:, a : a + 1] * freqs.theta[a][None, :] for a in range(freqs.axes)]
-    return np.concatenate(chunks, axis=-1)
+    return (coords[:, :, None] * freqs.theta).reshape(len(coords), -1)
 
 
 def rope_tables(coords, freqs: RopeFreqs) -> tuple[np.ndarray, np.ndarray]:
@@ -257,9 +255,5 @@ def scaled_fourier_features(p, theta, t: float, s: float):
 
 def freq_table_rows(freqs: RopeFreqs, strategy: str) -> list[tuple]:
     """CSV-ready rows (strategy, axis, d, theta, lambda)."""
-    lam = wavelength(freqs)
-    return [
-        (strategy, a, d, float(freqs.theta[a, d]), float(lam[a, d]))
-        for a in range(freqs.axes)
-        for d in range(freqs.dims_per_axis)
-    ]
+    curve = list(enumerate(zip(freqs.theta.tolist(), wavelength(freqs).tolist())))
+    return [(strategy, a, d, theta, lam) for a in range(freqs.axes) for d, (theta, lam) in curve]

@@ -290,6 +290,19 @@ def test_rope_scan_single_strategy(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "strategy,message",
+    [("ntk,ntk", "--strategy ntk,ntk names ntk twice"), ("all,ntk", "--strategy all,ntk names ntk twice"),
+     ("all,all", "--strategy all,all names extrapolate twice")],
+    ids=["repeated", "covered_by_all", "all_twice"],
+)
+def test_rope_scan_refuses_a_strategy_named_twice(tmp_path, capsys, strategy, message):
+    out = tmp_path / "scan.csv"
+    assert cli.main(["rope-scan", "--strategy", strategy, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         # theta = 1/s is finite (down to 3e-309), but its wavelength overflows
@@ -510,10 +523,11 @@ def test_gen_refuses_a_checkpoint_naming_other_fixed_values(tmp_path, capsys, mo
         lambda text: json.dumps({**(m := json.loads(text)), "tensors": [[m["tensors"][0]], *m["tensors"][1:]]}),
         # every name and one of them again: set() sees the architecture's names
         lambda text: json.dumps({**(m := json.loads(text)), "tensors": [*m["tensors"], m["tensors"][0]]}),
+        lambda text: json.dumps({**(m := json.loads(text)), "config": {**m["config"], "n_classes": -5}}),
     ],
     ids=["list", "truncated", "config_not_an_object", "tensors_not_a_list", "unknown_config_key",
          "config_value_of_wrong_type", "config_value_a_float", "config_value_a_bool", "tensor_name_not_a_string",
-         "tensor_name_listed_twice"],
+         "tensor_name_listed_twice", "negative_class_count"],
 )
 def test_gen_refuses_a_malformed_manifest_naming_it(tmp_path, capsys, monkeypatch, edit):
     monkeypatch.chdir(tmp_path)

@@ -52,6 +52,8 @@ def test_config_validation_messages():
         small_config(d_model=12, n_q_heads=2)
     with pytest.raises(ValueError, match="n_classes"):
         small_config(mode="recognition", n_classes=0)
+    with pytest.raises(ValueError, match="generative mode needs n_classes >= 0, got -3"):
+        small_config(n_classes=-3)
     with pytest.raises(ValueError, match="positive"):
         small_config(patch=0)
 
@@ -620,6 +622,19 @@ def test_label_conditioning_changes_output():
         dit.forward_velocity(model, x, 0.4, label=np.array([0, 4]))
     with pytest.raises(ValueError, match="labels must be"):
         dit.forward_velocity(model, x, 0.4, label=np.array([1]))
+
+
+@pytest.mark.parametrize(
+    "n_classes,label",
+    [(4, [0.5, 1.0]), (4, [0.0, 1.0]), (4, [True, False]), (2, [True, False, True])],
+    ids=["fractional_floats", "integral_floats", "bools", "bools_one_per_class"],
+)
+def test_labels_must_be_integer_ids(n_classes, label):
+    # numpy would index with floats or with a boolean mask, failing with an error that names no label
+    model = dit.init_model(small_config(n_classes=n_classes), seed=0)
+    x = np.zeros((len(label), 4, 4, 2))
+    with pytest.raises(ValueError, match=f"labels must be {len(label)} ids below {n_classes}"):
+        dit.forward_velocity(model, x, 0.4, label=np.array(label))
 
 
 def test_forward_velocity_capture_collects_block_outputs():

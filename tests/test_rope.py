@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowdit import autodiff as ad
-from flowdit import dit
+from flowdit import contextdrop, dit
 from flowdit import numkernel as nk
 from flowdit import rope
 
@@ -26,7 +26,7 @@ def complex_logits_oracle(q, k, coords_q, coords_k, freqs):
     n_q, n_k = q.shape[0], k.shape[0]
     qc = q[:, 0::2] + 1j * q[:, 1::2]
     kc = k[:, 0::2] + 1j * k[:, 1::2]
-    theta = np.concatenate([freqs.theta[a] for a in range(freqs.axes)])
+    theta = np.tile(freqs.theta, freqs.axes)
     out = np.zeros((n_q, n_k))
     for i in range(n_q):
         for j in range(n_k):
@@ -100,17 +100,51 @@ def test_rope_angles_layout():
     # one axis chunk per coordinate, dims within a chunk share the coordinate
     freqs = rope.freq_matrix(4.0, 8, 2)  # 2 dims per axis
     ang = rope.rope_angles(np.array([[2.0, 3.0]]), freqs)
-    expected = np.array([2.0 * freqs.theta[0, 0], 2.0 * freqs.theta[0, 1],
-                         3.0 * freqs.theta[1, 0], 3.0 * freqs.theta[1, 1]])
+    expected = np.array([2.0 * freqs.theta[0], 2.0 * freqs.theta[1],
+                         3.0 * freqs.theta[0], 3.0 * freqs.theta[1]])
     assert np.allclose(ang[0], expected, atol=1e-15)
+
+
+def per_axis_angles(coords, freqs):
+    """rope_angles in its per-axis form: a table with one equal row per axis,
+    each axis's chunk multiplied out on its own, the chunks concatenated."""
+    table = np.tile(freqs.theta, (freqs.axes, 1))
+    coords = np.asarray(coords, dtype=float)
+    chunks = [coords[:, a : a + 1] * table[a][None, :] for a in range(freqs.axes)]
+    return np.concatenate(chunks, axis=-1)
+
+
+GEN_IMAGE_FREQS = dit.model_freqs(dit.ModelConfig(d_model=64, n_layers=4, n_q_heads=4, n_kv_heads=2, patch=2))
+GEN_IMAGE_GRID = nk.grid_coords((16, 16))
+
+
+@pytest.mark.parametrize(
+    "freqs,coords",
+    [
+        (rope.freq_matrix(100.0, 8, 1), np.random.default_rng(50).uniform(-40, 40, (9, 1))),
+        (rope.freq_matrix(10000.0, 12, 2), np.random.default_rng(51).uniform(-40, 40, (9, 2))),
+        (rope.freq_matrix(5.0, 24, 3), np.random.default_rng(52).uniform(-40, 40, (9, 3))),
+        (rope.scaled_freqs(rope.freq_matrix(5.0, 24, 3), rope.ScaleSpec("freq_aware", s=2.0, train_extent=16.0)),
+         np.random.default_rng(53).uniform(-40, 40, (9, 3))),
+        (GEN_IMAGE_FREQS, GEN_IMAGE_GRID),
+        (GEN_IMAGE_FREQS, contextdrop.pool_plan(GEN_IMAGE_GRID, (16, 16), (2, 2))[1]),
+    ],
+    ids=["1_axis", "2_axes", "3_axes", "3_axes_scaled", "gen_image_grid", "gen_image_pooled"],
+)
+def test_rope_angles_and_tables_equal_the_per_axis_form_bitwise(freqs, coords):
+    expected = per_axis_angles(coords, freqs)
+    assert rope.rope_angles(coords, freqs).tobytes() == expected.tobytes()
+    cos, sin = rope.rope_tables(coords, freqs)
+    assert (cos.shape, cos.tobytes(), sin.tobytes()) == (expected.shape, np.cos(expected).tobytes(), np.sin(expected).tobytes())
 
 
 def test_freq_matrix_values_and_validation():
     freqs = rope.freq_matrix(10000.0, 12, 2)
     n = 12 // 4
     expected = 10000.0 ** (-(4.0) * np.arange(n) / 12.0)
-    assert np.allclose(freqs.theta, np.tile(expected, (2, 1)), atol=1e-15)
-    assert freqs.theta[0, 0] == 1.0
+    assert freqs.theta.shape == (n,)
+    assert np.allclose(freqs.theta, expected, atol=1e-15)
+    assert freqs.theta[0] == 1.0
     with pytest.raises(ValueError, match="axes"):
         rope.freq_matrix(100.0, 16, 4)
     for base in (1.0, np.nan, np.inf):
@@ -208,8 +242,8 @@ def test_ntk_consistent_last_dim_matches_interpolation():
     s = 4.0
     ntk = _theta("ntk", s)
     interp = _theta("interpolate", s)
-    assert np.allclose(ntk[:, -1], interp[:, -1], rtol=1e-12)
-    assert np.allclose(ntk[:, 0], 1.0, atol=1e-15)  # fastest dim untouched
+    assert np.allclose(ntk[-1], interp[-1], rtol=1e-12)
+    assert np.allclose(ntk[0], 1.0, atol=1e-15)  # fastest dim untouched
 
 
 def test_paper_literal_forms_verbatim():
