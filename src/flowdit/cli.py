@@ -27,13 +27,15 @@ import numpy as np
 
 from . import dit, flowlab, partitioner, rope, sampler
 
-_CONFIG_ERRORS = (ValueError, KeyError, TypeError, FileNotFoundError, NotADirectoryError)
+_CONFIG_ERRORS = (ValueError, KeyError, TypeError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
 # density images: a bins x bins histogram of [-extent, extent]^2
 _DENSITY_BINS, _DENSITY_EXTENT = 64, 6.0
 
 
-def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in value.split(",") if p != "")
+def _floats(flag: str, value: str) -> tuple[float, ...]:
+    if "" in (parts := value.split(",")):
+        raise ValueError(f"{flag} {value!r} has an empty entry")
+    return tuple(float(p) for p in parts)
 
 
 def _size(value: str) -> tuple[int, int]:
@@ -125,7 +127,7 @@ def _cmd_schedule(args) -> None:
 
 
 def _gaussian_spec(args) -> flowlab.GaussianFlowSpec:
-    return flowlab.GaussianFlowSpec(mean=_floats(args.mean), std=args.std)
+    return flowlab.GaussianFlowSpec(mean=_floats("--mean", args.mean), std=args.std)
 
 
 def _cmd_sample(args) -> None:
@@ -222,7 +224,7 @@ def _cmd_probe(args) -> None:
     rows = dit.activation_probe(
         model,
         _size(args.image),
-        _floats(args.timesteps),
+        _floats("--timesteps", args.timesteps),
         n_samples=args.samples,
         seed=args.seed,
     )

@@ -292,19 +292,13 @@ def gqa_attention(x, params: dict, tables, *, kv_pool=None):
     return ad.matmul(_merge_heads(out), params["wo"])
 
 
-def _with_token_axis(u):
-    """[..., d] -> [..., 1, d] so per-sample modulation broadcasts over tokens."""
-    shape = ad.val(u).shape
-    return ad.reshape(u, shape[:-1] + (1, shape[-1]))
-
-
 def block_modulation(cond, block: dict, d: int) -> list:
-    """A generative block's zero-initialised AdaLN projection of cond, split
-    into the parts of `modulation_slices`, in its order, each [..., 1, width],
-    as sandwich_block applies them: each shift as it is, each scale as
-    1 + scale and each gate as tanh(gate). A call with one conditioning row
-    builds them once for every part of the batch."""
-    mod = _with_token_axis(ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"]))
+    """A generative block's zero-initialised AdaLN projection of cond
+    [..., 1, d], split into the parts of `modulation_slices`, in its order,
+    each [..., 1, width], as sandwich_block applies them: each shift as it
+    is, each scale as 1 + scale and each gate as tanh(gate). One conditioning
+    row builds them once for every part of the batch."""
+    mod = ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"])
     shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = (mod[..., part] for part in modulation_slices(d).values())
     return [shift_a, ad.add(scale_a, 1.0), ad.tanh(gate_a), shift_m, ad.add(scale_m, 1.0), ad.tanh(gate_m)]
 
@@ -485,7 +479,8 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     x_t is [B, H, W, C] and so is the result; t a scalar or a [B] vector.
     A scalar t gives one conditioning row (time MLP, modulation and final
     scale computed once) that broadcasts over the batch; it equals the
-    per-sample call with np.full(B, t) to rounding, not bitwise.
+    per-sample call with np.full(B, t) to rounding, not bitwise. cond is
+    [T, 1, d] (T = 1 or B) as made, so it broadcasts over the tokens.
     label is an int array of class ids (None uses the null embedding when
     the model is conditional). kv_pool = (grid, window), grid the patch
     grid, pools attention context in every block; attention_tables are
@@ -516,7 +511,7 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
             raise ValueError(f"t has shape {t_arr.shape}, expected ({batch},)")
     if kv_pool is not None and tuple(kv_pool[0]) != grid:
         raise ValueError(f"kv_pool grid {tuple(kv_pool[0])} is not the patch grid {grid}")
-    cond = time_embedding(model, t_arr)
+    cond = time_embedding(model, t_arr[:, None])
     if "label_embed" in p:
         if label is None:
             idx = np.full(len(t_arr), config.n_classes)
@@ -524,14 +519,13 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
             idx = np.asarray(label)
             if idx.shape != (batch,) or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= config.n_classes:
                 raise ValueError(f"labels must be {batch} ids below {config.n_classes}")
-        cond = ad.add(cond, p["label_embed"][idx])
+        cond = ad.add(cond, p["label_embed"][idx[:, None]])
     elif label is not None:
         raise ValueError("model has no label table")
     blocks = _blocks(model)
     tables = attention_tables(coords, model_freqs(config), kv_pool)
     mods = [block_modulation(cond, block, config.d_model) for block in blocks]
-    scale = ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])
-    scale = ad.add(_with_token_axis(scale), 1.0)
+    scale = ad.add(ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"]), 1.0)
 
     def head_input(tokens):
         h = _trunk(model, blocks, tokens, mods, tables, kv_pool=kv_pool, capture=capture)

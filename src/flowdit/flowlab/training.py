@@ -40,8 +40,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive")
+        for name in ("steps", "batch_size"):  # a bool is an int
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
 

@@ -42,8 +42,9 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one step, got {self.n_steps}")
+        # a fractional count would carry the grid past t = 1; a bool is an int
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         if self.kind == "rational" and not 0.0 < self.sigma < np.inf:
             raise ValueError(f"rational warp needs a finite sigma > 0, got {self.sigma}")
         if self.kind == "sigmoid":

@@ -228,7 +228,7 @@ def test_criterion_07_block_identity_gqa_probe_masking():
     coords = nk.grid_coords((2, 4))
     freqs = dit.model_freqs(config)
     block = dit._blocks(model)[0]
-    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, dit.attention_tables(coords, freqs))
+    y = dit.sandwich_block(x, dit.block_modulation(cond[:, None], block, config.d_model), block, config, dit.attention_tables(coords, freqs))
     assert np.array_equal(y, x)
     img = rng.standard_normal((2, 4, 4, 2))
     assert np.all(dit.forward_velocity(model, img, 0.5) == 0.0)

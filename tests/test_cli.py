@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, config precedence, golden
 CSV bytes, PGM layout, and the train -> gen round trip."""
 
+import errno
 import json
 import os
 import shlex
@@ -91,9 +92,13 @@ def test_non_finite_warp_values_exit_two_naming_them(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_runtime_failure_returns_one(tmp_path, capsys):
-    # --out pointing at a directory fails at write time, not config time
-    rc = cli.main(["schedule", "--steps", "3", "--out", str(tmp_path)])
+def test_runtime_failure_returns_one(tmp_path, capsys, monkeypatch):
+    # a disk that fills up fails the write at write time, not config time
+    def full(path, text):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    rc = cli.main(["schedule", "--steps", "3", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
 
@@ -463,6 +468,26 @@ def test_gen_rejects_image_checkpoints(tmp_path, capsys):
     assert "point-flow checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--steps", "2", "--config", "taken"],
+        ["schedule", "--steps", "2", "--out", "taken"],
+        ["gen", "--model", "ckpt", "--n", "8", "--steps", "2", "--out", "taken"],
+    ],
+    ids=["config", "schedule_out", "gen_out"],
+)
+def test_a_directory_where_a_file_belongs_exits_two(tmp_path, capsys, monkeypatch, argv):
+    # a missing file was already a configuration error; a directory exited 1
+    monkeypatch.chdir(tmp_path)
+    dit.save_model(tmp_path / "ckpt", dit.init_model(flowlab.point_model_config(16, 1), seed=0))
+    (tmp_path / "taken").mkdir()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "Is a directory: 'taken'" in err
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_gen_missing_checkpoint_returns_two(tmp_path):
     rc = cli.main(["gen", "--model", str(tmp_path / "nope"), "--n", "8", "--steps", "2"])
     assert rc == 2
@@ -681,13 +706,18 @@ def test_sample_counts_below_one_exit_two_and_write_nothing(tmp_path, capsys, mo
     "argv,message",
     [
         (["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2",
-          "--image", "4x4", "--timesteps", ","], "need at least one timestep"),
-        (["sample", "--mean", ",", "--steps", "2"], "target mean needs at least one coordinate"),
-        (["diagnose", "--mean", ",", "--anchors", "3", "--substeps", "2"], "target mean needs at least one coordinate"),
+          "--image", "4x4", "--timesteps", ","], "--timesteps ',' has an empty entry"),
+        (["sample", "--mean", ",", "--steps", "2"], "--mean ',' has an empty entry"),
+        (["diagnose", "--mean", ",", "--anchors", "3", "--substeps", "2"], "--mean ',' has an empty entry"),
+        (["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2",
+          "--image", "4x4", "--timesteps", "0,,1"], "--timesteps '0,,1' has an empty entry"),
+        (["sample", "--mean", "1,,2", "--steps", "2"], "--mean '1,,2' has an empty entry"),
+        (["sample", "--mean", "1,2,", "--steps", "2"], "--mean '1,2,' has an empty entry"),
     ],
-    ids=["probe", "sample", "diagnose"],
+    ids=["probe", "sample", "diagnose", "probe_inner_entry", "sample_inner_entry", "sample_trailing_entry"],
 )
 def test_empty_list_flags_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, message):
+    # an empty entry is refused, not skipped: `--mean 1,,2` once integrated a 2-d target
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--out", "out.csv"]) == 2
     assert message in capsys.readouterr().err

@@ -102,7 +102,7 @@ def test_zero_init_block_is_exact_identity():
     coords = nk.grid_coords((2, 3))
     freqs = dit.model_freqs(config)
     block = dit._blocks(model)[0]
-    y = dit.sandwich_block(x, dit.block_modulation(cond, block, config.d_model), block, config, dit.attention_tables(coords, freqs))
+    y = dit.sandwich_block(x, dit.block_modulation(cond[:, None], block, config.d_model), block, config, dit.attention_tables(coords, freqs))
     assert np.array_equal(y, x)
 
 
@@ -635,6 +635,84 @@ def test_labels_must_be_integer_ids(n_classes, label):
     x = np.zeros((len(label), 4, 4, 2))
     with pytest.raises(ValueError, match=f"labels must be {len(label)} ids below {n_classes}"):
         dit.forward_velocity(model, x, 0.4, label=np.array(label))
+
+
+def with_token_axis(u):
+    """The earlier conditioning layout's reshape node: [..., d] -> [..., 1, d]."""
+    shape = ad.val(u).shape
+    return ad.reshape(u, shape[:-1] + (1, shape[-1]))
+
+
+def token_axis_last_modulation(cond, block, d):
+    """block_modulation's oracle: a [T, d] projection, then the token axis."""
+    mod = with_token_axis(ad.add(ad.matmul(ad.silu(cond), block["w_mod"]), block["b_mod"]))
+    shift_a, scale_a, gate_a, shift_m, scale_m, gate_m = (mod[..., part] for part in dit.modulation_slices(d).values())
+    return [shift_a, ad.add(scale_a, 1.0), ad.tanh(gate_a), shift_m, ad.add(scale_m, 1.0), ad.tanh(gate_m)]
+
+
+def token_axis_last_velocity(model, x_t, t_arr, idx):
+    """forward_velocity's one-part oracle from a [T, d] conditioning row."""
+    config, p = model.config, model.params
+    tokens, coords, grid = dit.patchify(x_t, config.patch)
+    cond = ad.add(dit.time_embedding(model, t_arr), p["label_embed"][idx])
+    blocks = dit._blocks(model)
+    mods = [token_axis_last_modulation(cond, block, config.d_model) for block in blocks]
+    scale = ad.add(with_token_axis(ad.add(ad.matmul(ad.silu(cond), p["w_final_mod"]), p["b_final_mod"])), 1.0)
+    h = dit._trunk(model, blocks, tokens, mods, dit.attention_tables(coords, dit.model_freqs(config)))
+    out = ad.add(ad.matmul(ad.rms_norm(h, scale), p["w_out"]), p["b_out"])
+    return dit.unpatchify(out, grid, config.patch, config.in_channels)
+
+
+@pytest.mark.parametrize("rows", [1, 512])
+def test_block_modulation_equals_the_token_axis_last_form_bitwise(rows):
+    # a [T, 1, d] row projects as the same GEMM over T rows, and the b_mod
+    # cotangent sums the size-1 token axis exactly, so values and gradients
+    # keep their bytes on any machine
+    d = 32
+    rng = np.random.default_rng(rows)
+    cond = rng.standard_normal((rows, d))
+    params = {"w_mod": rng.standard_normal((d, 4 * d + 2)), "b_mod": rng.standard_normal(4 * d + 2)}
+    weights = [rng.standard_normal((rows, 1, s.stop - s.start)) for s in dit.modulation_slices(d).values()]
+    for got, want in zip(dit.block_modulation(cond[:, None], params, d), token_axis_last_modulation(cond, params, d)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def grads(modulation, cond_value):
+        leaves = {"cond": ad.Var(cond_value), **{name: ad.Var(a) for name, a in params.items()}}
+        loss = None
+        for part, w in zip(modulation(leaves["cond"], leaves, d), weights):
+            term = ad.sum_(ad.mul(part, w))
+            loss = term if loss is None else ad.add(loss, term)
+        loss.backward()
+        return loss.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+    got_loss, got = grads(dit.block_modulation, cond[:, None])
+    want_loss, want = grads(token_axis_last_modulation, cond)
+    assert got_loss.tobytes() == want_loss.tobytes()
+    assert got["cond"].shape == (rows, 1, d) and got.pop("cond").tobytes() == want.pop("cond").tobytes()
+    assert all(got[name].shape == want[name].shape and got[name].tobytes() == want[name].tobytes() for name in want)
+
+
+@pytest.mark.parametrize("label", [None, [2, 0, 1, 2]], ids=["null_row", "labels"])
+def test_forward_velocity_equals_the_token_axis_last_form_bitwise(label):
+    # the label table's gradient scatters through idx[:, None] as through idx
+    config = small_config(n_q_heads=4, n_kv_heads=2, n_classes=3)
+    model = flowlab.wrap_parameters(randomized(dit.init_model(config, seed=0), seed=5))
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((4, 4, 6, config.in_channels))
+    weights = rng.standard_normal(x.shape)
+    if label is None:
+        t, t_arr, idx = 0.3, np.full(1, 0.3), np.full(1, config.n_classes)
+    else:
+        t = t_arr = rng.uniform(0, 1, 4)
+        label = idx = np.array(label)
+    results = []
+    for v in (dit.forward_velocity(model, x, t, label=label), token_axis_last_velocity(model, x, t_arr, idx)):
+        loss = ad.sum_(ad.mul(v, weights))
+        results.append((v.value, flowlab.grad(model, loss)))
+    (got_v, got), (want_v, want) = results
+    assert got_v.tobytes() == want_v.tobytes()
+    assert want["label_embed"].any() and list(got) == list(want)
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
 
 def test_forward_velocity_capture_collects_block_outputs():

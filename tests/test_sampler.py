@@ -77,6 +77,19 @@ def test_schedule_spec_validation():
     sampler.ScheduleSpec(kind="rational", sigma=0.3)
 
 
+@pytest.mark.parametrize(
+    "kind,n_steps",
+    [("uniform", 2.5), ("sigmoid", 2.5), ("uniform", 3.0), ("uniform", True), ("uniform", np.True_)],
+    ids=["fractional", "fractional_sigmoid", "integral_float", "bool", "numpy_bool"],
+)
+def test_schedule_spec_refuses_a_non_integer_step_count(kind, n_steps):
+    # 2.5 steps made the grid [0, 0.4, 0.8, 1.2], and sample_flow ran to t = 1.2
+    with pytest.raises(ValueError, match=f"n_steps must be a positive integer, got {n_steps!r}"):
+        sampler.ScheduleSpec(kind=kind, n_steps=n_steps)
+    ts = sampler.schedule_points(sampler.ScheduleSpec(kind=kind, n_steps=np.int64(3)))
+    assert len(ts) == 4 and ts[0] == 0.0 and ts[-1] == 1.0
+
+
 def test_rational_sigma_one_is_uniform_bitwise():
     grid = np.arange(11) / 10
     spec = sampler.ScheduleSpec(kind="rational", sigma=1.0, n_steps=10)
