@@ -4,7 +4,8 @@ A `Var` wraps an ndarray value plus a closure that maps the output cotangent
 to parent cotangents. Every op in this module accepts either plain ndarrays
 or Vars; with no Var among the arguments it returns a plain ndarray computed
 by exactly the same numpy expressions, so inference and training share one
-forward codebase and produce bit-identical values.
+forward codebase and produce bit-identical values. A cotangent that is a
+forward op runs its kernel: numkernel.matmul, or the RoPE rotation at -sin.
 
 The op set is the thirteen ops the model runs: add, mul, matmul, sum_,
 mean, reshape, transpose, take, rms_norm (the model's one RMS norm, with
@@ -191,24 +192,15 @@ def matmul(a, b):
     if not _tracked(a, b):
         return out
 
-    # a 2-d weight shared over leading axes: both cotangents are one GEMM
-    # over the flattened rows, not a stack of small products
-    shared = bv.ndim == 2 and av.ndim > 2
-
     def vjp(g):
         gs = []
         if isinstance(a, Var):
-            if shared:
-                ga = (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)
-            else:
-                ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
-            gs.append(ga)
+            gs.append(_unbroadcast(numkernel.matmul(g, np.swapaxes(bv, -1, -2)), av.shape))
         if isinstance(b, Var):
-            if shared:
-                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            if bv.ndim == 2:  # a weight shared over leading axes: one GEMM over the flattened rows
+                gs.append(numkernel.matmul(av.reshape(-1, av.shape[-1]).T, g.reshape(-1, g.shape[-1])))
             else:
-                gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
-            gs.append(gb)
+                gs.append(_unbroadcast(numkernel.matmul(np.swapaxes(av, -1, -2), g), bv.shape))
         return tuple(gs)
 
     return _node(out, (a, b), vjp)
@@ -324,10 +316,11 @@ def attend(logits, v, bound=np.inf):
             if lv.shape[-1] == 1:  # a lone key's weight is the constant 1
                 gl = np.zeros_like(p)
             else:
-                gl = p * (g @ np.swapaxes(vv, -1, -2) - np.sum(g * out, axis=-1, keepdims=True))
+                gl = p * (numkernel.matmul(g, np.swapaxes(vv, -1, -2))
+                          - np.sum(g * out, axis=-1, keepdims=True))
             gs.append(_unbroadcast(gl, lv.shape))
         if isinstance(v, Var):
-            gs.append(_unbroadcast(np.swapaxes(p, -1, -2) @ g, vv.shape))
+            gs.append(_unbroadcast(numkernel.matmul(np.swapaxes(p, -1, -2), g), vv.shape))
         return tuple(gs)
 
     return _node(out, (logits, v), vjp)
@@ -392,15 +385,8 @@ def rms_norm(a, gain):
     return _node(out, (a, gain), vjp)
 
 
-def rotate_pairs(x, cos, sin):
-    """Rotate the channel pairs (x[..., 2i], x[..., 2i+1]) by angles with these cos/sin.
-
-    cos and sin are constants broadcasting against x[..., 0::2]. The
-    cotangent is the rotation by the opposite angle (RoFormer, Su et al.).
-    """
-    if isinstance(cos, Var) or isinstance(sin, Var):
-        raise TypeError("rotate_pairs() angles must be constants")
-    xv = val(x)
+def _rotate(xv, cos, sin):
+    """The pairs (xv[..., 2i], xv[..., 2i+1]) rotated by the angles with these cos/sin."""
     xe, xo = xv[..., 0::2], xv[..., 1::2]
     # both halves are written into the interleaved output, which holds
     # what np.stack([ye, yo], axis=-1) would, by the same expressions
@@ -408,13 +394,19 @@ def rotate_pairs(x, cos, sin):
                      np.result_type(xv, cos, sin))
     np.subtract(xe * cos, xo * sin, out=pairs[..., 0])
     np.add(xe * sin, xo * cos, out=pairs[..., 1])
-    out = pairs.reshape(xv.shape)
+    return pairs.reshape(xv.shape)
+
+
+def rotate_pairs(x, cos, sin):
+    """Rotate the channel pairs (x[..., 2i], x[..., 2i+1]) by angles with these cos/sin.
+
+    cos and sin are constants broadcasting against x[..., 0::2]. The
+    cotangent is the rotation by the opposite angle (RoFormer, Su et al.),
+    _rotate at -sin: bitwise, as IEEE arithmetic is exact under sign flips.
+    """
+    if isinstance(cos, Var) or isinstance(sin, Var):
+        raise TypeError("rotate_pairs() angles must be constants")
+    out = _rotate(val(x), cos, sin)
     if not _tracked(x):
         return out
-
-    def vjp(g):
-        ge, go = g[..., 0::2], g[..., 1::2]
-        gx = np.stack([ge * cos + go * sin, go * cos - ge * sin], axis=-1)
-        return (gx.reshape(xv.shape),)
-
-    return _node(out, (x,), vjp)
+    return _node(out, (x,), lambda g: (_rotate(g, cos, -sin),))

@@ -33,15 +33,19 @@ _DENSITY_BINS, _DENSITY_EXTENT = 64, 6.0
 
 
 def _floats(flag: str, value: str) -> tuple[float, ...]:
-    if "" in (parts := value.split(",")):
+    parts = value.split(",")
+    if not all(p.strip() for p in parts):
         raise ValueError(f"{flag} {value!r} has an empty entry")
-    return tuple(float(p) for p in parts)
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"{flag} {value!r} has an entry that is not a number") from None
 
 
-def _size(value: str) -> tuple[int, int]:
+def _size(flag: str, value: str) -> tuple[int, int]:
     parts = value.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"expected HxW, got {value!r}")
+    if len(parts) != 2 or not all(p.isdecimal() and int(p) > 0 for p in parts):
+        raise ValueError(f"{flag} expects HxW with positive integer sides, got {value!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -175,13 +179,12 @@ def _cmd_rope_scan(args) -> None:
         field: default if getattr(args, flag) is None else getattr(args, flag)
         for flag, (field, default) in _SCALE_FLAGS.items()
     }
-    rows = []
-    for strategy in strategies:
-        spec = rope.ScaleSpec(strategy=strategy, **fields)
-        rows.extend(rope.freq_table_rows(rope.scaled_freqs(base, spec), strategy))
+    specs = [rope.ScaleSpec(strategy=strategy, **fields) for strategy in strategies]
+    # an ignored flag is refused before any table is built, as a table may fail
     read = {field for strategy in strategies for field in rope.STRATEGY_FIELDS[strategy]}
     flags = {flag: field for flag, (field, _) in _SCALE_FLAGS.items()}
     _reject_unread(args, flags, read, f"--strategy {','.join(strategies)}")
+    rows = [row for spec in specs for row in rope.freq_table_rows(rope.scaled_freqs(base, spec), spec.strategy)]
     _write_csv(args.out, ["strategy", "axis", "d", "theta", "lambda"], rows)
     print(f"rope-scan: {len(strategies)} strategies x {base.axes} axes x {base.dims_per_axis} dims -> {args.out}")
 
@@ -223,7 +226,7 @@ def _cmd_probe(args) -> None:
             model.params[f"blocks.{i}.b_mod"][gates] = args.gate
     rows = dit.activation_probe(
         model,
-        _size(args.image),
+        _size("--image", args.image),
         _floats("--timesteps", args.timesteps),
         n_samples=args.samples,
         seed=args.seed,

@@ -236,6 +236,8 @@ def error_profiles(v, x0, n_anchor: int = 50, substeps: int = 100) -> tuple[np.n
     """
     if n_anchor < 3:
         raise ValueError(f"need at least 3 anchor intervals, got {n_anchor}")
+    if substeps < 2:  # one substep makes the reference path the Euler probe: every tau 0
+        raise ValueError(f"need at least 2 substeps per anchor, got {substeps}")
     ts = np.arange(n_anchor + 1, dtype=float) / n_anchor
     nodes = dense_trajectory(v, x0, ts, substeps)
     taus = np.array([

@@ -10,8 +10,10 @@ import pytest
 
 from flowdit import autodiff as ad
 from flowdit import dit
+from flowdit import numkernel as nk
 from flowdit import rope
 from flowdit.flowlab import training
+from test_dit import randomized
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -479,3 +481,134 @@ def test_rms_norm_is_scale_invariant_past_overflowing_squares():
             ad.sum_(ad.mul(ad.rms_norm(leaf, gain), weights)).backward()
             grads.append(leaf.grad * scale)
     assert np.allclose(grads[1], grads[0], rtol=1e-12, atol=0.0)
+
+
+# The VJP expressions of matmul, attend and rotate_pairs before they ran the
+# forward kernels, kept as oracles: the shared-weight branch's own flattened
+# GEMMs and bare @ elsewhere, attend's two bare GEMMs, and the transposed
+# rotation built with np.stack. Each forward is the op's own, so only the
+# cotangents differ in how they are spelled. The rotation oracle's forward is
+# the op bound here, before the GQA test patches ad.rotate_pairs with it.
+_rotate_untracked = ad.rotate_pairs
+
+
+def stacked_matmul(a, b):
+    av, bv = ad.val(a), ad.val(b)
+    shared = bv.ndim == 2 and av.ndim > 2
+
+    def vjp(g):
+        gs = []
+        if isinstance(a, ad.Var):
+            if shared:
+                ga = (g.reshape(-1, g.shape[-1]) @ bv.T).reshape(av.shape)
+            else:
+                ga = ad._unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
+            gs.append(ga)
+        if isinstance(b, ad.Var):
+            if shared:
+                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = ad._unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
+            gs.append(gb)
+        return tuple(gs)
+
+    return ad._node(nk.matmul(av, bv), (a, b), vjp)
+
+
+def stacked_attend(logits, v, bound=np.inf):
+    lv, vv = ad.val(logits), ad.val(v)
+    if lv.shape[-1] == 1 or not bound <= ad.EXP_LIMIT:
+        e = np.exp(lv - np.max(lv, axis=-1, keepdims=True))
+    else:
+        e = np.exp(lv)
+    s = np.add.reduce(e, -1, keepdims=True)
+    out = nk.matmul(e, vv) / s
+
+    def vjp(g):
+        p = e / s
+        gs = []
+        if isinstance(logits, ad.Var):
+            if lv.shape[-1] == 1:
+                gl = np.zeros_like(p)
+            else:
+                gl = p * (g @ np.swapaxes(vv, -1, -2) - np.sum(g * out, axis=-1, keepdims=True))
+            gs.append(ad._unbroadcast(gl, lv.shape))
+        if isinstance(v, ad.Var):
+            gs.append(ad._unbroadcast(np.swapaxes(p, -1, -2) @ g, vv.shape))
+        return tuple(gs)
+
+    return ad._node(out, (logits, v), vjp)
+
+
+def stacked_rotate_pairs(x, cos, sin):
+    out = _rotate_untracked(ad.val(x), cos, sin)
+
+    def vjp(g):
+        ge, go = g[..., 0::2], g[..., 1::2]
+        gx = np.stack([ge * cos + go * sin, go * cos - ge * sin], axis=-1)
+        return (gx.reshape(out.shape),)
+
+    return ad._node(out, (x,), vjp)
+
+
+def _rotation_angles(shape):
+    angles = np.random.default_rng(52).uniform(-40.0, 40.0, shape)
+    return np.cos(angles), np.sin(angles)
+
+
+# name -> (op, oracle, operand shapes, constant keyword arguments)
+VJP_ORACLE_CASES = {
+    "shared_weight": (ad.matmul, stacked_matmul, [(512, 1, 32), (32, 130)], {}),
+    "plain_2d": (ad.matmul, stacked_matmul, [(33, 17), (17, 9)], {}),
+    "pool_matrix": (ad.matmul, stacked_matmul, [(21, 65), (2, 65, 16)], {}),
+    "grouped_qk": (ad.matmul, stacked_matmul, [(2, 2, 2, 63, 8), (2, 2, 1, 8, 63)], {}),
+    "attend_63_keys": (ad.attend, stacked_attend, [(2, 2, 2, 63, 63), (2, 2, 1, 63, 8)], {"bound": 8.0}),
+    "attend_63_keys_row_max": (ad.attend, stacked_attend, [(2, 2, 2, 63, 63), (2, 2, 1, 63, 8)], {}),
+    "attend_one_key": (ad.attend, stacked_attend, [(2, 2, 2, 5, 1), (2, 2, 1, 1, 8)], {"bound": 8.0}),
+    "rotate_pairs": (ad.rotate_pairs, stacked_rotate_pairs, [(2, 2, 2, 250, 8)],
+                     dict(zip(("cos", "sin"), _rotation_angles((250, 4))))),
+}
+
+
+@pytest.mark.parametrize("case", list(VJP_ORACLE_CASES))
+def test_vjps_equal_their_stacked_oracles_bitwise(case):
+    op, oracle, shapes, constants = VJP_ORACLE_CASES[case]
+    rng = np.random.default_rng(51)
+    operands = [rng.standard_normal(shape) for shape in shapes]
+    runs = []
+    for fn in (op, oracle):
+        leaves = [ad.Var(a) for a in operands]
+        out = fn(*leaves, **constants)
+        weights = np.random.default_rng(53).standard_normal(out.shape)
+        loss = ad.sum_(ad.mul(out, weights))
+        loss.backward()
+        runs.append([out.value, loss.value] + [leaf.grad for leaf in leaves])
+    got, want = runs
+    assert all(g.any() for g in want[2:]) or case == "attend_one_key"
+    assert [g.shape for g in got] == [w.shape for w in want]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("kv_pool", [None, ((4, 4), (2, 2))], ids=["plain", "pooled"])
+def test_gqa_gradients_equal_the_stacked_oracles_bitwise(monkeypatch, kv_pool):
+    # a taped 4/2-head image velocity with labels and a per-sample t runs
+    # every rewritten VJP: shared weights, pooling, q @ k^T, attend and RoPE
+    config = dit.ModelConfig(d_model=32, n_layers=2, n_q_heads=4, n_kv_heads=2, n_classes=3)
+    model = training.wrap_parameters(randomized(dit.init_model(config, seed=0), seed=54))
+    rng = np.random.default_rng(55)
+    x = rng.standard_normal((2, 8, 8, 2))
+    t, label = rng.uniform(0.0, 1.0, 2), np.array([2, 0])
+    weights = rng.standard_normal(x.shape)
+
+    def run():
+        v = dit.forward_velocity(model, x, t, label=label, kv_pool=kv_pool)
+        return v.value, training.grad(model, ad.sum_(ad.mul(v, weights)))
+
+    got_v, got = run()
+    monkeypatch.setattr(ad, "matmul", stacked_matmul)
+    monkeypatch.setattr(ad, "attend", stacked_attend)
+    monkeypatch.setattr(ad, "rotate_pairs", stacked_rotate_pairs)
+    want_v, want = run()
+    assert got_v.tobytes() == want_v.tobytes()
+    assert list(got) == list(want) and all(want[name].any() for name in want)
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)

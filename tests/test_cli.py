@@ -245,6 +245,14 @@ def test_diagnose_csv_schema(tmp_path):
     assert float(rows[3][1]) == 0.3
 
 
+def test_diagnose_refuses_one_substep_and_writes_nothing(tmp_path, capsys):
+    # one substep makes the reference path the Euler probe itself: every tau was 0
+    out = tmp_path / "diag.csv"
+    assert cli.main(["diagnose", "--n", "4", "--anchors", "3", "--substeps", "1", "--out", str(out)]) == 2
+    assert "need at least 2 substeps per anchor, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_exits_one_and_writes_nothing_on_a_non_finite_profile(tmp_path, capsys):
     # the states stay finite near 1.7e308, but their differences overflow to inf at anchor 2
     out = tmp_path / "diag.csv"
@@ -343,9 +351,11 @@ def test_rope_scan_exits_one_and_writes_nothing_on_a_non_finite_table(tmp_path, 
         (["rope-scan", "--strategy", "extrapolate"], {"scale": 3.0}, "--scale"),
         (["rope-scan", "--strategy", "extrapolate", "--convention", "paper_literal"], None, "--convention"),
         (["rope-scan", "--strategy", "extrapolate"], {"convention": "consistent"}, "--convention"),
+        # ntk's table at this scale is not finite: the unread --t is refused before any table is built
+        (["rope-scan", "--strategy", "ntk", "--t", "0.5", "--scale", "1e300"], None, "--t"),
     ],
     ids=["form", "sigma", "mu", "alpha_config", "beta_config", "t", "extent", "scale_config", "convention",
-         "convention_config"],
+         "convention_config", "t_before_a_non_finite_table"],
 )
 def test_flags_the_chosen_kind_or_strategy_ignores_exit_two(tmp_path, capsys, monkeypatch, argv, config, flag):
     monkeypatch.chdir(tmp_path)
@@ -713,11 +723,42 @@ def test_sample_counts_below_one_exit_two_and_write_nothing(tmp_path, capsys, mo
           "--image", "4x4", "--timesteps", "0,,1"], "--timesteps '0,,1' has an empty entry"),
         (["sample", "--mean", "1,,2", "--steps", "2"], "--mean '1,,2' has an empty entry"),
         (["sample", "--mean", "1,2,", "--steps", "2"], "--mean '1,2,' has an empty entry"),
+        (["sample", "--mean", "1, ,2", "--steps", "2"], "--mean '1, ,2' has an empty entry"),
     ],
-    ids=["probe", "sample", "diagnose", "probe_inner_entry", "sample_inner_entry", "sample_trailing_entry"],
+    ids=["probe", "sample", "diagnose", "probe_inner_entry", "sample_inner_entry", "sample_trailing_entry",
+         "sample_blank_entry"],
 )
 def test_empty_list_flags_exit_two_and_write_nothing(tmp_path, capsys, monkeypatch, argv, message):
     # an empty entry is refused, not skipped: `--mean 1,,2` once integrated a 2-d target
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_PROBE_NO_IMAGE = ["probe", "--layers", "1", "--d-model", "16", "--q-heads", "2", "--kv-heads", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sample", "--mean", "1,x", "--steps", "2"], "--mean '1,x' has an entry that is not a number"),
+        (["diagnose", "--mean", "2,1e", "--anchors", "3", "--substeps", "2"],
+         "--mean '2,1e' has an entry that is not a number"),
+        (_PROBE_NO_IMAGE + ["--image", "4x4", "--timesteps", "0,half"],
+         "--timesteps '0,half' has an entry that is not a number"),
+        (_PROBE_NO_IMAGE + ["--image", "8x2.5"], "--image expects HxW with positive integer sides, got '8x2.5'"),
+        (_PROBE_NO_IMAGE + ["--image", "8x-2"], "--image expects HxW with positive integer sides, got '8x-2'"),
+        (_PROBE_NO_IMAGE + ["--image", "0x8"], "--image expects HxW with positive integer sides, got '0x8'"),
+        (_PROBE_NO_IMAGE + ["--image", "8x"], "--image expects HxW with positive integer sides, got '8x'"),
+        (_PROBE_NO_IMAGE + ["--image", "8"], "--image expects HxW with positive integer sides, got '8'"),
+    ],
+    ids=["sample_word", "diagnose_bad_exponent", "probe_timestep_word", "probe_fractional_side",
+         "probe_negative_side", "probe_zero_side", "probe_missing_side", "probe_one_side"],
+)
+def test_malformed_list_or_size_entries_exit_two_naming_the_flag(tmp_path, capsys, monkeypatch, argv, message):
+    # float() and int() name neither the flag nor the value, and numpy refused
+    # a negative side with its own message, a zero side in grid_coords
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--out", "out.csv"]) == 2
     assert message in capsys.readouterr().err

@@ -257,6 +257,15 @@ def test_dense_trajectory_nodes_and_validation():
         sampler.dense_trajectory(const, np.zeros(2), ts, substeps=0)
 
 
+@pytest.mark.parametrize("substeps", [1, 0])
+def test_error_profiles_refuse_fewer_than_two_substeps(substeps):
+    # with one substep the dense path is the Euler probe, so every tau is 0
+    field = lambda x, t: x * t
+    with pytest.raises(ValueError, match=f"need at least 2 substeps per anchor, got {substeps}"):
+        sampler.error_profiles(field, np.ones((3, 2)), n_anchor=4, substeps=substeps)
+    assert len(sampler.dense_trajectory(field, np.ones((3, 2)), np.arange(5) / 4, substeps=1)) == 5
+
+
 def test_truncation_error_zero_for_constant_field():
     const = lambda x, t: np.full_like(x, 1.5)
     taus, _ = sampler.error_profiles(const, np.zeros((4, 2)), n_anchor=8, substeps=16)

@@ -102,6 +102,27 @@ def test_numkernel_and_autodiff_share_no_function_but_the_matmul_the_tape_op_cal
     assert "numkernel.matmul(" in inspect.getsource(autodiff.matmul)
 
 
+def test_the_tape_has_one_gemm_entry_point_and_rope_one_rotation_kernel():
+    # a VJP that spells a forward op apart from its kernel is a second
+    # implementation, kept equal to the first by hand
+    tree = ast.parse(inspect.getsource(autodiff))
+    gemms = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.MatMult)
+             or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "einsum", "tensordot", "inner")
+             and not (isinstance(node.value, ast.Name) and node.value.id == "numkernel")]
+    assert gemms == []
+    rotate = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "rotate_pairs")
+    vjps = [node for node in ast.walk(rotate) if isinstance(node, (ast.Lambda, ast.FunctionDef)) and node is not rotate]
+    in_vjp = {id(node) for vjp in vjps for node in ast.walk(vjp)}
+
+    def private_calls(nodes):
+        return {node.func.id for node in nodes if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id.startswith("_")}
+
+    forward = private_calls(node for node in ast.walk(rotate) if id(node) not in in_vjp)
+    backward = private_calls(node for vjp in vjps for node in ast.walk(vjp))
+    assert backward and backward <= forward
+
+
 def is_private(name):
     return name.startswith("_") and not name.startswith("__")
 
