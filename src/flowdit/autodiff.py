@@ -334,21 +334,23 @@ def _rms_inverse(x):
     """(mean(x^2, last axis) + EPS)^-1/2, the scale rms_norm applies.
 
     The sum over the count is what np.mean computes, bit for bit, without
-    its Python wrapper. A row whose mean square overflows (|x| above about
-    1.3e154) is redone on x / max|x|, as RMS normalisation is
-    scale-invariant; finite rows keep their bits, and a NaN row stays NaN.
+    its Python wrapper. Below the bound, n squares and their sum stay under
+    a quarter of the result dtype's largest value. A row with some |x| at
+    or above it (about 2.4e153 for f64 at n = 8) is redone on x / max|x|,
+    as RMS normalisation is scale-invariant; the other rows keep their
+    bits, and a NaN row stays NaN. Two reductions that skip NaN find the
+    largest |x| first, so no product or sum overflows, and no numpy warning
+    or error reaches the caller.
     """
-    ms = np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1]
-    inv = (ms + EPS) ** -0.5
-    if math.isfinite(np.maximum.reduce(ms, None, initial=0.0)):  # NaN propagates through the max
-        return inv
-    rows = ~np.isfinite(ms[..., 0])
-    big = x[rows]
-    top = np.max(np.abs(big), axis=-1, keepdims=True)
-    unit = big / top
-    # top^2 * (mean(unit^2) + EPS / top^2) is the overflowing mean square plus EPS
-    inv[rows] = (np.add.reduce(unit * unit, -1, keepdims=True) / x.shape[-1] + EPS / top / top) ** -0.5 / top
-    return inv
+    n = x.shape[-1]
+    bound = 0.5 * math.sqrt(np.finfo(np.result_type(x, 1.0)).max / n)
+    if max(np.fmax.reduce(x, None, initial=0), -np.fmin.reduce(x, None, initial=0)) < bound:
+        return (np.add.reduce(x * x, -1, keepdims=True) / n + EPS) ** -0.5
+    top = np.max(np.abs(x), axis=-1, keepdims=True)
+    top[top < bound] = 1.0  # x / 1 is x: these rows keep their bits
+    unit = x / top
+    # top^2 * (mean(unit^2) + EPS / top^2) is the mean square plus EPS
+    return (np.add.reduce(unit * unit, -1, keepdims=True) / n + EPS / top / top) ** -0.5 / top
 
 
 def rms_norm(a, gain):

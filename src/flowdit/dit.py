@@ -99,17 +99,34 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """A config plus every weight in one ordered name -> array dict.
+    """A config plus every weight, stored in one contiguous f64 vector.
 
-    The names are the checkpoint names (`w_embed`, `blocks.0.attn.wq`, ...)
-    and the order is the checkpoint manifest's: embedding, then each block,
-    then the mode's time/label/output or classifier head entries. Entries a
-    mode does not use are absent, not None. Training swaps the arrays for
-    tape Vars under the same names.
+    `flat` is that vector, and `params` maps each checkpoint name
+    (`w_embed`, `blocks.0.attn.wq`, ...) to its view of it. The order is
+    the checkpoint manifest's: embedding, then each block, then the mode's
+    time/label/output or classifier head entries, each view starting where
+    the one before ends (parameter_views). Entries a mode does not use are
+    absent, not None. Writing a view writes the vector; set_parameter does
+    so after a shape check. Training's working copy
+    (flowlab.wrap_parameters) is a model of the same layout on its own
+    vector, with a tape Var around each view.
     """
 
     config: ModelConfig
+    flat: np.ndarray
     params: dict
+
+
+def parameter_views(flat: np.ndarray, like: dict) -> dict:
+    """Name -> view of the 1-d flat, shaped as like[name] (an array or a
+    Var), laid end to end in like's order from flat's first entry."""
+    views, start = {}, 0
+    for name, leaf in like.items():
+        shape = np.shape(ad.val(leaf))
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -138,7 +155,8 @@ def modulation_slices(d: int) -> dict[str, slice]:
 
 def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> ModelParams:
     """Fresh parameters: truncated-normal projections, unit norm gains,
-    zeroed modulation and output head."""
+    zeroed modulation and output head, drawn tensor by tensor and then
+    copied into the model's one vector."""
     if not np.isfinite(weight_std):
         raise ValueError(f"weight_std must be finite, got {weight_std}")
     if weight_std < 0:
@@ -187,7 +205,8 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
         params["head_b1"] = np.zeros(d)
         params["head_w2"] = normal(d, config.n_classes)
         params["head_b2"] = np.zeros(config.n_classes)
-    return ModelParams(config, params)
+    flat = np.concatenate([a.ravel() for a in params.values()])
+    return ModelParams(config, flat, parameter_views(flat, params))
 
 
 def prefixed(params: dict, prefix: str) -> dict:
@@ -601,14 +620,21 @@ def activation_probe(model: ModelParams, image_hw: tuple[int, int], timesteps, n
 
 
 def named_parameters(model: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Deterministic (name, array) manifest of every parameter."""
+    """Deterministic (name, view) manifest of every parameter."""
     return list(model.params.items())
 
 
 def set_parameter(model: ModelParams, name: str, value) -> None:
+    """Write value, as f64, into the named parameter's view of the model's
+    vector. Any other shape is refused, so a [d] row cannot broadcast into
+    every row of a [k, d] parameter."""
     if name not in model.params:
         raise KeyError(f"no parameter named {name!r}")
-    model.params[name] = value
+    view = ad.val(model.params[name])
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != view.shape:
+        raise ValueError(f"parameter {name} has shape {view.shape}; got a value of shape {value.shape}")
+    view[...] = value
 
 
 CHECKPOINT_FORMAT = "flowdit-checkpoint-v1"
@@ -699,7 +725,8 @@ def save_model(dirpath, model: ModelParams) -> None:
 
 
 def load_model(dirpath) -> ModelParams:
-    """Rebuild a model from a checkpoint directory."""
+    """Rebuild a model from a checkpoint directory, each tensor read into its
+    view of the model's one vector."""
     dirpath = Path(dirpath)
     path = dirpath / "manifest.json"
     try:
@@ -725,10 +752,10 @@ def load_model(dirpath) -> ModelParams:
         raise ValueError(f"{path}: tensor manifest does not match the architecture's {len(model.params)} names, each once")
     for name in names:
         arr = _load_tensor(dirpath / f"{name}.nkt")
-        expected = model.params[name].shape
-        if arr.shape != expected:
-            raise ValueError(f"{name}: stored shape {arr.shape} != expected {expected}")
+        view = model.params[name]
+        if arr.shape != view.shape:
+            raise ValueError(f"{name}: stored shape {arr.shape} != expected {view.shape}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{name}: stored tensor has non-finite values")
-        model.params[name] = arr
+        view[...] = arr
     return model

@@ -3,16 +3,15 @@
 2-d points ride through the image model as single-pixel two-channel images,
 so the full transformer stack (embedding, attention, modulation, output
 head) is exercised end to end. Gradients come from the built-in reverse-mode
-tape. `train` makes one wrapped model that shares the caller's config and
-holds, under each parameter name, a Var around a copy of that array. Every
-step re-tapes the forward pass from those Vars, the optimiser replaces
-their values, and at the end one `params.update` puts plain arrays back
-into the caller's dict.
+tape. `train` works on one copy of the caller's parameter vector
+(wrap_parameters), whose views are the tape's leaf Vars. Every step re-tapes
+the forward pass from those Vars, copies their gradients into one flat
+gradient, and updates the working vector in place with one optimiser
+expression; at the end one copy writes it into the caller's vector.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -86,8 +85,11 @@ def cfm_loss(model: dit.ModelParams, x1_batch, t_batch, noise_batch):
 
 
 def wrap_parameters(model: dit.ModelParams) -> dit.ModelParams:
-    """The same model with every parameter copied into a tape Var."""
-    return dataclasses.replace(model, params={name: ad.Var(np.array(a)) for name, a in model.params.items()})
+    """The same model on its own copy of the parameter vector, with every
+    entry a tape Var around its view of that copy: train's working copy."""
+    flat = model.flat.copy()
+    views = dit.parameter_views(flat, model.params)
+    return dit.ModelParams(model.config, flat, {name: ad.Var(view) for name, view in views.items()})
 
 
 def grad(model: dit.ModelParams, loss: ad.Var) -> dict[str, np.ndarray]:
@@ -115,15 +117,20 @@ def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.n
 
     Every step draws batch indices, fresh noise, and uniform t from one
     generator seeded by config.seed, so runs are reproducible bit for bit.
+    The optimiser holds no per-parameter state: the gradient, Adam's m and
+    v, and the working parameters are one vector each, in the model's
+    layout, and each step runs its update once over them. Every update is
+    elementwise, so it gives the bits of a per-parameter loop. The caller's
+    vector is written once, after the last step, so a run that raises
+    DivergenceError leaves the model as it was.
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"expected [n, 2] training points, got {data.shape}")
+    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 1:
+        raise ValueError(f"expected [n, 2] training points with n >= 1, got {data.shape}")
     rng = np.random.default_rng(config.seed)
     wrapped = wrap_parameters(model)
-    leaves = dit.named_parameters(wrapped)
-    m_state = {name: np.zeros_like(leaf.value) for name, leaf in leaves}
-    v_state = {name: np.zeros_like(leaf.value) for name, leaf in leaves}
+    flat = wrapped.flat  # every leaf Var's value is a view of it
+    g, m, v = np.empty_like(flat), np.zeros_like(flat), np.zeros_like(flat)
     losses = np.empty(config.steps)
     for step in range(config.steps):
         idx = rng.integers(0, data.shape[0], config.batch_size)
@@ -136,22 +143,21 @@ def train(model: dit.ModelParams, data: np.ndarray, config: TrainConfig) -> np.n
             raise DivergenceError(f"loss became {loss_value} at step {step}")
         losses[step] = loss_value
         grads = grad(wrapped, loss)
-        for name, leaf in leaves:
-            g = grads[name]
-            if config.optimizer == "sgd":
-                value = leaf.value - config.lr * g
-            else:
-                m_state[name] = _BETA1 * m_state[name] + (1.0 - _BETA1) * g
-                v_state[name] = _BETA2 * v_state[name] + (1.0 - _BETA2) * g * g
-                m_hat = m_state[name] / (1.0 - _BETA1 ** (step + 1))
-                v_hat = v_state[name] / (1.0 - _BETA2 ** (step + 1))
-                value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        np.concatenate([leaf_grad.ravel() for leaf_grad in grads.values()], out=g)
+        if config.optimizer == "sgd":
+            flat -= config.lr * g
+        else:
+            m = _BETA1 * m + (1.0 - _BETA1) * g
+            v = _BETA2 * v + (1.0 - _BETA2) * g * g
+            m_hat = m / (1.0 - _BETA1 ** (step + 1))
+            v_hat = v / (1.0 - _BETA2 ** (step + 1))
+            flat -= config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        if not np.isfinite(flat).all():
             # a non-finite gradient always makes a non-finite value, under either optimizer
-            if not np.isfinite(value).all():
-                cause = f"gradient of {name}" if not np.isfinite(g).all() else name
-                raise DivergenceError(f"{cause} became non-finite at step {step}")
-            leaf.value = value
-    model.params.update((name, np.array(leaf.value)) for name, leaf in leaves)
+            name = next(name for name, leaf in wrapped.params.items() if not np.isfinite(leaf.value).all())
+            cause = f"gradient of {name}" if not np.isfinite(grads[name]).all() else name
+            raise DivergenceError(f"{cause} became non-finite at step {step}")
+    model.flat[...] = flat
     return losses
 
 

@@ -4,6 +4,7 @@ produce bit-identical plain arrays."""
 
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -455,32 +456,46 @@ def test_silu_takes_a_0d_input():
 
 
 def test_rms_norm_is_scale_invariant_past_overflowing_squares():
-    # |x| above ~1.3e154 overflows x * x; such rows are redone on x / max|x|,
-    # and finite rows keep their bits. numpy still warns of the overflow.
+    # |x| above ~1.3e154 overflows x * x; rows near that are redone on
+    # x / max|x|, and the other finite rows keep their bits.
     rng = np.random.default_rng(44)
     x = rng.standard_normal((3, 4, 8))
     x[2, 1, 5] = np.nan
     gain = np.linspace(0.5, 2.0, 8)
     weights = rng.standard_normal(x.shape)
-    with np.errstate(over="ignore"):
-        want = ad.rms_norm(x * 1e100, gain)  # EPS is below rounding at this scale
-        mixed = x * 1e100
-        mixed[0] *= 1e100
-        for h in (ad.rms_norm(x * 1e200, gain), ad.rms_norm(ad.Var(x * 1e200), gain).value):
-            assert np.isnan(h[2, 1]).all()
-            assert np.isnan(want[2, 1]).all()
-            finite = ~np.isnan(want)
-            assert np.allclose(h[finite], want[finite], rtol=1e-14, atol=0.0)
-        got = ad.rms_norm(mixed, gain)
-        assert got[1:].tobytes() == want[1:].tobytes()
-        assert np.allclose(got[0], want[0], rtol=1e-14, atol=0.0)
+    want = ad.rms_norm(x * 1e100, gain)  # EPS is below rounding at this scale
+    mixed = x * 1e100
+    mixed[0] *= 1e100
+    for h in (ad.rms_norm(x * 1e200, gain), ad.rms_norm(ad.Var(x * 1e200), gain).value):
+        assert np.isnan(h[2, 1]).all()
+        assert np.isnan(want[2, 1]).all()
+        finite = ~np.isnan(want)
+        assert np.allclose(h[finite], want[finite], rtol=1e-14, atol=0.0)
+    got = ad.rms_norm(mixed, gain)
+    assert got[1:].tobytes() == want[1:].tobytes()
+    assert np.allclose(got[0], want[0], rtol=1e-14, atol=0.0)
 
-        grads = []
-        for scale in (1e100, 1e200):
-            leaf = ad.Var(np.nan_to_num(x) * scale)
-            ad.sum_(ad.mul(ad.rms_norm(leaf, gain), weights)).backward()
-            grads.append(leaf.grad * scale)
+    grads = []
+    for scale in (1e100, 1e200):
+        leaf = ad.Var(np.nan_to_num(x) * scale)
+        ad.sum_(ad.mul(ad.rms_norm(leaf, gain), weights)).backward()
+        grads.append(leaf.grad * scale)
     assert np.allclose(grads[1], grads[0], rtol=1e-12, atol=0.0)
+
+
+def test_overflowing_squares_raise_no_numpy_warning():
+    # the overflow in the mean square is part of rms_norm's contract, so a
+    # library caller under numpy's default error policy sees no warning:
+    # squares of 1e200 overflow, and so does the sum of finite 1.44e308 squares
+    model = randomized(dit.init_model(training.point_model_config(), seed=0), seed=62)
+    gain = np.ones(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in (np.full((1, 4), 1e200), np.full((1, 4), 1.2e154)):
+            assert ad.rms_norm(row, gain).tobytes() == np.ones((1, 4)).tobytes()
+            assert np.array_equal(ad.rms_norm(ad.Var(row), gain).value, np.ones((1, 4)))
+        velocity = training.point_velocity(model, np.array([[1e200, 0.0]]), 0.5)
+    assert np.isfinite(velocity).all() and velocity.any()
 
 
 # The VJP expressions of matmul, attend and rotate_pairs before they ran the

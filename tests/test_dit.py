@@ -800,9 +800,35 @@ def test_named_parameters_unique_and_settable():
     assert "blocks.0.attn.wq" in names and "label_embed" in names
     probe = np.full_like(model.params["blocks.1.w_mlp1"], 0.5)
     dit.set_parameter(model, "blocks.1.w_mlp1", probe)
-    assert model.params["blocks.1.w_mlp1"] is probe
+    # the value is written into the parameter's view of the model's vector
+    assert np.shares_memory(model.params["blocks.1.w_mlp1"], model.flat)
+    assert np.array_equal(model.params["blocks.1.w_mlp1"], probe)
     with pytest.raises(KeyError, match="no parameter"):
         dit.set_parameter(model, "blocks.9.w_mlp1", probe)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("w_embed", np.zeros(3)), ("blocks.0.w_mlp1", np.zeros(64)), ("b_embed", np.zeros((1, 16))), ("b_embed", 0.0)],
+    ids=["rank_1_into_a_matrix", "row_broadcast_into_every_row", "extra_axis", "scalar"],
+)
+def test_set_parameter_refuses_any_other_shape(name, value):
+    model = dit.init_model(small_config(), seed=0)
+    keep = model.flat.copy()
+    message = f"parameter {name} has shape {model.params[name].shape}; got a value of shape {np.shape(value)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dit.set_parameter(model, name, value)
+    assert model.flat.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_set_parameter_stores_f64(dtype):
+    model = dit.init_model(small_config(), seed=0)
+    value = np.arange(16).astype(dtype)
+    dit.set_parameter(model, "b_embed", value)
+    stored = model.params["b_embed"]
+    assert stored.dtype == np.float64 and np.shares_memory(stored, model.flat)
+    assert np.array_equal(stored, np.arange(16.0))
 
 
 def test_parameter_names_match_the_committed_checkpoint_manifest():

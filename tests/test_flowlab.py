@@ -321,12 +321,107 @@ def test_cfm_loss_fresh_model_equals_target_norm():
 
 def test_wrap_parameters_is_a_deep_var_copy():
     model = dit.init_model(training.point_model_config(16, 1), seed=0)
-    keep = model.params["w_embed"].copy()
+    keep = model.flat.copy()
     wrapped = training.wrap_parameters(model)
     assert all(isinstance(leaf, ad.Var) for _, leaf in dit.named_parameters(wrapped))
+    assert wrapped.flat.tobytes() == keep.tobytes() and not np.shares_memory(wrapped.flat, model.flat)
     wrapped.params["blocks.0.attn.wq"].value += 1.0
-    assert np.array_equal(model.params["w_embed"], keep)
+    assert model.flat.tobytes() == keep.tobytes()
     assert not np.array_equal(wrapped.params["blocks.0.attn.wq"].value, model.params["blocks.0.attn.wq"])
+    # the Var's value is its view of the copy, so the edit reached the copy's vector
+    assert not np.array_equal(wrapped.flat, keep)
+
+
+def assert_views_of_one_vector(model: dit.ModelParams) -> None:
+    """Every parameter is a C-contiguous view of model.flat, laid end to end in manifest order."""
+    flat = model.flat
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    start = 0
+    for name, leaf in dit.named_parameters(model):
+        view = ad.val(leaf)
+        assert view.dtype == np.float64 and view.flags.c_contiguous, name
+        assert np.shares_memory(view, flat), name
+        assert view.ctypes.data == flat.ctypes.data + start * flat.itemsize, name
+        start += view.size
+    assert start == flat.size
+
+
+def test_every_parameter_is_a_view_of_its_models_one_vector(tmp_path):
+    config = training.point_model_config(16, 1)
+    model = dit.init_model(config, seed=0)
+    assert_views_of_one_vector(model)
+    dit.set_parameter(model, "b_out", np.array([0.5, -0.5]))
+    assert_views_of_one_vector(model)
+    dit.save_model(tmp_path / "ckpt", model)
+    loaded = dit.load_model(tmp_path / "ckpt")
+    assert_views_of_one_vector(loaded)
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    assert_views_of_one_vector(training.wrap_parameters(model))
+    data = datasets.toy_dataset("eight_gaussians", 64, seed=0)
+    training.train(model, data, training.TrainConfig(steps=2, batch_size=8))
+    assert_views_of_one_vector(model)
+    assert not np.array_equal(model.flat, loaded.flat)
+
+
+# The training loop before the parameters shared one vector, kept as the
+# oracle: every leaf a separate array, and Adam's moments and the update
+# computed leaf by leaf with the same expressions.
+def per_leaf_train(model: dit.ModelParams, data: np.ndarray, config: training.TrainConfig):
+    rng = np.random.default_rng(config.seed)
+    leaves = {name: ad.Var(np.array(a)) for name, a in model.params.items()}
+    wrapped = dit.ModelParams(model.config, None, leaves)
+    m_state = {name: np.zeros_like(leaf.value) for name, leaf in leaves.items()}
+    v_state = {name: np.zeros_like(leaf.value) for name, leaf in leaves.items()}
+    losses = np.empty(config.steps)
+    for step in range(config.steps):
+        idx = rng.integers(0, data.shape[0], config.batch_size)
+        x1 = data[idx]
+        noise = rng.standard_normal(x1.shape)
+        t = rng.uniform(0.0, 1.0, config.batch_size)
+        loss = training.cfm_loss(wrapped, x1, t, noise)
+        losses[step] = float(loss.value)
+        grads = training.grad(wrapped, loss)
+        for name, leaf in leaves.items():
+            g = grads[name]
+            if config.optimizer == "sgd":
+                value = leaf.value - config.lr * g
+            else:
+                m_state[name] = 0.9 * m_state[name] + (1.0 - 0.9) * g
+                v_state[name] = 0.999 * v_state[name] + (1.0 - 0.999) * g * g
+                m_hat = m_state[name] / (1.0 - 0.9 ** (step + 1))
+                v_hat = v_state[name] / (1.0 - 0.999 ** (step + 1))
+                value = leaf.value - config.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            leaf.value = value
+    return losses, {name: leaf.value for name, leaf in leaves.items()}
+
+
+@pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
+def test_flat_training_equals_the_per_leaf_oracle_bitwise(monkeypatch, optimizer):
+    # the working vector starts 8 bytes into its buffer, so every view and
+    # every SIMD loop over it runs unaligned, against aligned separate arrays
+    model = dit.init_model(training.point_model_config(16, 2), seed=0, weight_std=0.2)
+    rng = np.random.default_rng(61)
+    for name, arr in dit.named_parameters(model):
+        if not np.any(arr):
+            dit.set_parameter(model, name, 0.2 * rng.standard_normal(arr.shape))
+    data = datasets.toy_dataset("eight_gaussians", 64, seed=0)
+    config = training.TrainConfig(steps=4, batch_size=8, lr=1e-2, optimizer=optimizer, seed=3)
+    want_losses, want_params = per_leaf_train(model, data, config)
+    initial = model.flat.copy()
+
+    def unaligned_copy(model):
+        flat = np.empty(model.flat.size + 1)[1:]
+        assert flat.ctypes.data % 16 == 8
+        flat[...] = model.flat
+        views = dit.parameter_views(flat, model.params)
+        return dit.ModelParams(model.config, flat, {name: ad.Var(view) for name, view in views.items()})
+
+    monkeypatch.setattr(training, "wrap_parameters", unaligned_copy)
+    losses = training.train(model, data, config)
+    assert losses.tobytes() == want_losses.tobytes()
+    assert [name for name, _ in dit.named_parameters(model)] == list(want_params)
+    assert all(model.params[name].tobytes() == want.tobytes() for name, want in want_params.items())
+    assert not np.array_equal(model.flat, initial)
 
 
 def test_grad_requires_taped_loss_and_wrapped_model():
@@ -384,6 +479,11 @@ def test_train_rejects_bad_data():
     model = dit.init_model(training.point_model_config(16, 1), seed=0)
     with pytest.raises(ValueError, match="training points"):
         training.train(model, np.zeros((4, 3)), training.TrainConfig(steps=1, batch_size=2))
+    keep = model.flat.copy()
+    message = r"^expected \[n, 2\] training points with n >= 1, got \(0, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        training.train(model, np.zeros((0, 2)), training.TrainConfig(steps=1, batch_size=2))
+    assert model.flat.tobytes() == keep.tobytes()
 
 
 def test_train_reduces_loss_and_is_reproducible():
