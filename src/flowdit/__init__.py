@@ -6,6 +6,7 @@ Modules:
     rope         multi-axis rotary embeddings and extrapolation scaling
     sampler      timestep schedules, Runge-Kutta solvers, error diagnostics
     dit          transformer blocks, velocity/recognition forward passes,
+                 the parameter store (views of one f64 vector),
                  checkpoints (manifest plus NKT1 tensor files)
     contextdrop  time-ramped key/value pooling
     partitioner  patch-grid selection for arbitrary image sizes
