@@ -162,12 +162,17 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
     if weight_std < 0:
         raise ValueError(f"weight_std must be nonnegative, got {weight_std}")
     rng = np.random.default_rng(seed)
+    params = _fresh_tensors(config, lambda *shape: _trunc_normal(rng, shape, weight_std))
+    flat = np.concatenate([a.ravel() for a in params.values()])
+    return ModelParams(config, flat, parameter_views(flat, params))
+
+
+def _fresh_tensors(config: ModelConfig, normal) -> dict:
+    """Every tensor of a fresh model, by name in manifest order, with
+    normal(*shape) making each projection, called in init_model's draw order
+    (the blocks first, then the embedding and the heads)."""
     d, hidden = config.d_model, MLP_RATIO * config.d_model
     generative = config.mode == "generative"
-
-    def normal(*shape):
-        return _trunc_normal(rng, shape, weight_std)
-
     blocks = {}
     for i in range(config.n_layers):
         b = f"blocks.{i}."
@@ -205,8 +210,7 @@ def init_model(config: ModelConfig, seed: int = 0, weight_std: float = 0.02) -> 
         params["head_b1"] = np.zeros(d)
         params["head_w2"] = normal(d, config.n_classes)
         params["head_b2"] = np.zeros(config.n_classes)
-    flat = np.concatenate([a.ravel() for a in params.values()])
-    return ModelParams(config, flat, parameter_views(flat, params))
+    return params
 
 
 def prefixed(params: dict, prefix: str) -> dict:
@@ -335,8 +339,9 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, tables, kv_pool=Non
 
     Each norm, projection and activation makes a fresh array, so
     ad.modulate writes into it when untracked, the AdaLN modulation and
-    the gated residual h * gate + x alike: one block serves both paths,
-    and neither writes x, mod or a parameter.
+    the gated residual h * gate + x alike, and _mlp writes its row tiles
+    back into its input: one block serves both paths, and neither writes
+    x, mod or a parameter.
     """
     sandwich = config.block_style == "sandwich"
     if mod is not None:
@@ -355,10 +360,31 @@ def sandwich_block(x, mod, block: dict, config: ModelConfig, tables, kv_pool=Non
     h = ad.rms_norm(x, block["pre_mlp_gain"])
     if mod is not None:
         h = ad.modulate(h, scale_m, shift_m)
-    h = ad.matmul(ad.silu(ad.matmul(h, block["w_mlp1"])), block["w_mlp2"])
+    h = _mlp(h, block["w_mlp1"], block["w_mlp2"])
     if sandwich:
         h = ad.rms_norm(h, block["post_mlp_gain"])
     return ad.modulate(h, gate_m, x)
+
+
+def _mlp(h, w1, w2):
+    """silu(h @ w1) @ w2, the block's MLP, d -> hidden -> d over h's last
+    axis. Untracked (no Var among h, w1 and w2), it runs in the row tiles of
+    _mlp_tiles, and each tile's GEMM -> SiLU -> GEMM is written back over
+    its own rows of h, read before they are written; so h must be an array
+    the caller has just made, as ad.modulate's n is. The part rules keep
+    the bytes of the whole expression."""
+    def mlp(x):
+        return ad.matmul(ad.silu(ad.matmul(x, w1)), w2)
+
+    if any(isinstance(v, ad.Var) for v in (h, w1, w2)):
+        return mlp(h)
+    rows = h.reshape(-1, h.shape[-1])
+    cuts = _mlp_tiles(len(rows), *w1.shape)
+    if len(cuts) == 2:
+        return mlp(h)
+    for start, stop in zip(cuts, cuts[1:]):
+        rows[start:stop] = mlp(rows[start:stop])
+    return rows.reshape(h.shape)
 
 
 def time_embedding(model: ModelParams, t_batch) -> np.ndarray:
@@ -440,9 +466,10 @@ def _trunk(model: ModelParams, blocks, tokens, mods, tables, kv_pool=None, captu
 #   whole batch.
 # A batch gets about one part per _PART_TOKENS tokens. A 4096-point
 # evaluation of the point checkpoint took 15.8 ms in 1024-token parts
-# against 29.4 ms in one (median p50 of 10 perfbench gen_point runs), at
-# +5.4% peak RSS; 2048-token halves were 3% faster still but reached +9.7%
-# peak RSS, too close to the benchmark's 10% bound. Images of
+# against 29.4 ms in one (median p50 of 10 perfbench gen_point runs), and
+# 2048-token halves were 3% faster still. With the MLP in tiles, gen_point's
+# peak RSS reads 64.2 MB in one part, +1.6% in 1024-token parts and +2.6%
+# in 2048-token halves (two 6 s runs each). Images of
 # _PART_IMAGE_TOKENS tokens or more also get at least one part per usable
 # CPU. Against the one-part call, alternated call by call over 6 rounds on
 # two images of perfbench's gen_image model, two parts changed a call by
@@ -452,6 +479,20 @@ def _trunk(model: ModelParams, blocks, tokens, mods, tables, kv_pool=None, captu
 _PART_TOKENS = 1024
 _PART_IMAGE_TOKENS = 192
 _PART_WIDTH = 8
+# Inside a part, the untracked MLP runs in row tiles on the same rules, each
+# tile's hidden array at most _MLP_TILE_VALUES values (256 KB): 256 rows of
+# the point model's 128-wide hidden, 128 of gen_image's 256-wide one.
+# Whole, a 1024-point part's hidden array and SiLU buffer were 1 MB each;
+# glibc gave their pages back to the kernel when the call freed them, and
+# the next call faulted them in again. A 4096-point point_velocity call
+# read 4224 minor faults on 2 CPUs and 4320 on one (glibc 2.36, no MALLOC_*
+# settings); in tiles it reads 0 and 480.
+_MLP_TILE_VALUES = 32768
+
+
+def _near_equal_cuts(n: int, parts: int) -> list[int]:
+    """[0, ..., n]: range(n) cut into `parts` runs whose sizes differ by at most one."""
+    return [n * i // parts for i in range(parts + 1)]
 
 
 def _part_bounds(config: ModelConfig, batch: int, tokens: int) -> list[int]:
@@ -462,8 +503,18 @@ def _part_bounds(config: ModelConfig, batch: int, tokens: int) -> list[int]:
     n_parts = -(-batch * tokens // _PART_TOKENS)
     if tokens >= _PART_IMAGE_TOKENS:
         n_parts = max(n_parts, 1 + _pool(os.getpid())[1])
-    n_parts = min(n_parts, batch)
-    return [batch * i // n_parts for i in range(n_parts + 1)]
+    return _near_equal_cuts(batch, min(n_parts, batch))
+
+
+def _mlp_tiles(rows: int, d: int, hidden: int) -> list[int]:
+    """Row indices cutting an untracked MLP of `rows` rows, d -> hidden -> d,
+    into near-equal tiles of at most _MLP_TILE_VALUES hidden values, none of
+    one row; [0, rows] is one tile, as is every MLP off the multiple of
+    _PART_WIDTH."""
+    if d % _PART_WIDTH or hidden % _PART_WIDTH:
+        return [0, rows]
+    n_tiles = min(-(-rows // max(1, _MLP_TILE_VALUES // hidden)), rows // 2)
+    return _near_equal_cuts(rows, max(n_tiles, 1))
 
 
 @lru_cache(maxsize=None)
@@ -514,8 +565,9 @@ def forward_velocity(model: ModelParams, x_t, t, label=None, kv_pool=None, captu
     per 1024 tokens (_PART_TOKENS) and, for images of at least 192 tokens
     (_PART_IMAGE_TOKENS), at least one per usable CPU. No part is a single
     GEMM row and every part GEMM is a multiple of 8 columns wide, so the
-    result equals the one-part call bit for bit. Every other call runs as
-    one part on the calling thread.
+    result equals the one-part call bit for bit; on the same rules, each
+    block's MLP runs in row tiles within a part (_mlp). Every other call
+    runs as one part on the calling thread.
     """
     config, p = model.config, model.params
     if config.mode != "generative":
@@ -726,7 +778,8 @@ def save_model(dirpath, model: ModelParams) -> None:
 
 def load_model(dirpath) -> ModelParams:
     """Rebuild a model from a checkpoint directory, each tensor read into its
-    view of the model's one vector."""
+    view of the model's one vector, laid out from the config's shapes with
+    no weight drawn."""
     dirpath = Path(dirpath)
     path = dirpath / "manifest.json"
     try:
@@ -744,13 +797,16 @@ def load_model(dirpath) -> ModelParams:
         if (value := config.pop(key, fixed)) != fixed:
             raise ValueError(f"{dirpath}: config {key} is {value!r}; flowdit fixes it at {fixed!r}")
     try:
-        model = init_model(ModelConfig(**config), seed=0)
+        config = ModelConfig(**config)
+        layout = _fresh_tensors(config, lambda *shape: np.empty(shape))  # the shapes alone: no draw
     except (TypeError, ValueError) as err:  # an unknown key, or a value of the wrong type
         raise ValueError(f"{path}: {err}") from None
     names = manifest["tensors"]
-    if not all(isinstance(name, str) for name in names) or sorted(names) != sorted(model.params):
-        raise ValueError(f"{path}: tensor manifest does not match the architecture's {len(model.params)} names, each once")
-    for name in names:
+    if not all(isinstance(name, str) for name in names) or sorted(names) != sorted(layout):
+        raise ValueError(f"{path}: tensor manifest does not match the architecture's {len(layout)} names, each once")
+    flat = np.empty(sum(a.size for a in layout.values()))
+    model = ModelParams(config, flat, parameter_views(flat, layout))
+    for name in names:  # the names are the layout's, each once, so every entry of flat is written
         arr = _load_tensor(dirpath / f"{name}.nkt")
         view = model.params[name]
         if arr.shape != view.shape:

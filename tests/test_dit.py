@@ -874,6 +874,23 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(a, b), name
 
 
+def test_load_model_draws_no_weight(tmp_path, monkeypatch):
+    """The layout comes from the shapes alone, and every entry of the loaded
+    vector is a stored one, with the manifest's layout."""
+    config = small_config(n_classes=3)
+    model = randomized(dit.init_model(config, seed=0), seed=5)
+    dit.save_model(tmp_path / "ckpt", model)
+
+    def draw(*args):
+        raise AssertionError("load_model drew a weight")
+
+    monkeypatch.setattr(dit, "_trunc_normal", draw)
+    loaded = dit.load_model(tmp_path / "ckpt")
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    assert list(loaded.params) == list(model.params)
+    assert all(np.shares_memory(view, loaded.flat) for view in loaded.params.values())
+
+
 def test_checkpoint_rejects_bad_format(tmp_path):
     model = dit.init_model(small_config(), seed=0)
     dit.save_model(tmp_path / "ckpt", model)

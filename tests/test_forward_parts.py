@@ -4,6 +4,9 @@ threads. Every split call must equal the one-part call bit for bit, and the
 threads must behave: errors come back in batch order after every part has
 finished, np.errstate reaches the workers, a forked child gets its own pool,
 and a tracked, per-sample-conditioned or capturing call never splits.
+Within a part, an untracked block MLP runs in row tiles on the same rules,
+and must equal the untiled expression bit for bit; the tiles keep the
+`gen` path from faulting its arrays in again on every evaluation.
 
 Two measured rules make the split bitwise (numpy 2.4.6, OpenBLAS 0.3.31,
 one BLAS thread, an AVX-512 Intel Xeon): no part holds a single GEMM row,
@@ -440,7 +443,7 @@ def test_untracked_point_forward_allocation_peak_is_bounded(point_model):
     """Peak traced memory of one untracked 1024-point forward (one part) of
     the point checkpoint. With the norm, modulation, gate and SiLU chains
     written in place it read 2.77 MiB, and 3.76 MiB when each of those ops
-    made a fresh array (numpy 2.4.6)."""
+    made a fresh array (numpy 2.4.6); with the MLP in 256-row tiles, 1.26 MiB."""
     x = np.random.default_rng(52).standard_normal((1024, 1, 1, 2))
     assert dit._part_bounds(point_model.config, 1024, 1) == [0, 1024]
     dit.forward_velocity(point_model, x, 0.37)
@@ -451,3 +454,139 @@ def test_untracked_point_forward_allocation_peak_is_bounded(point_model):
     finally:
         tracemalloc.stop()
     assert peak < 3.25 * 2**20, peak / 2**20
+
+
+def untiled_mlp(h, w1, w2):
+    """The block's MLP as one expression over every row: the oracle of the tiles."""
+    return ad.matmul(ad.silu(ad.matmul(h, w1)), w2)
+
+
+@pytest.fixture
+def tiles_seen(monkeypatch):
+    """The tile cuts of every untracked MLP that runs, through a spy on _mlp_tiles."""
+    seen = []
+    mlp_tiles = dit._mlp_tiles
+
+    def spy(rows, d, hidden):
+        seen.append(mlp_tiles(rows, d, hidden))
+        return seen[-1]
+
+    monkeypatch.setattr(dit, "_mlp_tiles", spy)
+    return seen
+
+
+def untiled(monkeypatch, call):
+    with monkeypatch.context() as m:
+        m.setattr(dit, "_mlp", untiled_mlp)
+        return call()
+
+
+@pytest.mark.parametrize("n, tile_rows", [(255, [255]), (256, [256]), (257, [128, 129]), (513, [171, 171, 171]),
+                                          (4096, [256] * 4)])
+def test_tiled_point_mlp_is_bitwise_the_untiled_expression(point_model, tiles_seen, monkeypatch, n, tile_rows):
+    """The point model's hidden is 128 wide, so a tile holds at most 256 rows;
+    4096 points run in four 1024-point parts of four tiles each."""
+    x = np.random.default_rng(n).standard_normal((n, 1, 1, 2))
+    whole = untiled(monkeypatch, lambda: dit.forward_velocity(point_model, x, 0.37))
+    assert tiles_seen == []
+    tiled = dit.forward_velocity(point_model, x, 0.37)
+    assert tiled.tobytes() == whole.tobytes()
+    assert len(tiles_seen) == point_model.config.n_layers * max(1, n // 1024)
+    assert all(np.diff(cuts).tolist() == tile_rows for cuts in tiles_seen)
+
+
+def test_tiled_image_mlp_is_bitwise_the_untiled_expression(gqa_model, tiles_seen, monkeypatch):
+    """gen_image's model: d_model 64, so a 256-wide hidden and tiles of at
+    most 128 rows; two 250-token images in one part make four 125-row tiles."""
+    x = np.random.default_rng(53).standard_normal((2, 20, 50, 2))
+    kv_pool = ((10, 25), (2, 2))
+
+    def call():
+        return one_part(monkeypatch, lambda: dit.forward_velocity(gqa_model, x, 0.61, kv_pool=kv_pool))
+
+    whole = untiled(monkeypatch, call)
+    assert call().tobytes() == whole.tobytes()
+    assert tiles_seen == [[0, 125, 250, 375, 500]] * gqa_model.config.n_layers
+
+
+def test_mlps_off_the_multiple_of_8_run_untiled(tiles_seen, monkeypatch):
+    model = randomized(dit.init_model(small_config(d_model=12, n_q_heads=3, n_kv_heads=3), seed=7), seed=8)
+    x = np.random.default_rng(54).standard_normal((4, 16, 32, 2))
+    whole = untiled(monkeypatch, lambda: dit.forward_velocity(model, x, 0.5))
+    assert dit.forward_velocity(model, x, 0.5).tobytes() == whole.tobytes()
+    assert tiles_seen == [[0, 512]] * model.config.n_layers
+    assert dit._mlp_tiles(4096, 12, 48) == [0, 4096]
+    assert dit._mlp_tiles(4096, 16, 20) == [0, 4096]
+
+
+def test_taped_mlp_never_tiles(point_model, tiles_seen):
+    x = np.random.default_rng(55).standard_normal((1024, 1, 1, 2))
+    dit.forward_velocity(flowlab.wrap_parameters(point_model), x, 0.5)
+    assert tiles_seen == []
+
+
+def test_no_mlp_tile_is_a_single_gemm_row():
+    """Near-equal tiles of at most 32768 hidden values (past a 16384-wide
+    hidden, two rows are more than that), none of one row."""
+    for hidden in (8, 16, 128, 256, 1024, 16384, 32768):
+        for rows in [*range(0, 600), *range(600, 9000, 53)]:
+            sizes = np.diff(dit._mlp_tiles(rows, 8, hidden))
+            assert len(sizes) >= 1 and sizes.sum() == rows
+            assert sizes.max() - sizes.min() <= 1
+            assert len(sizes) == 1 or sizes.min() >= 2
+            if hidden <= 16384:
+                assert sizes.max() * hidden <= 32768 or len(sizes) == rows // 2
+
+
+# argv[1] is src/ and argv[2] the CPUs to run on, as JSON; prints the minor
+# page faults of each 4096-point point_velocity call on perfbench's checkpoint
+_COUNT_FAULTS = r"""
+import json
+import os
+import resource
+import sys
+
+os.sched_setaffinity(0, json.loads(sys.argv[2]))
+import numpy as np
+from flowdit import dit, flowlab
+
+model = dit.load_model(os.path.join(sys.argv[1], "checkpoint"))
+x = np.random.default_rng(0).standard_normal((4096, 2))
+faults = []
+for _ in range(21):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    flowlab.point_velocity(model, x, 0.3)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def gen_path_faults(cpus):
+    """Median minor faults per 4096-point evaluation after the first, in a
+    fresh interpreter with glibc's malloc at its defaults."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _COUNT_FAULTS, str(ROOT / "perfbench"), json.dumps(cpus)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return float(np.median(json.loads(proc.stdout.splitlines()[-1])[1:]))
+
+
+GLIBC = hasattr(os, "confstr") and "glibc" in (os.confstr("CS_GNU_LIBC_VERSION") or "")
+
+
+@pytest.mark.skipif(not GLIBC or not hasattr(os, "sched_setaffinity"), reason="counts glibc's heap trims")
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_gen_path_does_not_fault_its_arrays_in_on_every_evaluation(n_cpus):
+    """Whole, a 1024-point part's MLP hidden array and SiLU buffer were 1 MB
+    each; glibc gave their pages back when the call freed them, and the next
+    call faulted them in again: 4224 faults per call on 2 CPUs and 4320 on
+    one (numpy 2.4.6, glibc 2.36). Tiles keep the heap under glibc's trim
+    threshold. On one CPU the four part outputs and their 1 MB concatenation
+    still reach it, at 480."""
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < n_cpus:
+        pytest.skip(f"needs {n_cpus} usable CPUs")
+    faults = gen_path_faults(cpus[:n_cpus])
+    assert faults < (100 if n_cpus == 2 else 4320 / 8), faults

@@ -259,3 +259,24 @@ def test_each_unread_flag_map_names_every_setting_and_nothing_else(reads, settab
     read = {name for names in reads.values() for name in names}
     assert sorted(read - settable) == []
     assert sorted(settable - PICKERS - read) == []
+
+
+def test_no_src_module_sets_a_malloc_option():
+    # a library sets no allocator option for its host process, and a caller
+    # that imports flowdit without the CLI (perfbench, a notebook) would never
+    # see one set in cli.main; arrays small enough for the allocator's own
+    # thresholds are the fix that reaches every caller (dit._MLP_TILE_VALUES)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [getattr(node, "id", None) or node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "ctypes" or name == "mallopt"]
+    assert found == []
