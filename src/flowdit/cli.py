@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -49,12 +51,42 @@ def _size(flag: str, value: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _write_file(path, data: bytes) -> None:
+    """Put data at path all or nothing (Pillai et al., OSDI 2014): write a
+    sibling temporary file, fsync it, os.replace it over path, then fsync
+    the parent directory. A failed write leaves the previous file as it was
+    and no temporary behind. A symlink's target is replaced. A path that
+    exists and is not a regular file (a directory, /dev/null, a pipe), or
+    whose directory is missing, is written in place: a device stays one,
+    and an error names the path as given."""
+    target = Path(os.path.realpath(path))
+    if not target.parent.is_dir() or (target.exists() and not target.is_file()):
+        Path(path).write_bytes(data)
+        return
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     # repr() floats: shortest round-trip decimal, stable across runs
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_file(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -63,7 +95,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     if img.ndim != 2 or img.dtype != np.uint8:
         raise ValueError(f"PGM needs a 2-d uint8 image, got {img.shape} {img.dtype}")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.tobytes())
+    _write_file(path, header + img.tobytes())
 
 
 def render_density(points: np.ndarray) -> np.ndarray:

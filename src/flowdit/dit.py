@@ -280,9 +280,12 @@ def gqa_attention(x, params: dict, tables, *, kv_pool=None):
     4), plus the tables' mask bias if any. The QK norm bounds every logit by
     B = sqrt(d_head) * max|q_gain| * max|k_gain|, so ad.attend exponentiates
     them with no row max taken while B is within ad.EXP_LIMIT, and divides
-    the AV product by the row sums. Untracked, the logits GEMM makes the one
-    scores-sized array and attend writes into it (a mask bias's ad.add makes
-    a second); taped, attend is one node, and both paths agree bit for bit.
+    the AV product by the row sums. Taped, attend is one node over every
+    head. Untracked, queries and keys are rotated once and the core runs
+    one kv head at a time (_attend_per_kv_head): that head's logits GEMM
+    makes the one [..., group, n, m] scores array and attend writes into it
+    (a mask bias's ad.add makes a second), freed before the next head's.
+    Both paths agree bit for bit.
     Kv heads broadcast over their query groups, never copied: queries are
     [..., n_kv, group, n, d_head], keys and values [..., n_kv, 1, m, d_head].
     Under MHA, one token (the point model) attends to its one key with
@@ -308,11 +311,35 @@ def gqa_attention(x, params: dict, tables, *, kv_pool=None):
     k = ad.rms_norm(k, params["k_gain"])
     # normalised rows have norm below sqrt(d_head) and RoPE keeps norms
     bound = d_head * np.abs(ad.val(q_gain)).max() * np.abs(ad.val(params["k_gain"])).max()
-    logits = rope.rope_attention_logits(q, k, rope_q, rope_k)
+    if any(isinstance(a, ad.Var) for a in (q, k, v)):
+        out = _attend(rope.rope_attention_logits(q, k, rope_q, rope_k), v, bias, bound)
+    else:
+        q, k = rope.apply_rope(q, rope_q), rope.apply_rope(k, rope_k)
+        out = _attend_per_kv_head(q, k, v, bias, bound)
+    return ad.matmul(_merge_heads(out), params["wo"])
+
+
+def _attend(logits, v, bias, bound):
+    """ad.attend(logits + bias, v, bound), bias None for none."""
     if bias is not None:
         logits = ad.add(logits, bias)
-    out = ad.attend(logits, v, bound)
-    return ad.matmul(_merge_heads(out), params["wo"])
+    return ad.attend(logits, v, bound)
+
+
+def _attend_per_kv_head(qr, kr, v, bias, bound):
+    """gqa_attention's untracked core: the rotated queries qr [..., n_kv,
+    group, n, d_head] attend over rotated keys kr and values v [..., n_kv,
+    1, m, d_head] one kv head at a time, each head's output written into
+    one [..., n_kv, group, n, d_head] array. A head's scores are an argument
+    of _attend and freed when it returns, so one head's [..., group, n, m]
+    scores exist at a time; each GEMM is the one the stacked product makes
+    for that head, so the bytes are those of the taped core."""
+    out = np.empty(qr.shape[:-1] + v.shape[-1:], dtype=np.result_type(qr, kr, v))
+    bias = None if bias is None else bias[..., 0, :, :, :]
+    for h in range(qr.shape[-4]):
+        head = np.s_[..., h, :, :, :]
+        out[head] = _attend(rope.rotated_logits(qr[head], kr[head]), v[head], bias, bound)
+    return out
 
 
 def block_modulation(cond, block: dict, d: int) -> list:
@@ -466,10 +493,13 @@ def _trunk(model: ModelParams, blocks, tokens, mods, tables, kv_pool=None, captu
 #   whole batch.
 # A batch gets about one part per _PART_TOKENS tokens. A 4096-point
 # evaluation of the point checkpoint took 15.8 ms in 1024-token parts
-# against 29.4 ms in one (median p50 of 10 perfbench gen_point runs), and
-# 2048-token halves were 3% faster still. With the MLP in tiles, gen_point's
-# peak RSS reads 64.2 MB in one part, +1.6% in 1024-token parts and +2.6%
-# in 2048-token halves (two 6 s runs each). Images of
+# against 29.4 ms in one (median p50 of 10 perfbench gen_point runs).
+# Against 2048-token halves no size wins: two in-process runs of 60
+# alternating rounds (20 calls each) read the halves' median 4.4% and
+# 3.7% lower, faster in 36 and 44 of 60 rounds, and an earlier such run
+# read them 6% slower (11.5 against 10.8 ms). With the MLP in tiles,
+# gen_point's peak RSS reads 64.2 MB in one part, +1.6% in 1024-token parts
+# and +2.6% in 2048-token halves (two 6 s runs each). Images of
 # _PART_IMAGE_TOKENS tokens or more also get at least one part per usable
 # CPU. Against the one-part call, alternated call by call over 6 rounds on
 # two images of perfbench's gen_image model, two parts changed a call by

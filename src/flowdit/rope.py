@@ -219,11 +219,16 @@ def rope_attention_logits(q, k, tables_q, tables_k):
 
     tables_q and tables_k are rope_tables of the queries' and the keys'
     coordinates (the same tables when keys sit on the queries' tokens).
-    Computed as rotate-then-dot; equals the relative complex form exactly in
-    exact arithmetic, so logits depend only on coordinate differences.
+    Computed as rotate-then-dot, rotated_logits of apply_rope of each; equals
+    the relative complex form exactly in exact arithmetic, so logits depend
+    only on coordinate differences.
     """
-    qr = apply_rope(q, tables_q)
-    kr = apply_rope(k, tables_k)
+    return rotated_logits(apply_rope(q, tables_q), apply_rope(k, tables_k))
+
+
+def rotated_logits(qr, kr):
+    """qr @ kr^T over the last two axes: the logits of queries and keys that
+    apply_rope has rotated, so one rotation can serve several products."""
     # non-negative axes: transpose's VJP inverts them with argsort
     lead = ad.val(kr).ndim - 2
     return ad.matmul(qr, ad.transpose(kr, (*range(lead), lead + 1, lead)))

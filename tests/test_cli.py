@@ -6,10 +6,12 @@ import json
 import os
 import shlex
 import shutil
+import stat
 import string
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -93,14 +95,16 @@ def test_non_finite_warp_values_exit_two_naming_them(tmp_path, capsys):
 
 
 def test_runtime_failure_returns_one(tmp_path, capsys, monkeypatch):
-    # a disk that fills up fails the write at write time, not config time
-    def full(path, text):
-        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+    # a disk that fills up fails the write at write time, not config time;
+    # the output is written whole or not at all
+    def full(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(Path, "write_text", full)
+    monkeypatch.setattr(os, "fsync", full)
     rc = cli.main(["schedule", "--steps", "3", "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_precedence(tmp_path):
@@ -865,6 +869,75 @@ def test_train_refuses_a_model_path_that_is_not_a_checkpoint_before_training(tmp
     assert f"{model} exists and is neither a checkpoint nor an empty directory" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
     assert (model if occupant == "file" else model / "notes.txt").read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "good,rerun,name",
+    [
+        (["schedule", "--kind", "sigmoid", "--steps", "200"], [], "s.csv"),
+        (["sample", "--n", "512", "--steps", "4"], ["--seed", "1"], "d.pgm"),
+    ],
+    ids=["csv", "pgm"],
+)
+def test_a_rerun_that_cannot_write_leaves_the_previous_output(tmp_path, good, rerun, name):
+    # a file-size limit below the output's size makes the rerun's write fail
+    resource = pytest.importorskip("resource")
+    out = tmp_path / name
+    argv = [*good, "--pgm" if name.endswith(".pgm") else "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+    assert len(before) > 1000
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+
+    child = subprocess.run([sys.executable, "-m", "flowdit.cli", *argv, *rerun],
+                           env=shell_env(PYTHONDONTWRITEBYTECODE="1"), preexec_fn=limit_file_size,
+                           capture_output=True, text=True)
+    assert child.returncode == 1, child.stderr
+    assert "File too large" in child.stderr
+    assert out.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+def test_an_output_is_synced_before_and_after_its_rename(tmp_path, monkeypatch):
+    calls = []
+
+    def fsync(fd, sync=os.fsync):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        sync(fd)
+
+    def replace(src, dst, move=os.replace):
+        calls.append(f"replace {Path(dst).name}")
+        move(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    assert cli.main(["schedule", "--steps", "4", "--out", str(tmp_path / "u.csv")]) == 0
+    assert calls == ["fsync file", "replace u.csv", "fsync dir"]
+
+
+def test_an_output_at_a_pipe_is_written_in_place(tmp_path):
+    # replacing a pipe (or a device such as /dev/null) would drop it
+    fifo, got = tmp_path / "out.csv", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["schedule", "--steps", "4", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got[0].startswith(b"i,t\n")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_an_output_at_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "real.csv").write_text("old")
+    (tmp_path / "link.csv").symlink_to("real.csv")
+    assert cli.main(["schedule", "--steps", "4", "--out", str(tmp_path / "link.csv")]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "real.csv").read_text().startswith("i,t\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
 
 def test_train_and_gen_are_byte_identical_across_blas_thread_counts(tmp_path):

@@ -5,6 +5,7 @@ and checkpoint round-trips."""
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,15 +380,16 @@ def test_one_token_attention_is_the_general_expression_bitwise(n_q, n_kv, extra)
         assert np.array_equal(fast, general)
 
 
-@pytest.mark.parametrize("n_q,n_kv", [(4, 4), (4, 2)])
+@pytest.mark.parametrize("n_q,n_kv", [(4, 4), (4, 2), (4, 1)])
 @pytest.mark.parametrize(
     "extra",
     [{}, {"mask": [[True] * 16, [True] * 11 + [False] * 5]}, {"kv_pool": ((4, 4), (2, 2))}],
     ids=["full", "mask", "kv_pool"],
 )
 def test_multi_token_untracked_attention_is_the_taped_value_bitwise(n_q, n_kv, extra):
-    # the untracked core normalises the logits in place; the tape runs the
-    # same ops as nodes, so both must give the same bits
+    # the untracked core runs one kv head at a time and normalises its
+    # logits in place; the tape runs the same ops as nodes over every head,
+    # so both must give the same bits
     d = 32
     p = make_attn(d, n_q, n_kv, seed=5 * n_q + n_kv)
     freqs = rope.freq_matrix(100.0, d // n_q, 2)
@@ -400,8 +402,9 @@ def test_multi_token_untracked_attention_is_the_taped_value_bitwise(n_q, n_kv, e
 
 
 def test_untracked_full_attention_does_not_page_fault():
-    # one scores-sized array per call, reused by the allocator, touches no
-    # fresh pages; each extra scores-sized temporary costs 977 of them here
+    # one kv head's scores array at a time, reused by the allocator, touches
+    # no fresh pages; each extra temporary the size of every head's scores
+    # costs 977 of them here
     resource = pytest.importorskip("resource")
     d, n_q, n_kv = 64, 4, 2
     p = make_attn(d, n_q, n_kv, seed=21)
@@ -416,6 +419,27 @@ def test_untracked_full_attention_does_not_page_fault():
         attention(x, p, freqs, coords)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
     assert faults < scores_pages / 4, faults
+
+
+def test_untracked_attention_holds_one_kv_head_of_scores():
+    # numpy reports its buffers to tracemalloc; one kv head's
+    # [2, group, 250, 250] scores are half of every head's. The call's
+    # traced peak read 0.63x every head's scores here, and 1.16x when all
+    # heads' scores were made at once (the rest is projections, rotated
+    # heads and the output, about 0.5 MiB)
+    d, n_q, n_kv = 32, 4, 2
+    p = make_attn(d, n_q, n_kv, seed=23)
+    tables = dit.attention_tables(nk.grid_coords((10, 25)), rope.freq_matrix(100.0, d // n_q, 2))
+    x = np.random.default_rng(24).standard_normal((2, 250, d))
+    all_heads = 2 * n_q * 250 * 250 * 8  # [2, n_kv, group, 250, 250] f64
+    dit.gqa_attention(x, p, tables)
+    tracemalloc.start()
+    try:
+        dit.gqa_attention(x, p, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * all_heads, peak / all_heads
 
 
 def test_one_token_attention_keeps_its_checks():
